@@ -5,69 +5,3 @@ order-behavior statistics, price every order under the original / RM / convex
 regimes, materialize everything as triples, and answer analytics questions
 through a small declarative graph-query language.
 """
-
-from .analytics import (
-    ClassStats,
-    CqReport,
-    CustomerRevenue,
-    PairRevenue,
-    cq1_top_customers,
-    cq2_occurrence_ranking,
-    cq3_class_premium_stats,
-    cq4_initial_selection,
-    run_competency_questions,
-)
-from .graph import (
-    Graph,
-    ResultTable,
-    assert_customer,
-    assert_order,
-    assert_premium,
-    assert_priced,
-    assert_product,
-    build_graph,
-    evaluate,
-    export_ntriples,
-    load_ntriples,
-    match_patterns,
-)
-from .ingest import (
-    Dataset,
-    GeneratorConfig,
-    generate_synthetic,
-    load_customers,
-    load_dataset,
-    load_orders,
-    load_products,
-    write_dataset,
-)
-from .model import (
-    AccountClass,
-    Customer,
-    LeadTimes,
-    Order,
-    PricingConfig,
-    Product,
-    adjustment_factor,
-    class_for_revenue,
-    derive_lead_times,
-    rm_eligible,
-)
-from .pricing import (
-    CustomerPremium,
-    CustomerStats,
-    PricedOrder,
-    PricingResult,
-    behavior_series,
-    compute_premium,
-    compute_rmd,
-    compute_rsd,
-    convex_price,
-    price_dataset,
-    rm_price,
-)
-from .query import QuerySpec, parse_query
-from .report import RevenueComparison, emit_report, load_report, revenue_totals
-from .terms import Iri, Literal, Triple, Variable
-
-__all__ = [name for name in dir() if not name.startswith("_")]

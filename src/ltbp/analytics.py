@@ -6,11 +6,12 @@ dataset):
     CQ1  top customers by total RM revenue among those holding a premium > 1
     CQ2  account classes ranked by their share of orders requested earlier
          than the standard date
-    CQ3  per-class premium spread (max / min / average) plus that share
+    CQ3  per-class premium spread (max / min / average)
     CQ4  (customer, product) pairs ranked by total RM uplift over original
 
 Rankings break ties by ascending identifier. Every result is also exportable
-as CSV plus a combined ``cq_report.json`` (the plot-ready data).
+as CSV plus a combined ``cq_report.json`` (the plot-ready data); the CQ3
+exports carry each class's CQ2 share alongside its spread.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .graph import Graph, evaluate
+from .ingest import write_csv
 from .model import AccountClass, to_factor, to_money
 from .query import parse_query
 
@@ -45,17 +47,12 @@ class ClassStats:
     max_premium: Decimal
     min_premium: Decimal
     avg_premium: Decimal
-    eligible_fraction: Optional[float]
 
     def __post_init__(self) -> None:
         if not self.min_premium <= self.avg_premium <= self.max_premium:
             raise ValueError(
                 f"{self.account_class}: premium stats out of order "
                 f"({self.min_premium}, {self.avg_premium}, {self.max_premium})"
-            )
-        if self.eligible_fraction is not None and not 0 <= self.eligible_fraction <= 1:
-            raise ValueError(
-                f"{self.account_class}: fraction {self.eligible_fraction} not in [0, 1]"
             )
 
 
@@ -147,7 +144,10 @@ def class_eligible_fractions(graph: Graph) -> dict[AccountClass, Optional[float]
     fractions: dict[AccountClass, Optional[float]] = {}
     for cls in present:
         total = totals.get(cls, 0)
-        fractions[cls] = eligible.get(cls, 0) / total if total else None
+        fraction = eligible.get(cls, 0) / total if total else None
+        if fraction is not None and not 0 <= fraction <= 1:
+            raise ValueError(f"{cls}: fraction {fraction} not in [0, 1]")
+        fractions[cls] = fraction
     return fractions
 
 
@@ -164,22 +164,17 @@ def cq2_occurrence_ranking(
 
 
 def cq3_class_premium_stats(graph: Graph) -> list[ClassStats]:
-    """Max / min / average premium per class, plus its eligible share."""
-    fractions = class_eligible_fractions(graph)
+    """Max / min / average premium per class."""
     table = evaluate(graph, parse_query(_CQ3_QUERY))
-    stats = []
-    for cls_label, maxp, minp, avgp in table.rows:
-        cls = AccountClass.from_label(cls_label)
-        stats.append(
-            ClassStats(
-                account_class=cls,
-                max_premium=maxp,
-                min_premium=minp,
-                avg_premium=avgp,  # exact; rounded only when written out
-                eligible_fraction=fractions.get(cls),
-            )
+    return [
+        ClassStats(
+            account_class=AccountClass.from_label(cls_label),
+            max_premium=maxp,
+            min_premium=minp,
+            avg_premium=avgp,  # exact; rounded only when written out
         )
-    return stats
+        for cls_label, maxp, minp, avgp in table.rows
+    ]
 
 
 def cq4_initial_selection(graph: Graph, k: int) -> list[PairRevenue]:
@@ -214,53 +209,54 @@ def run_competency_questions(
     )
 
 
-def _fraction_text(fraction: Optional[float]) -> str:
-    return "" if fraction is None else f"{fraction:.6f}"
+def _fraction_text(fraction: Optional[float]) -> Optional[str]:
+    return None if fraction is None else f"{fraction:.6f}"
 
 
 def write_cq_csvs(report: CqReport, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in ("cq1", "cq2", "cq3", "cq4")}
-    with open(paths["cq1"], "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("rank,customer_code,total_rm_revenue\n")
-        for rank, row in enumerate(report.top_customers, start=1):
-            handle.write(f"{rank},{row.customer_code},{row.total_rm}\n")
-    with open(paths["cq2"], "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("rank,account_class,eligible_fraction\n")
-        for rank, (cls, fraction) in enumerate(report.occurrence_ranking, start=1):
-            handle.write(f"{rank},{cls.value},{_fraction_text(fraction)}\n")
-    with open(paths["cq3"], "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(
-            "account_class,max_premium,min_premium,avg_premium,eligible_fraction\n"
-        )
-        for s in report.class_stats:
-            handle.write(
-                f"{s.account_class.value},{to_factor(s.max_premium)},"
-                f"{to_factor(s.min_premium)},{to_factor(s.avg_premium)},"
-                f"{_fraction_text(s.eligible_fraction)}\n"
-            )
-    with open(paths["cq4"], "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("rank,customer_code,product_number,revenue_delta\n")
-        for rank, row in enumerate(report.pair_selection, start=1):
-            handle.write(
-                f"{rank},{row.customer_code},{row.product_number},"
-                f"{row.revenue_delta}\n"
-            )
+    fractions = dict(report.occurrence_ranking)
+    write_csv(paths["cq1"], ["rank", "customer_code", "total_rm_revenue"], (
+        [rank, row.customer_code, row.total_rm]
+        for rank, row in enumerate(report.top_customers, start=1)
+    ))
+    write_csv(paths["cq2"], ["rank", "account_class", "eligible_fraction"], (
+        [rank, cls.value, _fraction_text(fraction)]
+        for rank, (cls, fraction) in enumerate(report.occurrence_ranking, start=1)
+    ))
+    write_csv(
+        paths["cq3"],
+        ["account_class", "max_premium", "min_premium", "avg_premium",
+         "eligible_fraction"],
+        (
+            [s.account_class.value, to_factor(s.max_premium),
+             to_factor(s.min_premium), to_factor(s.avg_premium),
+             _fraction_text(fractions.get(s.account_class))]
+            for s in report.class_stats
+        ),
+    )
+    write_csv(
+        paths["cq4"],
+        ["rank", "customer_code", "product_number", "revenue_delta"],
+        (
+            [rank, row.customer_code, row.product_number, row.revenue_delta]
+            for rank, row in enumerate(report.pair_selection, start=1)
+        ),
+    )
     return paths
 
 
 def write_cq_json(report: CqReport, path) -> None:
+    fractions = dict(report.occurrence_ranking)
     payload = {
         "cq1": [
             {"customer_code": r.customer_code, "total_rm_revenue": str(r.total_rm)}
             for r in report.top_customers
         ],
         "cq2": [
-            {
-                "account_class": cls.value,
-                "eligible_fraction": None if f is None else f"{f:.6f}",
-            }
+            {"account_class": cls.value, "eligible_fraction": _fraction_text(f)}
             for cls, f in report.occurrence_ranking
         ],
         "cq3": [
@@ -269,10 +265,8 @@ def write_cq_json(report: CqReport, path) -> None:
                 "max_premium": str(to_factor(s.max_premium)),
                 "min_premium": str(to_factor(s.min_premium)),
                 "avg_premium": str(to_factor(s.avg_premium)),
-                "eligible_fraction": (
-                    None
-                    if s.eligible_fraction is None
-                    else f"{s.eligible_fraction:.6f}"
+                "eligible_fraction": _fraction_text(
+                    fractions.get(s.account_class)
                 ),
             }
             for s in report.class_stats

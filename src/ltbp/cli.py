@@ -3,7 +3,7 @@
     ltbp generate --seed 42 --out data/            synthetic dataset + manifest
     ltbp price --orders ... --portfolio ... --products ... --out run/
     ltbp analyze --graph run/graph.nt --out-dir run/
-    ltbp query --graph run/graph.nt --query totals.rq
+    ltbp query --graph run/graph.nt --query src/ltbp/totals.rq
     ltbp report --graph run/graph.nt --out run/report.json
 
 Exit codes: 0 ok, 1 usage, 2 data error, 3 internal error. All outputs are
@@ -143,7 +143,7 @@ def _load_dataset(args) -> ingest.Dataset:
 def cmd_price(args) -> int:
     config = build_pricing_config(args)
     dataset = _load_dataset(args)
-    result = pricing.price_dataset(dataset, config, threads=args.threads)
+    result = pricing.price_dataset(dataset, config)
     for issue in result.issues:
         print(f"unpriced order {issue.order_number}: {issue.message}",
               file=sys.stderr)
@@ -226,8 +226,6 @@ def make_parser() -> _Parser:
     parser = _Parser(prog="ltbp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out-dir", default=".", help="default output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for premium computation")
     parser.add_argument("--skip-invalid", action="store_true",
                         help="collect bad input rows instead of aborting")
     parser.add_argument("-v", "--verbose", action="store_true")

@@ -328,43 +328,12 @@ def load_dataset(
 # --- writing -----------------------------------------------------------------
 
 
-def write_customers(customers: Sequence[Customer], path) -> None:
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """One CSV file: RFC 4180 quoting, UTF-8, ``\\n`` line ends."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CUSTOMERS_HEADER)
-        for c in customers:
-            writer.writerow(
-                [c.customer_code, c.account_class.value, c.annual_revenue,
-                 c.region or ""]
-            )
-
-
-def write_products(products: Sequence[Product], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PRODUCTS_HEADER)
-        for p in products:
-            writer.writerow([p.product_number, p.basic_type, p.product_line])
-
-
-def write_orders(orders: Sequence[Order], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(ORDERS_HEADER)
-        for o in orders:
-            writer.writerow(
-                [
-                    o.order_number,
-                    o.customer_code,
-                    o.product_number,
-                    o.quantity,
-                    o.original_price,
-                    o.order_date.isoformat(),
-                    o.customer_request_date.isoformat(),
-                    o.customer_delivery_date.isoformat(),
-                    o.standard_delivery_date.isoformat(),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_dataset(dataset: Dataset, out_dir) -> dict:
@@ -375,9 +344,27 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
         "products": out / "products.csv",
         "orders": out / "orders.csv",
     }
-    write_customers(dataset.customers, paths["customers"])
-    write_products(dataset.products, paths["products"])
-    write_orders(dataset.orders, paths["orders"])
+    write_csv(paths["customers"], CUSTOMERS_HEADER, (
+        [c.customer_code, c.account_class.value, c.annual_revenue, c.region or ""]
+        for c in dataset.customers
+    ))
+    write_csv(paths["products"], PRODUCTS_HEADER, (
+        [p.product_number, p.basic_type, p.product_line] for p in dataset.products
+    ))
+    write_csv(paths["orders"], ORDERS_HEADER, (
+        [
+            o.order_number,
+            o.customer_code,
+            o.product_number,
+            o.quantity,
+            o.original_price,
+            o.order_date.isoformat(),
+            o.customer_request_date.isoformat(),
+            o.customer_delivery_date.isoformat(),
+            o.standard_delivery_date.isoformat(),
+        ]
+        for o in dataset.orders
+    ))
     return paths
 
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Sequence
 
+from .ingest import write_csv
 from .model import (
     Customer,
     LeadTimes,
@@ -191,7 +191,7 @@ def _premium_for(
     return stats, compute_premium(stats, rho, config)
 
 
-def price_dataset(dataset, config: PricingConfig, threads: int = 1) -> PricingResult:
+def price_dataset(dataset, config: PricingConfig) -> PricingResult:
     """Premium per customer and both prices per order.
 
     Customers with no eligible orders get premium 1. Per-order failures
@@ -203,14 +203,10 @@ def price_dataset(dataset, config: PricingConfig, threads: int = 1) -> PricingRe
         by_customer[order.customer_code].append(order)
 
     customers = sorted(dataset.customers, key=lambda c: c.customer_code)
-    jobs = [(c, by_customer.get(c.customer_code, [])) for c in customers]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda job: _premium_for(job[0], job[1], config), jobs)
-            )
-    else:
-        results = [_premium_for(c, orders, config) for c, orders in jobs]
+    results = [
+        _premium_for(c, by_customer.get(c.customer_code, []), config)
+        for c in customers
+    ]
     stats = tuple(s for s, _ in results)
     premiums = tuple(p for _, p in results)
     premium_by_code = {p.customer_code: p for p in premiums}
@@ -239,20 +235,17 @@ def price_dataset(dataset, config: PricingConfig, threads: int = 1) -> PricingRe
 
 def write_premiums(result: PricingResult, path) -> None:
     """premiums.csv: customer_code,rsd,rmd,premium (6 fractional digits)."""
-    stats_by_code = {s.customer_code: s for s in result.stats}
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("customer_code,rsd,rmd,premium\n")
-        for premium in result.premiums:
-            s = stats_by_code[premium.customer_code]
-            handle.write(
-                f"{premium.customer_code},{s.rsd:.6f},{s.rmd:.6f},"
-                f"{premium.premium}\n"
-            )
+    stats = {s.customer_code: s for s in result.stats}
+    write_csv(path, ["customer_code", "rsd", "rmd", "premium"], (
+        [p.customer_code, f"{stats[p.customer_code].rsd:.6f}",
+         f"{stats[p.customer_code].rmd:.6f}", p.premium]
+        for p in result.premiums
+    ))
 
 
 def write_priced_orders(result: PricingResult, path) -> None:
     """priced_orders.csv: order_number,original,rm,convex (2-decimal prices)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("order_number,original,rm,convex\n")
-        for po in result.priced_orders:
-            handle.write(f"{po.order_number},{po.original},{po.rm},{po.convex}\n")
+    write_csv(path, ["order_number", "original", "rm", "convex"], (
+        [po.order_number, po.original, po.rm, po.convex]
+        for po in result.priced_orders
+    ))

@@ -1,7 +1,8 @@
 """Total-revenue comparison across the three pricing regimes.
 
 Totals come from a single aggregation query over the priced graph (summing
-original, RM, and convex prices per order); the report records the raw totals
+original, RM, and convex prices per order), kept in ``totals.rq`` next to this
+module so that ``ltbp query`` can run it too; the report records the raw totals
 and whether the strict ordering original < rm < convex held, never asserting
 particular magnitudes.
 """
@@ -20,18 +21,7 @@ from .graph import Graph, evaluate
 from .model import AccountClass, PricingConfig, to_money
 from .query import parse_query
 
-TOTALS_QUERY = """\
-SELECT
-  (sum(?rmprice) as ?TotalRMPrice)
-  (sum(?orignalprice) as ?TotalOrginalPrice)
-  (sum(?convexprice) as ?TotalConvexPrice)
-FROM <http://xyz.com/LTBP/>
-WHERE {
-  ?order  :hasRMPrice       ?rmprice.
-  ?order  :hasOriginalPrice ?orignalprice.
-  ?order  :hasConvexPrice   ?convexprice.
-}
-"""
+TOTALS_QUERY = (Path(__file__).parent / "totals.rq").read_text(encoding="utf-8")
 
 _ORDER_COUNT_QUERY = """
 SELECT (COUNT(?o) AS ?n)

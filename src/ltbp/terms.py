@@ -1,8 +1,10 @@
 """Graph terms, triples, and the fixed IRI namespace used by the store.
 
 Everything lives under ``urn:ltbp:``. Entities get one IRI each
-(``urn:ltbp:customer:C001``), predicates sit under ``urn:ltbp:p:`` and carry
-the ontology's property names (``wasPlacedBy``, ``hasAdjustmentFactor``, ...).
+(``urn:ltbp:customer:C001``), with the id percent-encoded (RFC 3986) so that
+any id yields a valid IRI; the raw id travels as a literal. Predicates sit
+under ``urn:ltbp:p:`` and carry the ontology's property names
+(``wasPlacedBy``, ``hasAdjustmentFactor``, ...).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
 from typing import Union
+from urllib.parse import quote
 
 NAMESPACE = "urn:ltbp:"
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -51,15 +54,15 @@ def predicate(name: str) -> Iri:
 
 
 def customer_iri(code: str) -> Iri:
-    return Iri(f"{NAMESPACE}customer:{code}")
+    return Iri(f"{NAMESPACE}customer:{quote(code, safe='')}")
 
 
 def order_iri(number: str) -> Iri:
-    return Iri(f"{NAMESPACE}order:{number}")
+    return Iri(f"{NAMESPACE}order:{quote(number, safe='')}")
 
 
 def product_iri(number: str) -> Iri:
-    return Iri(f"{NAMESPACE}product:{number}")
+    return Iri(f"{NAMESPACE}product:{quote(number, safe='')}")
 
 
 def class_iri(name: str) -> Iri:

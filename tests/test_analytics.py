@@ -195,3 +195,17 @@ class TestExports:
         write_cq_json(report, tmp_path / "a.json")
         write_cq_json(report, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_class_fractions_computed_once(self, small_graph, monkeypatch):
+        import ltbp.analytics
+
+        calls = []
+        original = ltbp.analytics.class_eligible_fractions
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(ltbp.analytics, "class_eligible_fractions", counted)
+        run_competency_questions(small_graph)
+        assert len(calls) == 1

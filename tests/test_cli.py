@@ -1,9 +1,13 @@
+import csv
 import filecmp
 import json
+from pathlib import Path
 
 import pytest
 
 from ltbp.cli import main
+
+TOTALS_RQ = Path(__file__).resolve().parent.parent / "src" / "ltbp" / "totals.rq"
 
 
 def run(args):
@@ -101,23 +105,6 @@ class TestPrice:
         ])
         assert code == 2
 
-    def test_thread_flag_does_not_change_outputs(self, tmp_path):
-        data = generate(tmp_path / "data")
-        code = run([
-            "--threads", 3,
-            "price", "--orders", data / "orders.csv",
-            "--portfolio", data / "customers.csv",
-            "--products", data / "products.csv",
-            "--out", tmp_path / "pooled",
-        ])
-        assert code == 0
-        price(data, tmp_path / "single")
-        for name in ("premiums.csv", "priced_orders.csv", "graph.nt"):
-            assert filecmp.cmp(
-                tmp_path / "pooled" / name, tmp_path / "single" / name,
-                shallow=False,
-            ), name
-
     def test_skip_invalid_continues(self, tmp_path, capsys):
         data = generate(tmp_path / "data")
         orders = data / "orders.csv"
@@ -203,11 +190,7 @@ class TestAnalyzeQueryReport:
         capsys.readouterr()
         payload = json.loads((tmp_path / "report.json").read_text())
 
-        query_file = tmp_path / "totals.rq"
-        from ltbp.report import TOTALS_QUERY
-
-        query_file.write_text(TOTALS_QUERY)
-        code = run(["query", "--graph", run_dir / "graph.nt", "--query", query_file])
+        code = run(["query", "--graph", run_dir / "graph.nt", "--query", TOTALS_RQ])
         assert code == 0
         out = capsys.readouterr().out.splitlines()
         header = out[0].split("\t")
@@ -215,14 +198,6 @@ class TestAnalyzeQueryReport:
         assert values["TotalRMPrice"] == payload["totals"]["rm"]
         assert values["TotalOrginalPrice"] == payload["totals"]["original"]
         assert values["TotalConvexPrice"] == payload["totals"]["convex"]
-
-    def test_repo_query_file_matches_report_query(self):
-        from pathlib import Path
-
-        from ltbp.report import TOTALS_QUERY
-
-        repo_file = Path(__file__).resolve().parent.parent / "queries" / "totals.rq"
-        assert repo_file.read_text() == TOTALS_QUERY
 
     def test_query_syntax_error_is_data_error(self, run_dir, tmp_path, capsys):
         bad = tmp_path / "bad.rq"
@@ -260,3 +235,41 @@ class TestAnalyzeQueryReport:
                     "--customers", "2", "--out", tmp_path / "d"])
         assert code == 3
         assert "internal error" in capsys.readouterr().err
+
+
+def _rewrite_column(path, column, old, new):
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    index = rows[0].index(column)
+    for row in rows[1:]:
+        if row[index] == old:
+            row[index] = new
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+@pytest.mark.parametrize("code", ["C 1", "C,2", 'C"3', "Ç<4>"])
+def test_hostile_customer_code_survives_pipeline(tmp_path, code):
+    data = generate(tmp_path / "data")
+    with open(data / "orders.csv", encoding="utf-8", newline="") as handle:
+        placed = [row[1] for row in csv.reader(handle)][1:]
+    victim = max(sorted(set(placed)), key=placed.count)
+    _rewrite_column(data / "customers.csv", "customer_code", victim, code)
+    _rewrite_column(data / "orders.csv", "customer_code", victim, code)
+
+    out = price(data, tmp_path / "run")
+    assert run(["--out-dir", out, "analyze", "--graph", out / "graph.nt",
+                "--pairs", 1000]) == 0
+    assert run(["report", "--graph", out / "graph.nt",
+                "--out", out / "report.json"]) == 0
+
+    carriers = {"premiums.csv", "cq1.csv", "cq4.csv"}
+    for path in sorted(out.glob("*.csv")):
+        with open(path, encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        if path.name in carriers:
+            column = header.index("customer_code")
+            assert code in {row[column] for row in rows}, path.name
+    cq1 = json.loads((out / "cq_report.json").read_text(encoding="utf-8"))["cq1"]
+    assert code in {row["customer_code"] for row in cq1}

@@ -266,11 +266,6 @@ class TestPriceDataset:
             assert po.original <= po.rm <= po.original * 2
             assert po.convex >= po.original
 
-    def test_thread_count_does_not_change_result(self, small_dataset, config):
-        single = price_dataset(small_dataset, config, threads=1)
-        pooled = price_dataset(small_dataset, config, threads=4)
-        assert single == pooled
-
     def test_deterministic(self, small_dataset, config):
         assert price_dataset(small_dataset, config) == price_dataset(
             small_dataset, config
