@@ -152,7 +152,6 @@ def cmd_price(args) -> int:
     pricing.write_premiums(result, out / "premiums.csv")
     pricing.write_priced_orders(result, out / "priced_orders.csv")
     g = graphmod.build_graph(dataset, result, config)
-    g.freeze()
     graphmod.export_ntriples(g, out / "graph.nt")
     print(
         f"priced {len(result.priced_orders)} orders "
@@ -163,7 +162,6 @@ def cmd_price(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = graphmod.load_ntriples(args.graph)
-    g.freeze()
     cq = analytics.run_competency_questions(g, top_n=args.top, pair_k=args.pairs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,7 +183,6 @@ def _format_cell(value) -> str:
 
 def cmd_query(args) -> int:
     g = graphmod.load_ntriples(args.graph)
-    g.freeze()
     with open(args.query, "r", encoding="utf-8") as handle:
         text = handle.read()
     table = graphmod.evaluate(g, parse_query(text))
@@ -197,7 +194,6 @@ def cmd_query(args) -> int:
 
 def cmd_report(args) -> int:
     g = graphmod.load_ntriples(args.graph)
-    g.freeze()
     comparison = reportmod.revenue_totals(g)
     config = build_pricing_config(args) if args.config else None
     out = Path(args.out) if args.out else Path(args.out_dir) / "report.json"

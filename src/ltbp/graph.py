@@ -6,8 +6,26 @@ quantities, and prices. Matching is a natural join over triple patterns with
 shared variables; evaluation adds filters, grouping, aggregates, ordering,
 and limits. Monetary aggregation is exact fixed-point decimal.
 
-Iteration order everywhere is insertion order, so results are deterministic
-for a deterministically built graph regardless of hash randomization.
+Store layout (after Hexastore and RDF-3X): every term is interned once to an
+int id, and the graph keeps two nested-dict indexes over those ids,
+``spo: s -> p -> [o]`` and ``pos: p -> o -> [s]``. A pattern with a bound
+subject is answered from ``spo``; one with a bound predicate or object from
+``pos``; one with nothing bound scans ``spo``. A query joins its patterns in
+greedy order over rows of ids, looking each row's triples up through
+``Graph.match(..., ids=True)``; its filters run once every pattern is joined.
+
+A term's identity is the N-Triples text it exports as, so a literal is its
+lexical form plus datatype. ``100`` (integer), ``100.00`` and ``1.00``
+(decimal) are equal as Python values but are three terms, and each exports
+as it was asserted. The loader reads a typed literal to its value and keys
+it by that value's text: ``"007"^^xsd:integer`` loads as ``"7"`` and
+``"+1.0"^^xsd:decimal`` as ``"1.0"``, so lines that differ only in such a
+form load as one triple.
+
+Iteration order is deterministic for a deterministically built graph,
+regardless of hash randomization: ``spo`` yields subjects in first-insertion
+order, then each subject's predicates and objects in insertion order; ``pos``
+does the same by predicate, object and subject.
 """
 
 from __future__ import annotations
@@ -31,6 +49,7 @@ from .query import (
     QueryError,
     QuerySpec,
     VarRef,
+    expr_variables,
     render_expr,
 )
 from .terms import Iri, Literal, Triple, Variable
@@ -55,10 +74,6 @@ class UnknownOrderError(GraphError):
     pass
 
 
-class GraphFrozenError(GraphError):
-    pass
-
-
 class GraphParseError(GraphError):
     pass
 
@@ -71,73 +86,190 @@ class FilterTypeError(EvaluationError):
     pass
 
 
+# --- N-Triples term text -----------------------------------------------------
+
+_XSD_INTEGER = f"{T.XSD}integer"
+_XSD_DECIMAL = f"{T.XSD}decimal"
+_XSD_DATE = f"{T.XSD}date"
+
+_NT_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
+
+
+def _nt_term(term: Union[Iri, Literal]) -> str:
+    """A term's N-Triples text, which is also its identity in the store."""
+    if isinstance(term, Iri):
+        return f"<{term.value}>"
+    value = term.value
+    if isinstance(value, str):
+        return f'"{value.translate(_NT_ESCAPES)}"'
+    if isinstance(value, bool):
+        raise GraphError("boolean literals are not supported")
+    if isinstance(value, int):
+        return f'"{value}"^^<{_XSD_INTEGER}>'
+    if isinstance(value, Decimal):  # plain notation: xsd:decimal has no exponent
+        return f'"{value:f}"^^<{_XSD_DECIMAL}>'
+    if isinstance(value, date):
+        return f'"{value.isoformat()}"^^<{_XSD_DATE}>'
+    raise GraphError(f"unsupported literal value {value!r}")
+
+
 class Graph:
-    """Set of triples with subject/predicate/object indexes."""
+    """Set of triples over interned term ids, indexed as spo and pos."""
 
     def __init__(self) -> None:
-        self._triples: dict[Triple, None] = {}
-        self._by_subject: dict[Iri, list[Triple]] = {}
-        self._by_predicate: dict[Iri, list[Triple]] = {}
-        self._by_object: dict[Union[Iri, Literal], list[Triple]] = {}
-        self._frozen = False
+        self._ids: dict[str, int] = {}  # N-Triples text -> id
+        self._text: list[str] = []  # id -> N-Triples text
+        self._values: list[BindingValue] = []  # id -> Iri or literal value
+        self._spo: dict[int, dict[int, list[int]]] = {}
+        self._pos: dict[int, dict[int, list[int]]] = {}
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        return self._triples(self._match_ids(None, None, None))
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        found = self.match(triple.subject, triple.predicate, triple.object)
+        return next(found, None) is not None
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple; returns False when it was already present."""
-        if self._frozen:
-            raise GraphFrozenError("graph is frozen")
-        if triple in self._triples:
-            return False
-        self._triples[triple] = None
-        self._by_subject.setdefault(triple.subject, []).append(triple)
-        self._by_predicate.setdefault(triple.predicate, []).append(triple)
-        self._by_object.setdefault(triple.object, []).append(triple)
-        return True
-
-    def freeze(self) -> None:
-        self._frozen = True
+        return self._add_ids(
+            self._intern(triple.subject),
+            self._intern(triple.predicate),
+            self._intern(triple.object),
+        )
 
     def has_subject(self, iri: Iri) -> bool:
-        return iri in self._by_subject
+        return self._ids.get(f"<{iri.value}>") in self._spo
 
     def match(
         self,
-        subject: Optional[Iri] = None,
-        predicate: Optional[Iri] = None,
-        object: Optional[Union[Iri, Literal]] = None,
-    ) -> Iterator[Triple]:
-        """Iterate triples matching the given concrete terms (None = any)."""
-        candidates: Iterable[Triple]
-        pools = []
-        if subject is not None:
-            pools.append(self._by_subject.get(subject, []))
-        if predicate is not None:
-            pools.append(self._by_predicate.get(predicate, []))
-        if object is not None:
-            pools.append(self._by_object.get(object, []))
-        if pools:
-            candidates = min(pools, key=len)
+        subject: Optional[Union[Iri, int]] = None,
+        predicate: Optional[Union[Iri, int]] = None,
+        object: Optional[Union[Iri, Literal, int]] = None,
+        *,
+        ids: bool = False,
+    ) -> Iterable:
+        """Iterate triples matching the given concrete terms (None = any).
+
+        With ``ids=True`` the arguments and the yielded ``(s, p, o)`` tuples
+        are interned term ids; query joins look triples up this way, so a
+        wrapper on this method (as in ``perfbench/tracer.py``) sees every
+        lookup a query makes.
+        """
+        if ids:
+            return self._match_ids(subject, predicate, object)
+        return self._match_terms(subject, predicate, object)
+
+    # -- ids ------------------------------------------------------------------
+
+    def _intern(self, term: Union[Iri, Literal]) -> int:
+        return self._intern_text(_nt_term(term), term)
+
+    def _intern_text(self, text: str, term: Union[Iri, Literal]) -> int:
+        tid = self._ids.get(text)
+        if tid is None:
+            tid = self._ids[text] = len(self._text)
+            self._text.append(text)
+            self._values.append(term if isinstance(term, Iri) else term.value)
+        return tid
+
+    def _id_of(self, term: Union[Iri, Literal]) -> Optional[int]:
+        try:
+            return self._ids.get(_nt_term(term))
+        except GraphError:  # a value no stored term can have
+            return None
+
+    def _match_terms(self, subject, predicate, object) -> Iterator[Triple]:
+        ids = []
+        for term in (subject, predicate, object):
+            if term is None:
+                ids.append(None)
+                continue
+            tid = self._id_of(term)
+            if tid is None:
+                return
+            ids.append(tid)
+        yield from self._triples(self._match_ids(*ids))
+
+    def _term(self, tid: int) -> Union[Iri, Literal]:
+        value = self._values[tid]
+        return value if isinstance(value, Iri) else Literal(value)
+
+    def _triples(self, ids) -> Iterator[Triple]:
+        values, term = self._values, self._term
+        for s, p, o in ids:
+            yield Triple(values[s], values[p], term(o))
+
+    def _add_ids(self, s: int, p: int, o: int) -> bool:
+        by_p = self._spo.get(s)
+        if by_p is None:
+            by_p = self._spo[s] = {}
+        objects = by_p.get(p)
+        if objects is None:
+            by_p[p] = [o]
+        elif o in objects:
+            return False
         else:
-            candidates = self._triples
-        for t in candidates:
-            if subject is not None and t.subject != subject:
-                continue
-            if predicate is not None and t.predicate != predicate:
-                continue
-            if object is not None and t.object != object:
-                continue
-            yield t
+            objects.append(o)
+        by_o = self._pos.get(p)
+        if by_o is None:
+            by_o = self._pos[p] = {}
+        subjects = by_o.get(o)
+        if subjects is None:
+            by_o[o] = [s]
+        else:
+            subjects.append(s)
+        self._size += 1
+        return True
+
+    def _match_ids(self, s, p, o) -> Iterable[tuple[int, int, int]]:
+        """(s, p, o) id triples matching the given ids (None = any).
+
+        A list, except for the lazy scan of the whole store when none is given.
+        """
+        if s is not None:
+            by_p = self._spo.get(s)
+            if not by_p:
+                return []
+            pairs = by_p.items() if p is None else ((p, by_p.get(p, ())),)
+            if o is None:
+                return [(s, p2, o2) for p2, objects in pairs for o2 in objects]
+            return [(s, p2, o) for p2, objects in pairs if o in objects]
+        if p is None and o is None:
+            return (
+                (s2, p2, o2)
+                for s2, by_p in self._spo.items()
+                for p2, objects in by_p.items()
+                for o2 in objects
+            )
+        groups = self._pos.items() if p is None else ((p, self._pos.get(p, {})),)
+        if o is None:
+            return [
+                (s2, p2, o2)
+                for p2, by_o in groups
+                for o2, subjects in by_o.items()
+                for s2 in subjects
+            ]
+        return [(s2, p2, o) for p2, by_o in groups for s2 in by_o.get(o, ())]
 
 
 # --- entity assertion --------------------------------------------------------
+
+
+def _assert(graph: Graph, subject: Iri, pairs) -> list[Triple]:
+    """Add (subject, predicate, object) per pair; returns the new triples."""
+    s = graph._intern(subject)
+    added = []
+    for predicate, obj in pairs:
+        if graph._add_ids(s, graph._intern(predicate), graph._intern(obj)):
+            added.append(Triple(subject, predicate, obj))
+    return added
 
 
 def assert_customer(
@@ -148,18 +280,16 @@ def assert_customer(
     if graph.has_subject(subject):
         raise DuplicateSubjectError(f"customer already asserted: {subject.value}")
     rho = adjustment_factor(customer.account_class, config)
-    triples = [
-        Triple(subject, T.TYPE, T.CUSTOMER_CLASS),
-        Triple(subject, T.HAS_CUSTOMER_CODE, Literal(customer.customer_code)),
-        Triple(subject, T.HAS_ACCOUNT_TYPE, Literal(customer.account_class.value)),
-        Triple(subject, T.HAS_ADJUSTMENT_FACTOR, Literal(to_factor(rho))),
-        Triple(subject, T.HAS_ANNUAL_REVENUE, Literal(customer.annual_revenue)),
+    pairs = [
+        (T.TYPE, T.CUSTOMER_CLASS),
+        (T.HAS_CUSTOMER_CODE, Literal(customer.customer_code)),
+        (T.HAS_ACCOUNT_TYPE, Literal(customer.account_class.value)),
+        (T.HAS_ADJUSTMENT_FACTOR, Literal(to_factor(rho))),
+        (T.HAS_ANNUAL_REVENUE, Literal(customer.annual_revenue)),
     ]
     if customer.region is not None:
-        triples.append(Triple(subject, T.HAS_REGION, Literal(customer.region)))
-    for t in triples:
-        graph.add(t)
-    return triples
+        pairs.append((T.HAS_REGION, Literal(customer.region)))
+    return _assert(graph, subject, pairs)
 
 
 def assert_product(graph: Graph, product: Product) -> list[Triple]:
@@ -167,15 +297,12 @@ def assert_product(graph: Graph, product: Product) -> list[Triple]:
     subject = T.product_iri(product.product_number)
     if graph.has_subject(subject):
         raise DuplicateSubjectError(f"product already asserted: {subject.value}")
-    triples = [
-        Triple(subject, T.TYPE, T.PRODUCT_CLASS),
-        Triple(subject, T.HAS_PRODUCT_NUMBER, Literal(product.product_number)),
-        Triple(subject, T.HAS_BASIC_TYPE, Literal(product.basic_type)),
-        Triple(subject, T.HAS_PRODUCT_LINE, Literal(product.product_line)),
-    ]
-    for t in triples:
-        graph.add(t)
-    return triples
+    return _assert(graph, subject, [
+        (T.TYPE, T.PRODUCT_CLASS),
+        (T.HAS_PRODUCT_NUMBER, Literal(product.product_number)),
+        (T.HAS_BASIC_TYPE, Literal(product.basic_type)),
+        (T.HAS_PRODUCT_LINE, Literal(product.product_line)),
+    ])
 
 
 def assert_order(graph: Graph, order: Order) -> list[Triple]:
@@ -195,21 +322,18 @@ def assert_order(graph: Graph, order: Order) -> list[Triple]:
             f"order {order.order_number} references unknown product "
             f"{order.product_number}"
         )
-    triples = [
-        Triple(subject, T.TYPE, T.ORDER_CLASS),
-        Triple(subject, T.HAS_ORDER_NUMBER, Literal(order.order_number)),
-        Triple(subject, T.HAS_QUANTITY, Literal(order.quantity)),
-        Triple(subject, T.HAS_ORIGINAL_PRICE, Literal(order.original_price)),
-        Triple(subject, T.HAS_ORDER_DATE, Literal(order.order_date)),
-        Triple(subject, T.HAS_REQUESTED_DATE, Literal(order.customer_request_date)),
-        Triple(subject, T.HAS_CONFIRMED_DATE, Literal(order.customer_delivery_date)),
-        Triple(subject, T.HAS_STANDARD_DATE, Literal(order.standard_delivery_date)),
-        Triple(subject, T.WAS_PLACED_BY, customer),
-        Triple(subject, T.CONTAINS_PRODUCT, product),
-    ]
-    for t in triples:
-        graph.add(t)
-    return triples
+    return _assert(graph, subject, [
+        (T.TYPE, T.ORDER_CLASS),
+        (T.HAS_ORDER_NUMBER, Literal(order.order_number)),
+        (T.HAS_QUANTITY, Literal(order.quantity)),
+        (T.HAS_ORIGINAL_PRICE, Literal(order.original_price)),
+        (T.HAS_ORDER_DATE, Literal(order.order_date)),
+        (T.HAS_REQUESTED_DATE, Literal(order.customer_request_date)),
+        (T.HAS_CONFIRMED_DATE, Literal(order.customer_delivery_date)),
+        (T.HAS_STANDARD_DATE, Literal(order.standard_delivery_date)),
+        (T.WAS_PLACED_BY, customer),
+        (T.CONTAINS_PRODUCT, product),
+    ])
 
 
 def assert_premium(graph: Graph, premium) -> list[Triple]:
@@ -219,8 +343,9 @@ def assert_premium(graph: Graph, premium) -> list[Triple]:
         raise DanglingReferenceError(
             f"premium references unknown customer {premium.customer_code}"
         )
-    triple = Triple(subject, T.HAS_PREMIUM, Literal(to_factor(premium.premium)))
-    return [triple] if graph.add(triple) else []
+    return _assert(
+        graph, subject, [(T.HAS_PREMIUM, Literal(to_factor(premium.premium)))]
+    )
 
 
 def assert_priced(graph: Graph, priced) -> list[Triple]:
@@ -230,15 +355,10 @@ def assert_priced(graph: Graph, priced) -> list[Triple]:
         raise UnknownOrderError(
             f"priced order references unknown order {priced.order_number}"
         )
-    added = []
-    for predicate, value in (
-        (T.HAS_RM_PRICE, priced.rm),
-        (T.HAS_CONVEX_PRICE, priced.convex),
-    ):
-        triple = Triple(subject, predicate, Literal(value))
-        if graph.add(triple):
-            added.append(triple)
-    return added
+    return _assert(graph, subject, [
+        (T.HAS_RM_PRICE, Literal(priced.rm)),
+        (T.HAS_CONVEX_PRICE, Literal(priced.convex)),
+    ])
 
 
 def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> Graph:
@@ -261,13 +381,90 @@ def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> G
 
 # --- pattern matching --------------------------------------------------------
 
-
-def _as_stored(value: BindingValue) -> Union[Iri, Literal]:
-    return value if isinstance(value, Iri) else Literal(value)
+_MISSING = -1  # id of a constant the graph does not hold; it matches nothing
 
 
-def _as_binding(term: Union[Iri, Literal]) -> BindingValue:
-    return term.value if isinstance(term, Literal) else term
+def _plan(graph: Graph, patterns: Sequence[tuple]):
+    """Compile patterns to row cells and order them greedily.
+
+    A row holds one cell per variable and one per constant, in order of first
+    appearance; the start row has the constants' ids filled in. The next
+    pattern is the one with the most bound positions (constants and
+    variables earlier patterns bind), ties in text order. Each step is the
+    pattern's cells and, per position, whether it is bound when the step runs.
+    """
+    slots: dict[str, int] = {}
+    start: list[Optional[int]] = []
+    pending = []
+    for pattern in patterns:
+        if len(pattern) != 3:
+            raise QueryError(f"malformed pattern: {pattern!r}")
+        cells = []
+        for term in pattern:
+            if isinstance(term, Variable):
+                if term.name not in slots:
+                    slots[term.name] = len(start)
+                    start.append(None)
+                cells.append(slots[term.name])
+                continue
+            if not isinstance(term, (Iri, Literal)):
+                term = Literal(term)
+            tid = graph._id_of(term)
+            cells.append(len(start))
+            start.append(_MISSING if tid is None else tid)
+        pending.append(tuple(cells))
+
+    bound = {cell for cell, tid in enumerate(start) if tid is not None}
+    steps = []
+    while pending:
+        flags = [[cell in bound for cell in cells] for cells in pending]
+        best = max(range(len(pending)), key=lambda i: sum(flags[i]))
+        cells = pending.pop(best)
+        steps.append((cells, flags[best]))
+        bound.update(cells)
+    return slots, start, steps
+
+
+def _join(graph: Graph, cells, bound, rows: list[list]) -> list[list]:
+    """Extend every row by each triple matching the step's pattern."""
+    cs, cp, co = cells
+    free = [(k, cell) for k, (cell, b) in enumerate(zip(cells, bound)) if not b]
+    match = graph.match
+    out = []
+    for row in rows:
+        for triple in match(row[cs], row[cp], row[co], ids=True):
+            new = row.copy()
+            for k, cell in free:
+                seen = new[cell]
+                if seen is None:
+                    new[cell] = triple[k]
+                elif seen != triple[k]:  # same variable twice within one pattern
+                    break
+            else:
+                out.append(new)
+    return out
+
+
+def _solve(graph: Graph, patterns, filters):
+    """Variable slots and the id rows satisfying every pattern and filter.
+
+    Filters run in order once every pattern is joined, so a filter sees only
+    rows that satisfy all patterns.
+    """
+    slots, start, steps = _plan(graph, patterns)
+    rows = [start]
+    for cells, bound in steps:
+        if not rows:
+            break
+        rows = _join(graph, cells, bound, rows)
+    values = graph._values
+    for expr in filters:
+        cells = [(name, slots[name]) for name in expr_variables(expr) if name in slots]
+        rows = [
+            row for row in rows
+            if _truth(expr, {name: values[row[cell]] for name, cell in cells})
+        ]
+    return slots, rows
 
 
 def match_patterns(
@@ -280,45 +477,10 @@ def match_patterns(
     Patterns join naturally on shared variables. Row order is deterministic
     but otherwise unspecified; use evaluate() for ordering.
     """
-    rows: list[Binding] = [{}]
-    for pattern in patterns:
-        if len(pattern) != 3:
-            raise QueryError(f"malformed pattern: {pattern!r}")
-        out: list[Binding] = []
-        for row in rows:
-            lookup = []
-            for term in pattern:
-                if isinstance(term, Variable):
-                    bound = row.get(term.name)
-                    lookup.append(None if bound is None else _as_stored(bound))
-                elif isinstance(term, (Iri, Literal)):
-                    lookup.append(term)
-                else:
-                    lookup.append(_as_stored(term))
-            for triple in graph.match(*lookup):
-                extended = _extend(row, pattern, triple)
-                if extended is not None:
-                    out.append(extended)
-        rows = out
-        if not rows:
-            break
-    for expr in filters:
-        rows = [row for row in rows if _truth(expr, row)]
-    return rows
-
-
-def _extend(row: Binding, pattern: tuple, triple: Triple) -> Optional[Binding]:
-    extended = dict(row)
-    for term, actual in zip(pattern, (triple.subject, triple.predicate, triple.object)):
-        if not isinstance(term, Variable):
-            continue
-        value = _as_binding(actual)
-        seen = extended.get(term.name)
-        if seen is None:
-            extended[term.name] = value
-        elif seen != value:  # same variable twice within one pattern
-            return None
-    return extended
+    slots, rows = _solve(graph, patterns, filters)
+    values = graph._values
+    named = list(slots.items())
+    return [{name: values[row[cell]] for name, cell in named} for row in rows]
 
 
 # --- filter evaluation -------------------------------------------------------
@@ -487,36 +649,40 @@ def _aggregate(func: str, values: list, alias: str):
 def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
     """Run a query: match, group, aggregate, order, and limit."""
     spec.validate()
-    rows = match_patterns(graph, spec.patterns, spec.filters)
+    slots, rows = _solve(graph, spec.patterns, spec.filters)
+    values = graph._values
     aggregates = spec.aggregates
     columns = [p if isinstance(p, str) else p.alias for p in spec.projections]
 
     if aggregates or spec.group_by:
-        groups: dict[tuple, list[Binding]] = {}
+        key_cells = [slots[name] for name in spec.group_by]
+        groups: dict[tuple, list[list]] = {}
         for row in rows:
-            key = tuple(row[name] for name in spec.group_by)
+            key = tuple(values[row[cell]] for cell in key_cells)
             groups.setdefault(key, []).append(row)
         if not spec.group_by and not groups:
             groups[()] = []  # global aggregates over no rows still yield one row
         out_rows = []
         for key in sorted(groups, key=_group_key):
             members = groups[key]
-            values = dict(zip(spec.group_by, key))
+            named = dict(zip(spec.group_by, key))
             record = []
             for proj in spec.projections:
                 if isinstance(proj, str):
-                    record.append(values[proj])
+                    record.append(named[proj])
                 else:
+                    cell = slots[proj.var]
                     record.append(
                         _aggregate(
                             proj.func,
-                            [m[proj.var] for m in members],
+                            [values[m[cell]] for m in members],
                             proj.alias,
                         )
                     )
             out_rows.append(tuple(record))
     else:
-        out_rows = [tuple(row[name] for name in spec.projections) for row in rows]
+        cells = [slots[name] for name in spec.projections]
+        out_rows = [tuple(values[row[cell]] for cell in cells) for row in rows]
 
     if spec.order_by is not None:
         try:
@@ -536,107 +702,144 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
 
 # --- N-Triples I/O -----------------------------------------------------------
 
-_NT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_NT_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-
-_XSD_INTEGER = f"{T.XSD}integer"
-_XSD_DECIMAL = f"{T.XSD}decimal"
-_XSD_DATE = f"{T.XSD}date"
-
-
-def _nt_escape(text: str) -> str:
-    return "".join(_NT_ESCAPES.get(ch, ch) for ch in text)
-
-
-def _nt_term(term: Union[Iri, Literal]) -> str:
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    value = term.value
-    if isinstance(value, bool):
-        raise GraphError("boolean literals are not supported")
-    if isinstance(value, int):
-        return f'"{value}"^^<{_XSD_INTEGER}>'
-    if isinstance(value, Decimal):
-        return f'"{value}"^^<{_XSD_DECIMAL}>'
-    if isinstance(value, date):
-        return f'"{value.isoformat()}"^^<{_XSD_DATE}>'
-    return f'"{_nt_escape(value)}"'
-
-
-def serialize_triple(triple: Triple) -> str:
-    return (
-        f"{_nt_term(triple.subject)} {_nt_term(triple.predicate)} "
-        f"{_nt_term(triple.object)} ."
-    )
-
 
 def export_ntriples(graph: Graph, path) -> None:
     """One triple per line in lexicographic order; reload round-trips."""
-    lines = sorted(serialize_triple(t) for t in graph)
+    text = graph._text
+    lines = []
+    for s, by_p in graph._spo.items():
+        for p, objects in by_p.items():
+            head = f"{text[s]} {text[p]} "
+            lines.extend([f"{head}{text[o]} ." for o in objects])
+    lines.sort()
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+        handle.writelines(f"{line}\n" for line in lines)
 
 
-_NT_LINE = re.compile(
-    r'^<(?P<s>[^<>\s]*)>\s+<(?P<p>[^<>\s]*)>\s+(?P<o>.+?)\s*\.$'
-)
-_NT_LITERAL = re.compile(
-    r'^"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*)>)?$'
-)
+_NT_LINE = re.compile(r'(?P<s><[^<>\s]*>)\s+(?P<p><[^<>\s]*>)\s+(?P<o>.+?)\s*\.')
+_NT_LITERAL = re.compile(r'"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*)>)?')
+# N-Triples IRIREF excludes controls, space and <>"{}|^`\ (W3C, 2014); other
+# whitespace is excluded too, as the line grammar splits terms on it.
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20\s<>"{}|^`\\]')
+_NT_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
+_NT_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+# Lexical forms per datatype; decimals as xsd:decimal, which has no exponent.
+_LEXICAL = {
+    _XSD_INTEGER: (re.compile(r"[+-]?[0-9]+"), int),
+    _XSD_DECIMAL: (re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"), Decimal),
+    _XSD_DATE: (re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}"), date.fromisoformat),
+}
 
 
-def _nt_unescape(body: str) -> str:
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            i += 1
-            esc = body[i] if i < len(body) else ""
-            if esc not in _NT_UNESCAPES:
-                raise GraphParseError(f"invalid escape \\{esc}")
-            out.append(_NT_UNESCAPES[esc])
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
+def _nt_unescape(body: str, lineno: int) -> str:
+    if "\\" not in body:
+        return body
+
+    def replace(m: re.Match) -> str:
+        short, long, char = m.groups()
+        if char is None:
+            code = int(short or long, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise GraphParseError(f"line {lineno}: invalid code point {m.group()}")
+            return chr(code)
+        if char not in _NT_UNESCAPES:
+            raise GraphParseError(f"line {lineno}: invalid escape \\{char}")
+        return _NT_UNESCAPES[char]
+
+    return _NT_ESCAPE.sub(replace, body)
 
 
-def _parse_object(text: str, lineno: int) -> Union[Iri, Literal]:
-    if text.startswith("<") and text.endswith(">"):
-        return Iri(text[1:-1])
-    m = _NT_LITERAL.match(text)
+def _parse_iri(token: str, lineno: int) -> Iri:
+    if not (token.startswith("<") and token.endswith(">")):
+        raise GraphParseError(f"line {lineno}: expected an IRI, got {token!r}")
+    body = token[1:-1]
+    bad = _IRI_FORBIDDEN.search(body)
+    if bad is not None:
+        raise GraphParseError(
+            f"line {lineno}: character {bad.group()!r} not allowed in IRI {token}"
+        )
+    return Iri(body)
+
+
+def _parse_object(token: str, lineno: int) -> Union[Iri, Literal]:
+    if token.startswith("<") and token.endswith(">"):
+        return _parse_iri(token, lineno)
+    m = _NT_LITERAL.fullmatch(token)
     if m is None:
-        raise GraphParseError(f"line {lineno}: malformed object term: {text!r}")
-    body = m.group("body")
+        raise GraphParseError(f"line {lineno}: malformed object term: {token!r}")
+    body = _nt_unescape(m.group("body"), lineno)
     dtype = m.group("dtype")
     if dtype is None:
-        return Literal(_nt_unescape(body))
-    if dtype == _XSD_INTEGER:
-        return Literal(int(body))
-    if dtype == _XSD_DECIMAL:
-        return Literal(Decimal(body))
-    if dtype == _XSD_DATE:
-        return Literal(date.fromisoformat(body))
-    raise GraphParseError(f"line {lineno}: unsupported datatype <{dtype}>")
+        return Literal(body)
+    if dtype not in _LEXICAL:
+        raise GraphParseError(f"line {lineno}: unsupported datatype <{dtype}>")
+    lexical, convert = _LEXICAL[dtype]
+    if lexical.fullmatch(body):
+        try:
+            return Literal(convert(body))
+        except ValueError:  # a well-formed but impossible date
+            pass
+    raise GraphParseError(f"line {lineno}: invalid literal {body!r} for <{dtype}>")
+
+
+def _parse_line(graph: Graph, line: str, tokens, lineno: int, iris: dict, objects: dict):
+    """Ids of one line's terms, parsing and caching each token not yet seen.
+
+    ``tokens`` is the line split at single spaces, or None when the line does
+    not end in " .". Tokens that all parse are the ones the line grammar
+    would find, so the grammar runs only when there are none or one fails.
+    """
+    if tokens is not None:
+        try:
+            return _token_ids(graph, tokens, lineno, iris, objects)
+        except GraphParseError:
+            pass
+    m = _NT_LINE.fullmatch(line)
+    if m is None:
+        raise GraphParseError(f"line {lineno}: malformed triple: {line!r}")
+    return _token_ids(graph, m.group("s", "p", "o"), lineno, iris, objects)
+
+
+def _token_ids(graph: Graph, tokens, lineno: int, iris: dict, objects: dict):
+    s_token, p_token, o_token = tokens
+    ids = []
+    for token in (s_token, p_token):
+        tid = iris.get(token)
+        if tid is None:
+            tid = iris[token] = graph._intern_text(token, _parse_iri(token, lineno))
+        ids.append(tid)
+    tid = objects.get(o_token)
+    if tid is None:
+        tid = objects[o_token] = graph._intern(_parse_object(o_token, lineno))
+    ids.append(tid)
+    return ids
 
 
 def load_ntriples(path) -> Graph:
+    """Read an N-Triples file; GraphParseError names the first bad line.
+
+    Each distinct token is parsed and checked once: a line whose tokens were
+    all seen before, in the single-space layout export_ntriples writes, costs
+    three dict lookups. A line in any other layout goes through the full line
+    grammar.
+    """
     graph = Graph()
+    iris: dict[str, int] = {}  # subject and predicate tokens -> id
+    objects: dict[str, int] = {}  # object tokens -> id
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
-            m = _NT_LINE.match(line)
-            if m is None:
-                raise GraphParseError(f"line {lineno}: malformed triple: {line!r}")
-            graph.add(
-                Triple(
-                    Iri(m.group("s")),
-                    Iri(m.group("p")),
-                    _parse_object(m.group("o"), lineno),
-                )
-            )
+            tokens = s = p = o = None
+            if line.endswith(" ."):
+                s_token, _, rest = line[:-2].partition(" ")
+                p_token, _, o_token = rest.partition(" ")
+                tokens = s_token, p_token, o_token
+                s = iris.get(s_token)
+                p = iris.get(p_token)
+                o = objects.get(o_token)
+            if s is None or p is None or o is None:
+                s, p, o = _parse_line(graph, line, tokens, lineno, iris, objects)
+            graph._add_ids(s, p, o)
     return graph

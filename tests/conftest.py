@@ -74,9 +74,7 @@ def small_pricing(small_dataset, config):
 
 @pytest.fixture
 def small_graph(small_dataset, small_pricing, config):
-    graph = build_graph(small_dataset, small_pricing, config)
-    graph.freeze()
-    return graph
+    return build_graph(small_dataset, small_pricing, config)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

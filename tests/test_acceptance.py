@@ -58,7 +58,6 @@ def full_scale_run():
     dataset = generate_synthetic(GeneratorConfig())
     pricing = price_dataset(dataset, DEFAULT_CONFIG)
     graph = build_graph(dataset, pricing, DEFAULT_CONFIG)
-    graph.freeze()
     elapsed = time.perf_counter() - started
     return dataset, pricing, graph, elapsed
 
@@ -218,7 +217,6 @@ def test_c07_graph_oracle_equivalence():
         dataset = generate_synthetic(config)
         pricing = price_dataset(dataset, DEFAULT_CONFIG)
         graph = build_graph(dataset, pricing, DEFAULT_CONFIG)
-        graph.freeze()
 
         cq1 = [(r.customer_code, r.total_rm) for r in cq1_top_customers(graph, 20)]
         assert cq1 == oracle_cq1(dataset, pricing, 20)

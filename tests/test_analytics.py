@@ -134,7 +134,6 @@ class TestOracleEquivalence:
         )
         pricing = price_dataset(dataset, config)
         graph = build_graph(dataset, pricing, config)
-        graph.freeze()
 
         cq1 = [(r.customer_code, r.total_rm) for r in cq1_top_customers(graph, 20)]
         assert cq1 == oracle_cq1(dataset, pricing, 20)
