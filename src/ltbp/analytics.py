@@ -22,7 +22,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from .graph import Graph, evaluate
+from .graph import Graph, GraphError, evaluate
 from .ingest import write_csv
 from .model import AccountClass, to_factor, to_money
 from .query import parse_query
@@ -130,9 +130,16 @@ def cq1_top_customers(graph: Graph, n: int = 20) -> list[CustomerRevenue]:
     ]
 
 
+def _account_class(label) -> AccountClass:
+    try:
+        return AccountClass.from_label(label)
+    except ValueError as exc:
+        raise GraphError(f"graph holds an {exc}") from None
+
+
 def _class_counts(graph: Graph, query: str) -> dict[AccountClass, int]:
     table = evaluate(graph, parse_query(query))
-    return {AccountClass.from_label(cls): count for cls, count in table.rows}
+    return {_account_class(cls): count for cls, count in table.rows}
 
 
 def class_eligible_fractions(graph: Graph) -> dict[AccountClass, Optional[float]]:
@@ -146,7 +153,7 @@ def class_eligible_fractions(graph: Graph) -> dict[AccountClass, Optional[float]
         total = totals.get(cls, 0)
         fraction = eligible.get(cls, 0) / total if total else None
         if fraction is not None and not 0 <= fraction <= 1:
-            raise ValueError(f"{cls}: fraction {fraction} not in [0, 1]")
+            raise GraphError(f"{cls}: fraction {fraction} not in [0, 1]")
         fractions[cls] = fraction
     return fractions
 
@@ -168,7 +175,7 @@ def cq3_class_premium_stats(graph: Graph) -> list[ClassStats]:
     table = evaluate(graph, parse_query(_CQ3_QUERY))
     return [
         ClassStats(
-            account_class=AccountClass.from_label(cls_label),
+            account_class=_account_class(cls_label),
             max_premium=maxp,
             min_premium=minp,
             avg_premium=avgp,  # exact; rounded only when written out

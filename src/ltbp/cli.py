@@ -16,11 +16,10 @@ import argparse
 import logging
 import sys
 from datetime import date
-from decimal import InvalidOperation
 from pathlib import Path
 
 from . import analytics, graph as graphmod, ingest, pricing, report as reportmod
-from .model import AccountClass, PricingConfig
+from .model import AccountClass, InvalidField, PricingConfig
 from .query import QueryError, parse_query
 
 log = logging.getLogger("ltbp")
@@ -35,6 +34,10 @@ class UsageError(Exception):
     pass
 
 
+class ConfigError(Exception):
+    """A generator or pricing setting outside its range."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems must exit 1, not argparse's 2
         raise UsageError(message)
@@ -44,26 +47,41 @@ _CONFIG_KEYS = ("alpha", "beta", "p_max", "convex_alpha",
                 "rho_key", "rho_regular", "rho_others")
 
 
+def _read_text(path) -> str:
+    """A small input file's text; text that is not UTF-8 is a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ingest.LoadError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _checked(config_class, **values):
+    """``config_class(**values)``, a value its rules reject being a data error."""
+    try:
+        return config_class(**values)
+    except InvalidField as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def read_config_file(path) -> dict[str, float]:
     """Flat key = value file mirroring PricingConfig fields."""
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep or key not in _CONFIG_KEYS:
-                raise ingest.LoadError(
-                    f"{path}: line {lineno}: expected 'key = value' with key in "
-                    f"{_CONFIG_KEYS}, got {raw.strip()!r}"
-                )
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ingest.LoadError(
-                    f"{path}: line {lineno}: not a number: {value!r}"
-                ) from None
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or key not in _CONFIG_KEYS:
+            raise ingest.LoadError(
+                f"{path}: line {lineno}: expected 'key = value' with key in "
+                f"{_CONFIG_KEYS}, got {raw.strip()!r}"
+            )
+        try:
+            values[key] = float(value)
+        except ValueError:
+            raise ingest.LoadError(
+                f"{path}: line {lineno}: not a number: {value!r}"
+            ) from None
     return values
 
 
@@ -87,7 +105,8 @@ def build_pricing_config(args) -> PricingConfig:
         cls: (value if value is not None else defaults.rho_table[cls])
         for cls, value in rho.items()
     }
-    return PricingConfig(
+    return _checked(
+        PricingConfig,
         alpha=values.get("alpha", defaults.alpha),
         beta=values.get("beta", defaults.beta),
         p_max=values.get("p_max", defaults.p_max),
@@ -110,7 +129,8 @@ def cmd_generate(args) -> int:
             _parse_iso(args.start) if args.start else ingest.DEFAULT_SPAN[0],
             _parse_iso(args.end) if args.end else ingest.DEFAULT_SPAN[1],
         )
-    config = ingest.GeneratorConfig(
+    config = _checked(
+        ingest.GeneratorConfig,
         seed=args.seed,
         n_customers=args.customers,
         n_orders=args.orders,
@@ -130,12 +150,11 @@ def cmd_generate(args) -> int:
 
 
 def _load_dataset(args) -> ingest.Dataset:
-    issues: list = []
+    issues = [] if args.skip_invalid else None
     dataset = ingest.load_dataset(
-        args.orders, args.portfolio, args.products,
-        skip_invalid=args.skip_invalid, issues=issues,
+        args.orders, args.portfolio, args.products, issues=issues
     )
-    for issue in issues:
+    for issue in issues or ():
         print(f"skipped: {issue}", file=sys.stderr)
     return dataset
 
@@ -183,9 +202,7 @@ def _format_cell(value) -> str:
 
 def cmd_query(args) -> int:
     g = graphmod.load_ntriples(args.graph)
-    with open(args.query, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    table = graphmod.evaluate(g, parse_query(text))
+    table = graphmod.evaluate(g, parse_query(_read_text(args.query)))
     print("\t".join(table.columns))
     for row in table.rows:
         print("\t".join(_format_cell(cell) for cell in row))
@@ -266,14 +283,15 @@ def make_parser() -> _Parser:
     return parser
 
 
+# Errors raised for bad input. A bare ValueError is not among them: it comes
+# from a bug, and exits 3.
 DATA_ERRORS = (
     ingest.LoadError,
+    ConfigError,
     graphmod.GraphError,
     QueryError,
     reportmod.IncompleteDataError,
-    pricing.LogDomainError,
-    InvalidOperation,
-    ValueError,
+    reportmod.InconsistentTotalsError,
 )
 
 

@@ -716,10 +716,9 @@ def export_ntriples(graph: Graph, path) -> None:
         handle.writelines(f"{line}\n" for line in lines)
 
 
-_NT_LINE = re.compile(r'(?P<s><[^<>\s]*>)\s+(?P<p><[^<>\s]*>)\s+(?P<o>.+?)\s*\.')
 _NT_LITERAL = re.compile(r'"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*)>)?')
 # N-Triples IRIREF excludes controls, space and <>"{}|^`\ (W3C, 2014); other
-# whitespace is excluded too, as the line grammar splits terms on it.
+# whitespace is excluded too, as the loader splits terms on it.
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20\s<>"{}|^`\\]')
 _NT_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
 _NT_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
@@ -782,24 +781,6 @@ def _parse_object(token: str, lineno: int) -> Union[Iri, Literal]:
     raise GraphParseError(f"line {lineno}: invalid literal {body!r} for <{dtype}>")
 
 
-def _parse_line(graph: Graph, line: str, tokens, lineno: int, iris: dict, objects: dict):
-    """Ids of one line's terms, parsing and caching each token not yet seen.
-
-    ``tokens`` is the line split at single spaces, or None when the line does
-    not end in " .". Tokens that all parse are the ones the line grammar
-    would find, so the grammar runs only when there are none or one fails.
-    """
-    if tokens is not None:
-        try:
-            return _token_ids(graph, tokens, lineno, iris, objects)
-        except GraphParseError:
-            pass
-    m = _NT_LINE.fullmatch(line)
-    if m is None:
-        raise GraphParseError(f"line {lineno}: malformed triple: {line!r}")
-    return _token_ids(graph, m.group("s", "p", "o"), lineno, iris, objects)
-
-
 def _token_ids(graph: Graph, tokens, lineno: int, iris: dict, objects: dict):
     s_token, p_token, o_token = tokens
     ids = []
@@ -815,31 +796,42 @@ def _token_ids(graph: Graph, tokens, lineno: int, iris: dict, objects: dict):
     return ids
 
 
+def _malformed(lineno: int, line: str) -> GraphParseError:
+    return GraphParseError(f"line {lineno}: malformed triple: {line!r}")
+
+
 def load_ntriples(path) -> Graph:
     """Read an N-Triples file; GraphParseError names the first bad line.
 
-    Each distinct token is parsed and checked once: a line whose tokens were
-    all seen before, in the single-space layout export_ntriples writes, costs
-    three dict lookups. A line in any other layout goes through the full line
-    grammar.
+    A line is three terms split at whitespace and a final "."; the object,
+    which may hold spaces, is all that follows the predicate. Each distinct
+    token is parsed and checked once, so a line whose tokens were all seen
+    before costs a split and three dict lookups.
     """
     graph = Graph()
     iris: dict[str, int] = {}  # subject and predicate tokens -> id
     objects: dict[str, int] = {}  # object tokens -> id
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = s = p = o = None
-            if line.endswith(" ."):
-                s_token, _, rest = line[:-2].partition(" ")
-                p_token, _, o_token = rest.partition(" ")
-                tokens = s_token, p_token, o_token
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line[-1] != ".":
+                    raise _malformed(lineno, line)
+                try:
+                    s_token, p_token, o_token = line[:-1].split(None, 2)
+                except ValueError:  # fewer than three terms
+                    raise _malformed(lineno, line) from None
+                o_token = o_token.rstrip()
                 s = iris.get(s_token)
                 p = iris.get(p_token)
                 o = objects.get(o_token)
-            if s is None or p is None or o is None:
-                s, p, o = _parse_line(graph, line, tokens, lineno, iris, objects)
-            graph._add_ids(s, p, o)
+                if s is None or p is None or o is None:
+                    s, p, o = _token_ids(
+                        graph, (s_token, p_token, o_token), lineno, iris, objects
+                    )
+                graph._add_ids(s, p, o)
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"{path}: not UTF-8 text: {exc}") from None
     return graph

@@ -8,10 +8,12 @@ Input files are plain CSVs with fixed headers and ISO-8601 dates:
                    original_price,order_date,customer_request_date,
                    customer_delivery_date,standard_delivery_date
 
-A malformed row aborts the load by default; with ``skip_invalid`` the row is
-recorded as an issue and the load continues. The generator is fully
-deterministic for a fixed seed and writes the three CSVs plus a
-``manifest.json`` recording the seed and configuration.
+The loader converts each cell and builds the entity; the entity rules live
+in ``model``, and a rule broken there comes back as a ``RowError`` naming the
+row's line and column. A bad row aborts the load by default; given an
+``issues`` list, the loader appends the row's error to it and continues. The
+generator is fully deterministic for a fixed seed and writes the three CSVs
+plus a ``manifest.json`` recording the seed and configuration.
 """
 
 from __future__ import annotations
@@ -20,15 +22,16 @@ import csv
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     AccountClass,
     Customer,
+    InvalidField,
     Order,
     Product,
     class_matches_revenue,
@@ -96,31 +99,6 @@ class Dataset:
     orders: tuple[Order, ...]
 
 
-def validate_dataset(dataset: Dataset) -> None:
-    """Check identifier uniqueness and referential integrity."""
-    codes = [c.customer_code for c in dataset.customers]
-    if len(set(codes)) != len(codes):
-        raise LoadError("duplicate customer_code in dataset")
-    numbers = [p.product_number for p in dataset.products]
-    if len(set(numbers)) != len(numbers):
-        raise LoadError("duplicate product_number in dataset")
-    order_numbers = [o.order_number for o in dataset.orders]
-    if len(set(order_numbers)) != len(order_numbers):
-        raise LoadError("duplicate order_number in dataset")
-    code_set, number_set = set(codes), set(numbers)
-    for order in dataset.orders:
-        if order.customer_code not in code_set:
-            raise LoadError(
-                f"order {order.order_number} references unknown customer "
-                f"{order.customer_code}"
-            )
-        if order.product_number not in number_set:
-            raise LoadError(
-                f"order {order.order_number} references unknown product "
-                f"{order.product_number}"
-            )
-
-
 # --- loading -----------------------------------------------------------------
 
 
@@ -131,95 +109,50 @@ def _read_rows(path, header: list[str]):
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            found = next(reader)
-        except StopIteration:
-            raise HeaderMismatch(f"{path}: empty file, expected header {header}")
-        if found != header:
-            raise HeaderMismatch(f"{path}: header {found} does not match {header}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(
-                    line, header[0], f"expected {len(header)} fields, got {len(row)}"
-                )
-            yield line, row
+            found = next(reader, None)
+            if found is None:
+                raise HeaderMismatch(f"{path}: empty file, expected header {header}")
+            if found != header:
+                raise HeaderMismatch(f"{path}: header {found} does not match {header}")
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise MalformedRow(
+                        line, header[0], f"expected {len(header)} fields, got {len(row)}"
+                    )
+                yield line, row
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _handle(error: RowError, skip_invalid: bool, issues: Optional[list]) -> None:
-    if not skip_invalid:
-        raise error
+# What a row's cells or entity rules raise; _handle makes each a RowError.
+_ROW_FAILURES = (RowError, InvalidField)
+
+
+def _handle(line: int, error: Exception, issues: Optional[list]) -> None:
+    """Raise the row's error, or record it in ``issues`` and go on."""
+    if isinstance(error, InvalidField):  # the field names the CSV column
+        kind = NonPositiveSdt if error.field == "standard_delivery_date" else MalformedRow
+        error = kind(line, error.field, str(error))
+    if issues is None:
+        raise error from None
     log.warning("skipping row: %s", error)
-    if issues is not None:
-        issues.append(error)
+    issues.append(error)
 
 
-def load_customers(
-    path, *, skip_invalid: bool = False, issues: Optional[list] = None
-) -> list[Customer]:
-    customers = []
-    seen = set()
-    for line, row in _read_rows(path, CUSTOMERS_HEADER):
-        code, label, revenue_text, region = row
-        try:
-            account_class = AccountClass.from_label(label)
-        except ValueError as exc:
-            _handle(UnknownClassLabel(line, "account_class", str(exc)),
-                    skip_invalid, issues)
-            continue
-        try:
-            revenue = to_money(revenue_text)
-        except InvalidOperation:
-            _handle(
-                MalformedRow(line, "annual_revenue", f"not a number: {revenue_text!r}"),
-                skip_invalid, issues,
-            )
-            continue
-        try:
-            customer = Customer(code, account_class, revenue, region or None)
-        except ValueError as exc:
-            _handle(MalformedRow(line, "annual_revenue", str(exc)),
-                    skip_invalid, issues)
-            continue
-        if code in seen:
-            _handle(
-                DuplicateIdentifier(line, "customer_code", f"duplicate {code!r}"),
-                skip_invalid, issues,
-            )
-            continue
-        if not class_matches_revenue(customer):
-            log.warning(
-                "customer %s: declared class %s does not match revenue %s; "
-                "keeping declared class",
-                code, account_class.value, revenue,
-            )
-        seen.add(code)
-        customers.append(customer)
-    return customers
+def _parse_class(label: str, line: int) -> AccountClass:
+    try:
+        return AccountClass.from_label(label)
+    except ValueError as exc:
+        raise UnknownClassLabel(line, "account_class", str(exc)) from None
 
 
-def load_products(
-    path, *, skip_invalid: bool = False, issues: Optional[list] = None
-) -> list[Product]:
-    products = []
-    seen = set()
-    for line, row in _read_rows(path, PRODUCTS_HEADER):
-        number, basic_type, product_line = row
-        if number in seen:
-            _handle(
-                DuplicateIdentifier(line, "product_number", f"duplicate {number!r}"),
-                skip_invalid, issues,
-            )
-            continue
-        try:
-            product = Product(number, basic_type, product_line)
-        except ValueError as exc:
-            _handle(MalformedRow(line, "product_number", str(exc)),
-                    skip_invalid, issues)
-            continue
-        seen.add(number)
-        products.append(product)
-    return products
+def _parse_money(text: str, line: int, column: str) -> Decimal:
+    try:
+        return to_money(text)
+    except InvalidOperation:
+        raise MalformedRow(line, column, f"not a number: {text!r}") from None
 
 
 def _parse_date(text: str, line: int, column: str) -> date:
@@ -229,12 +162,58 @@ def _parse_date(text: str, line: int, column: str) -> date:
         raise MalformedRow(line, column, f"not an ISO date: {text!r}") from None
 
 
+def load_customers(path, *, issues: Optional[list] = None) -> list[Customer]:
+    customers = []
+    seen = set()
+    for line, row in _read_rows(path, CUSTOMERS_HEADER):
+        code, label, revenue_text, region = row
+        try:
+            customer = Customer(
+                code,
+                _parse_class(label, line),
+                _parse_money(revenue_text, line, "annual_revenue"),
+                region or None,
+            )
+            if code in seen:
+                raise DuplicateIdentifier(line, "customer_code", f"duplicate {code!r}")
+        except _ROW_FAILURES as exc:
+            _handle(line, exc, issues)
+            continue
+        if not class_matches_revenue(customer):
+            log.warning(
+                "customer %s: declared class %s does not match revenue %s; "
+                "keeping declared class",
+                code, customer.account_class.value, customer.annual_revenue,
+            )
+        seen.add(code)
+        customers.append(customer)
+    return customers
+
+
+def load_products(path, *, issues: Optional[list] = None) -> list[Product]:
+    products = []
+    seen = set()
+    for line, row in _read_rows(path, PRODUCTS_HEADER):
+        number, basic_type, product_line = row
+        try:
+            if number in seen:
+                raise DuplicateIdentifier(
+                    line, "product_number", f"duplicate {number!r}"
+                )
+            product = Product(number, basic_type, product_line)
+        except _ROW_FAILURES as exc:
+            _handle(line, exc, issues)
+            continue
+        seen.add(number)
+        products.append(product)
+    return products
+
+
 def load_orders(
     path,
     customers: Sequence[Customer],
     products: Sequence[Product],
     *,
-    skip_invalid: bool = False,
     issues: Optional[list] = None,
 ) -> list[Order]:
     codes = {c.customer_code for c in customers}
@@ -244,8 +223,8 @@ def load_orders(
     for line, row in _read_rows(path, ORDERS_HEADER):
         try:
             order = _parse_order_row(line, row, codes, numbers, seen)
-        except RowError as exc:
-            _handle(exc, skip_invalid, issues)
+        except _ROW_FAILURES as exc:
+            _handle(line, exc, issues)
             continue
         seen.add(order.order_number)
         orders.append(order)
@@ -269,59 +248,32 @@ def _parse_order_row(line, row, codes, numbers, seen) -> Order:
         raise MalformedRow(
             line, "quantity", f"not an integer: {quantity_text!r}"
         ) from None
-    if quantity <= 0:
-        raise MalformedRow(line, "quantity", f"must be > 0, got {quantity}")
-    try:
-        price = to_money(price_text)
-    except InvalidOperation:
-        raise MalformedRow(
-            line, "original_price", f"not a number: {price_text!r}"
-        ) from None
-    if price <= 0:
-        raise MalformedRow(line, "original_price", f"must be > 0, got {price}")
-    order_date = _parse_date(od_text, line, "order_date")
-    request_date = _parse_date(rd_text, line, "customer_request_date")
-    delivery_date = _parse_date(dd_text, line, "customer_delivery_date")
-    standard_date = _parse_date(sd_text, line, "standard_delivery_date")
-    if request_date < order_date:
-        raise MalformedRow(
-            line, "customer_request_date", "precedes order_date"
-        )
-    if delivery_date < order_date:
-        raise MalformedRow(
-            line, "customer_delivery_date", "precedes order_date"
-        )
-    if standard_date <= order_date:
-        raise NonPositiveSdt(
-            line, "standard_delivery_date",
-            "must be after order_date (standard delivery time must be > 0)",
-        )
-    return Order(
-        order_number=number,
-        customer_code=code,
-        product_number=product,
-        quantity=quantity,
-        original_price=price,
-        order_date=order_date,
-        customer_request_date=request_date,
-        customer_delivery_date=delivery_date,
-        standard_delivery_date=standard_date,
+    order = Order(
+        number,
+        code,
+        product,
+        quantity,
+        _parse_money(price_text, line, "original_price"),
+        _parse_date(od_text, line, "order_date"),
+        _parse_date(rd_text, line, "customer_request_date"),
+        _parse_date(dd_text, line, "customer_delivery_date"),
+        _parse_date(sd_text, line, "standard_delivery_date"),
     )
+    if order.customer_delivery_date == order.order_date:
+        raise MalformedRow(
+            line, "customer_delivery_date",
+            "same day as order_date: the convex price of a same-day delivery "
+            "is undefined",
+        )
+    return order
 
 
 def load_dataset(
-    orders_path,
-    customers_path,
-    products_path,
-    *,
-    skip_invalid: bool = False,
-    issues: Optional[list] = None,
+    orders_path, customers_path, products_path, *, issues: Optional[list] = None
 ) -> Dataset:
-    customers = load_customers(customers_path, skip_invalid=skip_invalid, issues=issues)
-    products = load_products(products_path, skip_invalid=skip_invalid, issues=issues)
-    orders = load_orders(
-        orders_path, customers, products, skip_invalid=skip_invalid, issues=issues
-    )
+    customers = load_customers(customers_path, issues=issues)
+    products = load_products(products_path, issues=issues)
+    orders = load_orders(orders_path, customers, products, issues=issues)
     return Dataset(tuple(customers), tuple(products), tuple(orders))
 
 
@@ -398,16 +350,6 @@ class ClassBehavior:
     confirm_rate: float
     confirm_ratio: tuple[float, float]
 
-    def __post_init__(self) -> None:
-        for rate in (self.eligible_rate, self.confirm_rate):
-            if not 0 <= rate <= 1:
-                raise ValueError(f"rate must be in [0, 1], got {rate}")
-        for lo, hi in (self.request_ratio, self.confirm_ratio):
-            if not 0 < lo <= hi < 1:
-                raise ValueError(
-                    f"ratio range must satisfy 0 < lo <= hi < 1, got ({lo}, {hi})"
-                )
-
 
 # Key accounts expedite least and with the least variation; Regular accounts
 # vary most, so they attract the highest premiums.
@@ -416,6 +358,9 @@ DEFAULT_EXPEDITE_PROFILE = {
     AccountClass.REGULAR: ClassBehavior(0.55, (0.45, 0.95), 0.6, (0.5, 0.9)),
     AccountClass.OTHERS: ClassBehavior(0.70, (0.50, 0.90), 0.6, (0.5, 0.9)),
 }
+
+# Eight-digit order numbers, drawn without replacement.
+_ORDER_NUMBERS = range(10_000_000, 100_000_000)
 
 _REVENUE_CENTS = {
     # (low, high) in cents, matching the class revenue bands
@@ -432,32 +377,25 @@ class GeneratorConfig:
     n_orders: int = 65_000
     n_products: int = 25
     date_span: tuple[date, date] = DEFAULT_SPAN
-    class_mix: Mapping[AccountClass, float] = field(
-        default_factory=lambda: dict(DEFAULT_CLASS_MIX)
-    )
-    expedite_profile: Mapping[AccountClass, ClassBehavior] = field(
-        default_factory=lambda: dict(DEFAULT_EXPEDITE_PROFILE)
-    )
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if min(self.n_customers, self.n_orders, self.n_products) <= 0:
-            raise ValueError("counts must be > 0")
+            raise InvalidField("seed", "seed must fit in 64 unsigned bits")
+        for name in ("n_customers", "n_orders", "n_products"):
+            if getattr(self, name) <= 0:
+                raise InvalidField(name, f"{name} must be > 0")
+        if self.n_orders > len(_ORDER_NUMBERS):
+            raise InvalidField(
+                "n_orders", f"n_orders must be <= {len(_ORDER_NUMBERS)}"
+            )
         start, end = self.date_span
         if end < start:
-            raise ValueError(f"empty date span: {start}..{end}")
-        total = sum(self.class_mix.get(c, 0.0) for c in AccountClass)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"class_mix must sum to 1, got {total}")
-        for cls in AccountClass:
-            if cls not in self.expedite_profile:
-                raise ValueError(f"expedite_profile missing {cls}")
+            raise InvalidField("date_span", f"empty date span: {start}..{end}")
 
 
-def _allocate(n: int, mix: Mapping[AccountClass, float]) -> dict[AccountClass, int]:
-    """Largest-remainder split of n across classes, deterministic."""
-    shares = [(cls, n * mix.get(cls, 0.0)) for cls in AccountClass]
+def _allocate(n: int) -> dict[AccountClass, int]:
+    """Largest-remainder split of n across classes by DEFAULT_CLASS_MIX."""
+    shares = [(cls, n * DEFAULT_CLASS_MIX[cls]) for cls in AccountClass]
     counts = {cls: int(share) for cls, share in shares}
     remainder = n - sum(counts.values())
     by_fraction = sorted(
@@ -472,7 +410,7 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     """Deterministic synthetic dataset honoring all model invariants."""
     rng = random.Random(config.seed)
 
-    counts = _allocate(config.n_customers, config.class_mix)
+    counts = _allocate(config.n_customers)
     classes = [cls for cls in AccountClass for _ in range(counts[cls])]
     rng.shuffle(classes)
     width = max(4, len(str(config.n_customers)))
@@ -492,13 +430,13 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
 
     start, end = config.date_span
     span_days = (end - start).days
-    order_numbers = rng.sample(range(10_000_000, 100_000_000), config.n_orders)
+    order_numbers = rng.sample(_ORDER_NUMBERS, config.n_orders)
 
     orders = []
     for number in order_numbers:
         customer = rng.choice(customers)
         product = rng.choice(products)
-        behavior = config.expedite_profile[customer.account_class]
+        behavior = DEFAULT_EXPEDITE_PROFILE[customer.account_class]
         order_date = start + timedelta(days=rng.randint(0, span_days))
         sdt = rng.randint(14, 56)
         if rng.random() < behavior.eligible_rate:
@@ -534,15 +472,9 @@ def manifest_dict(config: GeneratorConfig) -> dict:
         "n_orders": config.n_orders,
         "n_products": config.n_products,
         "date_span": [d.isoformat() for d in config.date_span],
-        "class_mix": {c.value: config.class_mix[c] for c in AccountClass},
+        "class_mix": {c.value: DEFAULT_CLASS_MIX[c] for c in AccountClass},
         "expedite_profile": {
-            c.value: {
-                "eligible_rate": b.eligible_rate,
-                "request_ratio": list(b.request_ratio),
-                "confirm_rate": b.confirm_rate,
-                "confirm_ratio": list(b.confirm_ratio),
-            }
-            for c, b in ((c, config.expedite_profile[c]) for c in AccountClass)
+            c.value: asdict(DEFAULT_EXPEDITE_PROFILE[c]) for c in AccountClass
         },
     }
 

@@ -9,9 +9,10 @@ earlier than the standard date are eligible for revenue management.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from datetime import date
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from typing import Mapping, Union
 
 CENT = Decimal("0.01")
@@ -21,13 +22,29 @@ Money = Decimal
 
 
 def to_money(value: Union[int, float, str, Decimal]) -> Decimal:
-    """Quantize to 2 fractional digits, half-even."""
-    return Decimal(value).quantize(CENT, rounding=ROUND_HALF_EVEN)
+    """Quantize to 2 fractional digits, half-even; NaN and infinities raise
+    InvalidOperation."""
+    money = Decimal(value).quantize(CENT, rounding=ROUND_HALF_EVEN)
+    if money.is_nan():
+        raise InvalidOperation(f"not a number: {value!r}")
+    return money
 
 
 def to_factor(value: Union[int, float, str, Decimal]) -> Decimal:
     """Quantize to 6 fractional digits, half-even (premiums, rho factors)."""
     return Decimal(value).quantize(FACTOR, rounding=ROUND_HALF_EVEN)
+
+
+class InvalidField(ValueError):
+    """An entity or config value breaking its rule; ``field`` names the field.
+
+    The entity field names equal the CSV column names, so the loader reports
+    ``field`` as the column of the rejected row.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class AccountClass(enum.Enum):
@@ -69,10 +86,11 @@ class Customer:
 
     def __post_init__(self) -> None:
         if not self.customer_code:
-            raise ValueError("customer_code must be non-empty")
+            raise InvalidField("customer_code", "customer_code must be non-empty")
         if self.annual_revenue < 0:
-            raise ValueError(
-                f"customer {self.customer_code}: annual_revenue must be >= 0"
+            raise InvalidField(
+                "annual_revenue",
+                f"customer {self.customer_code}: annual_revenue must be >= 0",
             )
 
 
@@ -84,7 +102,7 @@ class Product:
 
     def __post_init__(self) -> None:
         if not self.product_number:
-            raise ValueError("product_number must be non-empty")
+            raise InvalidField("product_number", "product_number must be non-empty")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,23 +120,29 @@ class Order:
     standard_delivery_date: date
 
     def __post_init__(self) -> None:
-        if not self.order_number:
-            raise ValueError("order_number must be non-empty")
+        number = self.order_number
+        if not number:
+            raise InvalidField("order_number", "order_number must be non-empty")
         if self.quantity <= 0:
-            raise ValueError(f"order {self.order_number}: quantity must be > 0")
+            raise InvalidField("quantity", f"order {number}: quantity must be > 0")
         if self.original_price <= 0:
-            raise ValueError(f"order {self.order_number}: original_price must be > 0")
+            raise InvalidField(
+                "original_price", f"order {number}: original_price must be > 0"
+            )
         if self.customer_request_date < self.order_date:
-            raise ValueError(
-                f"order {self.order_number}: customer_request_date precedes order_date"
+            raise InvalidField(
+                "customer_request_date",
+                f"order {number}: customer_request_date precedes order_date",
             )
         if self.customer_delivery_date < self.order_date:
-            raise ValueError(
-                f"order {self.order_number}: customer_delivery_date precedes order_date"
+            raise InvalidField(
+                "customer_delivery_date",
+                f"order {number}: customer_delivery_date precedes order_date",
             )
         if self.standard_delivery_date <= self.order_date:
-            raise ValueError(
-                f"order {self.order_number}: standard_delivery_date must be after order_date"
+            raise InvalidField(
+                "standard_delivery_date",
+                f"order {number}: standard_delivery_date must be after order_date",
             )
 
 
@@ -154,18 +178,23 @@ class PricingConfig:
     )
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "p_max", "convex_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidField(name, f"{name} must be finite")
         if self.p_max <= 1:
-            raise ValueError("p_max must be > 1")
+            raise InvalidField("p_max", "p_max must be > 1")
         if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+            raise InvalidField("alpha", "alpha and beta must be >= 0")
         if self.convex_alpha > 0:
-            raise ValueError("convex_alpha must be <= 0")
+            raise InvalidField("convex_alpha", "convex_alpha must be <= 0")
         missing = [c for c in AccountClass if c not in self.rho_table]
         if missing:
-            raise ValueError(f"rho_table missing classes: {missing}")
+            raise InvalidField("rho_table", f"rho_table missing classes: {missing}")
         for cls, rho in self.rho_table.items():
             if not 0 <= rho < 1:
-                raise ValueError(f"rho for {cls} must be in [0, 1), got {rho}")
+                raise InvalidField(
+                    "rho_table", f"rho for {cls} must be in [0, 1), got {rho}"
+                )
 
 
 def derive_lead_times(order: Order) -> LeadTimes:

@@ -16,16 +16,20 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from . import terms as T
 from .graph import Graph, evaluate
 from .model import AccountClass, PricingConfig, to_money
 from .query import parse_query
 
 TOTALS_QUERY = (Path(__file__).parent / "totals.rq").read_text(encoding="utf-8")
 
-_ORDER_COUNT_QUERY = """
-SELECT (COUNT(?o) AS ?n)
-WHERE { ?o :hasOrderNumber ?num . }
+_ORDERS_QUERY = "SELECT ?o ?num WHERE { ?o :hasOrderNumber ?num . }"
+
+_PRICED_QUERY = """
+SELECT ?o
+WHERE {
+  ?o :hasRMPrice ?rm .
+  ?o :hasConvexPrice ?convex .
+}
 """
 
 _ELIGIBLE_COUNT_QUERY = """
@@ -48,6 +52,10 @@ class IncompleteDataError(Exception):
         self.order_numbers = order_numbers
 
 
+class InconsistentTotalsError(ValueError):
+    """Totals no priced graph yields: the RM total below the original."""
+
+
 @dataclass(frozen=True)
 class RevenueComparison:
     total_original: Decimal
@@ -59,30 +67,18 @@ class RevenueComparison:
 
     def __post_init__(self) -> None:
         if self.total_original > self.total_rm:
-            raise ValueError("total_rm below total_original")
+            raise InconsistentTotalsError("total_rm below total_original")
 
 
-def _unpriced_orders(graph: Graph) -> list[str]:
-    missing = []
-    for triple in graph.match(None, T.TYPE, T.ORDER_CLASS):
-        subject = triple.subject
-        has_rm = next(graph.match(subject, T.HAS_RM_PRICE, None), None)
-        has_convex = next(graph.match(subject, T.HAS_CONVEX_PRICE, None), None)
-        if has_rm is None or has_convex is None:
-            number = next(graph.match(subject, T.HAS_ORDER_NUMBER, None), None)
-            missing.append(
-                number.object.value if number is not None else subject.value
-            )
-    return sorted(missing)
-
-
-def _single_count(graph: Graph, query: str) -> int:
-    return evaluate(graph, parse_query(query)).rows[0][0]
+def _rows(graph: Graph, query: str) -> list[tuple]:
+    return evaluate(graph, parse_query(query)).rows
 
 
 def revenue_totals(graph: Graph) -> RevenueComparison:
     """Run the totals query and compare the three regimes."""
-    unpriced = _unpriced_orders(graph)
+    orders = _rows(graph, _ORDERS_QUERY)
+    priced = {o for (o,) in _rows(graph, _PRICED_QUERY)}
+    unpriced = sorted(number for o, number in orders if o not in priced)
     if unpriced:
         raise IncompleteDataError(unpriced)
     table = evaluate(graph, parse_query(TOTALS_QUERY))
@@ -94,8 +90,8 @@ def revenue_totals(graph: Graph) -> RevenueComparison:
         total_original=total_original,
         total_rm=total_rm,
         total_convex=total_convex,
-        n_orders=_single_count(graph, _ORDER_COUNT_QUERY),
-        n_eligible=_single_count(graph, _ELIGIBLE_COUNT_QUERY),
+        n_orders=len(orders),
+        n_eligible=_rows(graph, _ELIGIBLE_COUNT_QUERY)[0][0],
         ordering_holds=total_original < total_rm < total_convex,
     )
 

@@ -23,15 +23,18 @@ def generate(out, seed=5, orders=60, customers=8, products=3):
     return out
 
 
-def price(data_dir, out):
-    code = run([
+def price_args(data_dir, out):
+    return [
         "price",
         "--orders", data_dir / "orders.csv",
         "--portfolio", data_dir / "customers.csv",
         "--products", data_dir / "products.csv",
         "--out", out,
-    ])
-    assert code == 0
+    ]
+
+
+def price(data_dir, out):
+    assert run(price_args(data_dir, out)) == 0
     return out
 
 
@@ -273,3 +276,93 @@ def test_hostile_customer_code_survives_pipeline(tmp_path, code):
             assert code in {row[column] for row in rows}, path.name
     cq1 = json.loads((out / "cq_report.json").read_text(encoding="utf-8"))["cq1"]
     assert code in {row["customer_code"] for row in cq1}
+
+
+def test_same_day_delivery_row_rejected_or_skipped(tmp_path, capsys):
+    data = generate(tmp_path / "data")
+    with open(data / "orders.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = rows[0]
+    rows[1][header.index("customer_delivery_date")] = rows[1][header.index("order_date")]
+    with open(data / "orders.csv", "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    out = tmp_path / "run"
+
+    assert run(price_args(data, out)) == 2
+    assert "line 2, column customer_delivery_date" in capsys.readouterr().err
+    assert run(["--skip-invalid", *price_args(data, out)]) == 0
+    assert run(["--out-dir", out, "analyze", "--graph", out / "graph.nt"]) == 0
+    assert run(["report", "--graph", out / "graph.nt",
+                "--out", out / "report.json"]) == 0
+
+
+def _rewrite_graph(tmp_path, predicate, new_object):
+    out = price(generate(tmp_path / "data"), tmp_path / "run")
+    graph = out / "graph.nt"
+    lines = []
+    for line in graph.read_text(encoding="utf-8").splitlines():
+        subject, pred, _ = line.split(" ", 2)
+        if pred.endswith(f":{predicate}>"):
+            line = f"{subject} {pred} {new_object} ."
+        lines.append(f"{line}\n")
+    graph.write_text("".join(lines), encoding="utf-8")
+    return graph
+
+
+def _non_utf8_csv(tmp_path):
+    data = generate(tmp_path / "data")
+    with open(data / "customers.csv", "ab") as handle:
+        handle.write(b"C\xff,Key,50000000,\n")
+    return price_args(data, tmp_path / "run")
+
+
+def _non_utf8_graph(tmp_path):
+    graph = tmp_path / "graph.nt"
+    graph.write_bytes(b'<urn:s> <urn:p> "\xff" .\n')
+    return ["analyze", "--graph", graph]
+
+
+def _platinum_account_type(tmp_path):
+    return ["analyze", "--graph",
+            _rewrite_graph(tmp_path, "hasAccountType", '"Platinum"')]
+
+
+def _rm_total_below_original(tmp_path):
+    rm = '"0.01"^^<http://www.w3.org/2001/XMLSchema#decimal>'
+    graph = _rewrite_graph(tmp_path, "hasRMPrice", rm)
+    return ["report", "--graph", graph, "--out", tmp_path / "report.json"]
+
+
+@pytest.mark.parametrize("make_args", [
+    _non_utf8_csv,
+    _non_utf8_graph,
+    lambda tmp_path: ["generate", "--orders", 0, "--out", tmp_path / "d"],
+    lambda tmp_path: ["generate", "--orders", 10**8, "--out", tmp_path / "d"],
+    lambda tmp_path: [*price_args(generate(tmp_path / "data"), tmp_path / "run"),
+                      "--p-max", "0.5"],
+    lambda tmp_path: [*price_args(generate(tmp_path / "data"), tmp_path / "run"),
+                      "--alpha", "nan"],
+    _platinum_account_type,
+    _rm_total_below_original,
+], ids=["non-utf8-csv", "non-utf8-graph", "zero-orders", "too-many-orders",
+        "p-max-below-one", "nan-alpha", "platinum-account-type",
+        "rm-total-below-original"])
+def test_bad_input_is_data_error(tmp_path, capsys, make_args):
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_value_error_from_a_bug_is_internal_error(tmp_path, monkeypatch, capsys):
+    import ltbp.cli
+
+    def boom(graph):
+        raise ValueError("synthetic bug")
+
+    out = price(generate(tmp_path / "data"), tmp_path / "run")
+    monkeypatch.setattr(ltbp.cli.reportmod, "revenue_totals", boom)
+    code = run(["report", "--graph", out / "graph.nt", "--out", out / "report.json"])
+    assert code == 3
+    assert "internal error" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from ltbp.ingest import (
     DuplicateIdentifier,
     GeneratorConfig,
     HeaderMismatch,
+    MalformedRow,
     NonPositiveSdt,
     UnknownClassLabel,
     generate_synthetic,
@@ -15,7 +16,6 @@ from ltbp.ingest import (
     load_dataset,
     load_orders,
     load_products,
-    validate_dataset,
     write_dataset,
     write_manifest,
 )
@@ -95,9 +95,26 @@ class TestLoadCustomers:
             + "C001,Key,50000000,\nC002,Platinum,10,\nC003,Others,abc,\n",
         )
         issues = []
-        customers = load_customers(path, skip_invalid=True, issues=issues)
+        customers = load_customers(path, issues=issues)
         assert [c.customer_code for c in customers] == ["C001"]
         assert len(issues) == 2
+
+    @pytest.mark.parametrize("row, column", [
+        ("C009,Key,NaN,EMEA", "annual_revenue"),
+        ("C009,Key,Infinity,EMEA", "annual_revenue"),
+        ("C009,Key,-1,EMEA", "annual_revenue"),
+        (",Key,50000000,EMEA", "customer_code"),
+    ])
+    def test_bad_row_names_its_column_and_is_skippable(self, tmp_path, row, column):
+        path = write(
+            tmp_path / "c.csv", CUSTOMER_HEADER + "C001,Key,50000000,\n" + row + "\n"
+        )
+        with pytest.raises(MalformedRow) as excinfo:
+            load_customers(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, column)
+        issues = []
+        assert [c.customer_code for c in load_customers(path, issues=issues)] == ["C001"]
+        assert [(i.line, i.column) for i in issues] == [(3, column)]
 
     def test_class_revenue_mismatch_warns_but_keeps_declared(self, tmp_path, caplog):
         path = write(tmp_path / "c.csv", CUSTOMER_HEADER + "C001,Key,1000,\n")
@@ -105,6 +122,20 @@ class TestLoadCustomers:
             customers = load_customers(path)
         assert customers[0].account_class is AccountClass.KEY
         assert any("does not match revenue" in r.message for r in caplog.records)
+
+
+class TestLoadProducts:
+    def test_empty_product_number_names_its_column(self, tmp_path):
+        path = write(tmp_path / "p.csv", PRODUCT_HEADER + "P01,BT-A,PL-1\n,BT-B,PL-1\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            load_products(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, "product_number")
+        issues = []
+        assert [p.product_number for p in load_products(path, issues=issues)] == ["P01"]
+        assert len(issues) == 1
+
+
+GOOD_ORDER = "O1,C001,P01,5,123.45,2020-01-01,2020-01-11,2020-01-06,2020-01-21"
 
 
 class TestLoadOrders:
@@ -153,6 +184,38 @@ class TestLoadOrders:
         with pytest.raises(NonPositiveSdt):
             load_orders(path, customers, products)
 
+    @pytest.mark.parametrize("column, value, error", [
+        ("order_number", "", MalformedRow),
+        ("quantity", "0", MalformedRow),
+        ("quantity", "five", MalformedRow),
+        ("original_price", "NaN", MalformedRow),
+        ("original_price", "0.00", MalformedRow),
+        ("original_price", "abc", MalformedRow),
+        ("order_date", "2020-02-30", MalformedRow),
+        ("customer_request_date", "2019-12-31", MalformedRow),
+        ("customer_delivery_date", "2019-12-31", MalformedRow),
+        ("customer_delivery_date", "2020-01-01", MalformedRow),  # same day
+        ("standard_delivery_date", "2019-12-31", NonPositiveSdt),
+    ])
+    def test_bad_cell_names_its_column_and_is_skippable(
+        self, customer_file, product_file, tmp_path, column, value, error
+    ):
+        customers = load_customers(customer_file)
+        products = load_products(product_file)
+        cells = GOOD_ORDER.replace("O1,", "O2,", 1).split(",")
+        cells[ORDER_HEADER.strip().split(",").index(column)] = value
+        path = write(
+            tmp_path / "orders.csv",
+            ORDER_HEADER + GOOD_ORDER + "\n" + ",".join(cells) + "\n",
+        )
+        with pytest.raises(error) as excinfo:
+            load_orders(path, customers, products)
+        assert (excinfo.value.line, excinfo.value.column) == (3, column)
+        issues = []
+        orders = load_orders(path, customers, products, issues=issues)
+        assert [o.order_number for o in orders] == ["O1"]
+        assert [(type(i), i.line, i.column) for i in issues] == [(error, 3, column)]
+
 
 class TestRoundTrip:
     def test_write_then_load_is_identity(self, small_dataset, tmp_path):
@@ -194,11 +257,18 @@ class TestGenerator:
         assert len(dataset.orders) == 111
         assert len(dataset.products) == 7
 
-    def test_invariants_hold(self):
+    def test_invariants_hold(self, tmp_path):
         dataset = generate_synthetic(
             GeneratorConfig(seed=11, n_customers=30, n_orders=400)
         )
-        validate_dataset(dataset)  # uniqueness + referential integrity
+        write_dataset(dataset, tmp_path)
+        # The loader rejects duplicate ids and dangling references.
+        reloaded = load_dataset(
+            tmp_path / "orders.csv",
+            tmp_path / "customers.csv",
+            tmp_path / "products.csv",
+        )
+        assert reloaded == dataset
         for order in dataset.orders:
             lt = derive_lead_times(order)
             assert lt.sdt > 0 and lt.olt_confirmed >= 1
@@ -219,16 +289,6 @@ class TestGenerator:
             >= fraction[AccountClass.REGULAR]
             >= fraction[AccountClass.KEY]
         )
-
-    def test_class_mix_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(
-                class_mix={
-                    AccountClass.KEY: 0.5,
-                    AccountClass.REGULAR: 0.2,
-                    AccountClass.OTHERS: 0.2,
-                }
-            )
 
     def test_manifest_written(self, tmp_path):
         config = GeneratorConfig(seed=9, n_customers=5, n_orders=10)
