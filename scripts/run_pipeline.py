@@ -14,7 +14,10 @@ import json
 import sys
 from pathlib import Path
 
-from ltbp.cli import main as ltbp_main
+# Run from a checkout without installing: import ltbp from the sibling src/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ltbp.cli import main as ltbp_main  # noqa: E402
 
 
 def run(step):

@@ -704,16 +704,25 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
 
 
 def export_ntriples(graph: Graph, path) -> None:
-    """One triple per line in lexicographic order; reload round-trips."""
+    """One triple per line in lexicographic order; reload round-trips.
+
+    Lines stream out one subject at a time, subjects in text order and each
+    subject's lines sorted, which is the order of the sorted file: no subject
+    text is a prefix of another (``>`` ends an IRI and cannot occur inside
+    it), so the subject decides between lines of different subjects.
+    """
     text = graph._text
-    lines = []
-    for s, by_p in graph._spo.items():
-        for p, objects in by_p.items():
-            head = f"{text[s]} {text[p]} "
-            lines.extend([f"{head}{text[o]} ." for o in objects])
-    lines.sort()
+    spo = graph._spo
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(f"{line}\n" for line in lines)
+        for s in sorted(spo, key=text.__getitem__):
+            head = text[s]
+            lines = [
+                f"{head} {text[p]} {text[o]} ."
+                for p, objects in spo[s].items()
+                for o in objects
+            ]
+            lines.sort()
+            handle.writelines([f"{line}\n" for line in lines])
 
 
 _NT_LITERAL = re.compile(r'"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*)>)?')

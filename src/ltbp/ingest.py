@@ -22,6 +22,7 @@ import csv
 import json
 import logging
 import random
+import re
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation
@@ -155,11 +156,25 @@ def _parse_money(text: str, line: int, column: str) -> Decimal:
         raise MalformedRow(line, column, f"not a number: {text!r}") from None
 
 
-def _parse_date(text: str, line: int, column: str) -> date:
+def _parse_date(text: str, line: int, column: str, dates: dict) -> date:
+    """Parse an ISO date cell and remember it in ``dates``, text -> date."""
     try:
-        return date.fromisoformat(text)
+        value = dates[text] = date.fromisoformat(text)
     except ValueError:
         raise MalformedRow(line, column, f"not an ISO date: {text!r}") from None
+    return value
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_quantity(text: str, line: int, quantities: dict) -> int:
+    """Parse an ASCII integer cell and remember it in ``quantities``; ``int``
+    alone would also take ``1_000``, spaces and non-ASCII digits."""
+    if _INTEGER.fullmatch(text) is None:
+        raise MalformedRow(line, "quantity", f"not an integer: {text!r}")
+    value = quantities[text] = int(text)
+    return value
 
 
 def load_customers(path, *, issues: Optional[list] = None) -> list[Customer]:
@@ -216,13 +231,19 @@ def load_orders(
     *,
     issues: Optional[list] = None,
 ) -> list[Order]:
-    codes = {c.customer_code for c in customers}
-    numbers = {p.product_number for p in products}
+    # Each id maps to its entity's own string, which every order then shares;
+    # each distinct date or quantity text parses once per load.
+    codes = {c.customer_code: c.customer_code for c in customers}
+    numbers = {p.product_number: p.product_number for p in products}
+    dates: dict[str, date] = {}
+    quantities: dict[str, int] = {}
     orders = []
     seen = set()
     for line, row in _read_rows(path, ORDERS_HEADER):
         try:
-            order = _parse_order_row(line, row, codes, numbers, seen)
+            order = _parse_order_row(
+                line, row, codes, numbers, seen, dates, quantities
+            )
         except _ROW_FAILURES as exc:
             _handle(line, exc, issues)
             continue
@@ -231,33 +252,36 @@ def load_orders(
     return orders
 
 
-def _parse_order_row(line, row, codes, numbers, seen) -> Order:
-    (number, code, product, quantity_text, price_text,
+def _parse_order_row(line, row, codes, numbers, seen, dates, quantities) -> Order:
+    (number, code_text, product_text, quantity_text, price_text,
      od_text, rd_text, dd_text, sd_text) = row
     if number in seen:
         raise DuplicateIdentifier(line, "order_number", f"duplicate {number!r}")
-    if code not in codes:
-        raise DanglingReference(line, "customer_code", f"unknown customer {code!r}")
-    if product not in numbers:
+    code = codes.get(code_text)
+    if code is None:
         raise DanglingReference(
-            line, "product_number", f"unknown product {product!r}"
+            line, "customer_code", f"unknown customer {code_text!r}"
         )
-    try:
-        quantity = int(quantity_text)
-    except ValueError:
-        raise MalformedRow(
-            line, "quantity", f"not an integer: {quantity_text!r}"
-        ) from None
+    product = numbers.get(product_text)
+    if product is None:
+        raise DanglingReference(
+            line, "product_number", f"unknown product {product_text!r}"
+        )
+    # A cached date is truthy; a cached quantity 0 just parses again.
     order = Order(
         number,
         code,
         product,
-        quantity,
+        quantities.get(quantity_text)
+        or _parse_quantity(quantity_text, line, quantities),
         _parse_money(price_text, line, "original_price"),
-        _parse_date(od_text, line, "order_date"),
-        _parse_date(rd_text, line, "customer_request_date"),
-        _parse_date(dd_text, line, "customer_delivery_date"),
-        _parse_date(sd_text, line, "standard_delivery_date"),
+        dates.get(od_text) or _parse_date(od_text, line, "order_date", dates),
+        dates.get(rd_text)
+        or _parse_date(rd_text, line, "customer_request_date", dates),
+        dates.get(dd_text)
+        or _parse_date(dd_text, line, "customer_delivery_date", dates),
+        dates.get(sd_text)
+        or _parse_date(sd_text, line, "standard_delivery_date", dates),
     )
     if order.customer_delivery_date == order.order_date:
         raise MalformedRow(

@@ -4,6 +4,14 @@ Lead times are whole calendar days between the order-entry date and the
 request / confirmed-delivery / standard-delivery dates. The standard delivery
 time (SDT) is the lead time a customer can expect by default; orders requested
 earlier than the standard date are eligible for revenue management.
+
+Money and the pricing settings that scale a price are bounded, so that every
+price of an accepted order is below 2**45 and a float carries it to the cent:
+``original_price`` and ``annual_revenue`` are at most ``MONEY_MAX``,
+``p_max`` at most ``P_MAX_MAX`` and ``convex_alpha`` at least
+``CONVEX_ALPHA_MIN``. The largest RM price is ``MONEY_MAX * P_MAX_MAX`` = 1e13;
+the largest convex price is ``MONEY_MAX * (1 - CONVEX_ALPHA_MIN * ln(sdt))``
+with sdt below 3.7 million days (the ``date`` range), ~1.5e13.
 """
 
 from __future__ import annotations
@@ -20,6 +28,10 @@ FACTOR = Decimal("0.000001")
 
 Money = Decimal
 
+MONEY_MAX = Decimal("9999999999.99")
+P_MAX_MAX = 1000.0
+CONVEX_ALPHA_MIN = -100.0
+
 
 def to_money(value: Union[int, float, str, Decimal]) -> Decimal:
     """Quantize to 2 fractional digits, half-even; NaN and infinities raise
@@ -33,6 +45,18 @@ def to_money(value: Union[int, float, str, Decimal]) -> Decimal:
 def to_factor(value: Union[int, float, str, Decimal]) -> Decimal:
     """Quantize to 6 fractional digits, half-even (premiums, rho factors)."""
     return Decimal(value).quantize(FACTOR, rounding=ROUND_HALF_EVEN)
+
+
+def float_to_money(value: float) -> Decimal:
+    """``to_money(value)`` for a finite float below 10**26 in magnitude.
+
+    ``.2f`` formatting rounds the float's exact binary value half-even, as
+    ``quantize`` does, so ties such as 0.125 and 2.675 (stored just below)
+    round alike, without the ~50-digit exact expansion. Unlike ``to_money``
+    it neither raises for NaN or infinity nor overflows the 28-digit context;
+    the bounds above keep every price far inside its range.
+    """
+    return Decimal(f"{value:.2f}")
 
 
 class InvalidField(ValueError):
@@ -92,6 +116,12 @@ class Customer:
                 "annual_revenue",
                 f"customer {self.customer_code}: annual_revenue must be >= 0",
             )
+        if self.annual_revenue > MONEY_MAX:
+            raise InvalidField(
+                "annual_revenue",
+                f"customer {self.customer_code}: annual_revenue must be "
+                f"<= {MONEY_MAX}",
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +158,11 @@ class Order:
         if self.original_price <= 0:
             raise InvalidField(
                 "original_price", f"order {number}: original_price must be > 0"
+            )
+        if self.original_price > MONEY_MAX:
+            raise InvalidField(
+                "original_price",
+                f"order {number}: original_price must be <= {MONEY_MAX}",
             )
         if self.customer_request_date < self.order_date:
             raise InvalidField(
@@ -181,12 +216,15 @@ class PricingConfig:
         for name in ("alpha", "beta", "p_max", "convex_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidField(name, f"{name} must be finite")
-        if self.p_max <= 1:
-            raise InvalidField("p_max", "p_max must be > 1")
+        if not 1 < self.p_max <= P_MAX_MAX:
+            raise InvalidField("p_max", f"p_max must be > 1 and <= {P_MAX_MAX:g}")
         if self.alpha < 0 or self.beta < 0:
             raise InvalidField("alpha", "alpha and beta must be >= 0")
-        if self.convex_alpha > 0:
-            raise InvalidField("convex_alpha", "convex_alpha must be <= 0")
+        if not CONVEX_ALPHA_MIN <= self.convex_alpha <= 0:
+            raise InvalidField(
+                "convex_alpha",
+                f"convex_alpha must be <= 0 and >= {CONVEX_ALPHA_MIN:g}",
+            )
         missing = [c for c in AccountClass if c not in self.rho_table]
         if missing:
             raise InvalidField("rho_table", f"rho_table missing classes: {missing}")
@@ -210,6 +248,11 @@ def derive_lead_times(order: Order) -> LeadTimes:
 def rm_eligible(lt: LeadTimes) -> bool:
     """True when the order was requested earlier than the standard date."""
     return lt.sdt > lt.olt_requested
+
+
+def expedited(lt: LeadTimes) -> bool:
+    """True when delivery was confirmed faster than the standard date."""
+    return lt.olt_confirmed < lt.sdt
 
 
 def adjustment_factor(account_class: AccountClass, config: PricingConfig) -> float:

@@ -15,6 +15,14 @@ An order confirmed faster than its standard date is then priced at
 
 and at its original price otherwise: only faster-than-standard delivery is
 exploited, never discounted.
+
+``price_dataset`` handles each order once per pass: it derives the order's
+lead times once, for both the premium series and the prices; it converts
+each premium to a float once per customer; and it turns each float price
+into cents with one ``float_to_money``. An order not confirmed faster than
+standard gets its own ``original_price`` as both prices. The bounds in
+``model`` keep every price below 2**45, where these steps give the same
+cents as ``to_money`` of the float.
 """
 
 from __future__ import annotations
@@ -23,19 +31,19 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ingest import write_csv
 from .model import (
-    Customer,
     LeadTimes,
     Order,
     PricingConfig,
     adjustment_factor,
     derive_lead_times,
+    expedited,
+    float_to_money,
     rm_eligible,
     to_factor,
-    to_money,
 )
 
 
@@ -103,12 +111,12 @@ def behavior_series(orders: Sequence[Order]) -> list[float]:
     codes = {o.customer_code for o in orders}
     if len(codes) > 1:
         raise ValueError(f"orders span multiple customers: {sorted(codes)}")
-    series = []
-    for order in sorted(orders, key=lambda o: (o.order_date, o.order_number)):
-        lt = derive_lead_times(order)
-        if rm_eligible(lt):
-            series.append(lt.olt_requested / lt.sdt)
-    return series
+    ordered = sorted(orders, key=lambda o: (o.order_date, o.order_number))
+    return _eligible_ratios(map(derive_lead_times, ordered))
+
+
+def _eligible_ratios(lead_times: Iterable[LeadTimes]) -> list[float]:
+    return [lt.olt_requested / lt.sdt for lt in lead_times if rm_eligible(lt)]
 
 
 def compute_rsd(series: Sequence[float]) -> float:
@@ -136,16 +144,6 @@ def compute_rmd(series: Sequence[float]) -> float:
     return mad / mean
 
 
-def customer_stats(customer_code: str, orders: Sequence[Order]) -> CustomerStats:
-    series = behavior_series(orders)
-    return CustomerStats(
-        customer_code=customer_code,
-        eligible_order_count=len(series),
-        rsd=compute_rsd(series),
-        rmd=compute_rmd(series),
-    )
-
-
 def compute_premium(
     stats: CustomerStats, rho: float, config: PricingConfig
 ) -> CustomerPremium:
@@ -157,38 +155,27 @@ def compute_premium(
     return CustomerPremium(stats.customer_code, to_factor(clamped))
 
 
-def rm_price(order: Order, lt: LeadTimes, premium: CustomerPremium) -> float:
-    """Revenue-management price of one order, before currency rounding.
+def rm_price(p_o: float, lt: LeadTimes, premium: float) -> float:
+    """Revenue-management price of an order of original price ``p_o``,
+    before currency rounding.
 
     The premium applies to the expedited fraction (1 - olt_confirmed/sdt);
     an order not confirmed faster than standard keeps its original price.
     """
-    p_o = float(order.original_price)
-    if lt.olt_confirmed >= lt.sdt:
+    if not expedited(lt):
         return p_o
     factor = 1.0 - lt.olt_confirmed / lt.sdt
-    return p_o + p_o * factor * (float(premium.premium) - 1.0)
+    return p_o + p_o * factor * (premium - 1.0)
 
 
-def convex_price(order: Order, lt: LeadTimes, config: PricingConfig) -> float:
-    """Log-ratio baseline price of one order, before currency rounding."""
-    p_o = float(order.original_price)
-    if lt.olt_confirmed >= lt.sdt:
+def convex_price(p_o: float, lt: LeadTimes, convex_alpha: float) -> float:
+    """Log-ratio baseline price of an order of original price ``p_o``,
+    before currency rounding."""
+    if not expedited(lt):
         return p_o
     if lt.olt_confirmed == 0:
-        raise LogDomainError(
-            f"order {order.order_number}: confirmed lead time of 0 days has no "
-            f"defined log ratio"
-        )
-    return p_o * (1.0 + config.convex_alpha * math.log(lt.olt_confirmed / lt.sdt))
-
-
-def _premium_for(
-    customer: Customer, orders: Sequence[Order], config: PricingConfig
-) -> tuple[CustomerStats, CustomerPremium]:
-    stats = customer_stats(customer.customer_code, orders)
-    rho = adjustment_factor(customer.account_class, config)
-    return stats, compute_premium(stats, rho, config)
+        raise LogDomainError("confirmed lead time of 0 days has no defined log ratio")
+    return p_o * (1.0 + convex_alpha * math.log(lt.olt_confirmed / lt.sdt))
 
 
 def price_dataset(dataset, config: PricingConfig) -> PricingResult:
@@ -198,38 +185,49 @@ def price_dataset(dataset, config: PricingConfig) -> PricingResult:
     (e.g. a zero confirmed lead time) are collected as issues; the affected
     order is left unpriced and the batch continues.
     """
-    by_customer: dict[str, list[Order]] = defaultdict(list)
-    for order in dataset.orders:
-        by_customer[order.customer_code].append(order)
+    orders = dataset.orders
+    lead_times = [derive_lead_times(order) for order in orders]
+    by_customer: dict[str, list[LeadTimes]] = defaultdict(list)
+    for order, lt in zip(orders, lead_times):
+        by_customer[order.customer_code].append(lt)
 
     customers = sorted(dataset.customers, key=lambda c: c.customer_code)
-    results = [
-        _premium_for(c, by_customer.get(c.customer_code, []), config)
-        for c in customers
-    ]
-    stats = tuple(s for s, _ in results)
-    premiums = tuple(p for _, p in results)
-    premium_by_code = {p.customer_code: p for p in premiums}
+    stats = []
+    for customer in customers:
+        # In dataset order, not behavior_series' date order: RSD and RMD sum
+        # with math.fsum, which is exact in any order, so the stats are equal.
+        series = _eligible_ratios(by_customer[customer.customer_code])
+        stats.append(CustomerStats(
+            customer.customer_code, len(series), compute_rsd(series),
+            compute_rmd(series),
+        ))
+    stats = tuple(stats)
+    premiums = tuple(
+        compute_premium(s, adjustment_factor(c.account_class, config), config)
+        for c, s in zip(customers, stats)
+    )
+    premium_by_code = {p.customer_code: float(p.premium) for p in premiums}
 
+    convex_alpha = config.convex_alpha
     priced = []
     issues = []
-    for order in dataset.orders:
-        lt = derive_lead_times(order)
-        premium = premium_by_code[order.customer_code]
-        rm = rm_price(order, lt, premium)
-        try:
-            convex = convex_price(order, lt, config)
-        except LogDomainError as exc:
-            issues.append(PricingIssue(order.order_number, str(exc)))
+    for order, lt in zip(orders, lead_times):
+        number, original = order.order_number, order.original_price
+        # Both prices are the original itself: a cent amount up to MONEY_MAX
+        # is what to_money makes of its own float.
+        if not expedited(lt):
+            priced.append(PricedOrder(number, original, original, original))
             continue
-        priced.append(
-            PricedOrder(
-                order_number=order.order_number,
-                original=order.original_price,
-                rm=to_money(rm),
-                convex=to_money(convex),
-            )
-        )
+        p_o = float(original)
+        try:
+            convex = convex_price(p_o, lt, convex_alpha)
+        except LogDomainError as exc:
+            issues.append(PricingIssue(number, f"order {number}: {exc}"))
+            continue
+        rm = rm_price(p_o, lt, premium_by_code[order.customer_code])
+        priced.append(PricedOrder(
+            number, original, float_to_money(rm), float_to_money(convex)
+        ))
     return PricingResult(premiums, tuple(priced), stats, tuple(issues))
 
 

@@ -14,6 +14,7 @@ import sys
 import time
 from datetime import date
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,6 @@ from ltbp.model import (
     derive_lead_times,
 )
 from ltbp.pricing import (
-    CustomerPremium,
     CustomerStats,
     compute_premium,
     compute_rmd,
@@ -97,7 +97,7 @@ def test_c03_rm_price_oracle():
     started = time.perf_counter()
     order = make_order("O1", "C1", "P1", date(2020, 1, 1), 0, 5, 10, price="100.00")
     lt = derive_lead_times(order)
-    value = rm_price(order, lt, CustomerPremium("C1", Decimal("1.5")))
+    value = rm_price(float(order.original_price), lt, 1.5)
     assert value == pytest.approx(125.0, abs=1e-9)
 
     rng = random.Random(7)
@@ -110,7 +110,7 @@ def test_c03_rm_price_oracle():
             f"R{i}", "C1", "P1", date(2019, 1, 1), 0, conf, sdt, price=str(price)
         )
         lt = derive_lead_times(order)
-        value = rm_price(order, lt, CustomerPremium("C1", prem_value))
+        value = rm_price(float(order.original_price), lt, float(prem_value))
         p_o = float(price)
         if conf >= sdt:
             expected = p_o
@@ -126,7 +126,9 @@ def test_c04_convex_price_oracle():
     started = time.perf_counter()
     order = make_order("O1", "C1", "P1", date(2020, 1, 1), 0, 5, 10, price="100.00")
     lt = derive_lead_times(order)
-    value = convex_price(order, lt, DEFAULT_CONFIG)
+    value = convex_price(
+        float(order.original_price), lt, DEFAULT_CONFIG.convex_alpha
+    )
     assert value == pytest.approx(100.0 - 50.0 * math.log(0.5), abs=1e-9)
     assert round(value, 2) == 134.66
 
@@ -139,7 +141,9 @@ def test_c04_convex_price_oracle():
             f"R{i}", "C1", "P1", date(2019, 1, 1), 0, conf, sdt, price=str(price)
         )
         lt = derive_lead_times(order)
-        value = convex_price(order, lt, DEFAULT_CONFIG)
+        value = convex_price(
+            float(order.original_price), lt, DEFAULT_CONFIG.convex_alpha
+        )
         p_o = float(price)
         if conf >= sdt:
             expected = p_o
@@ -315,6 +319,29 @@ def test_c08_parser_accepts_totals_query_and_positions_errors():
         assert excinfo.value.line >= 1, text
         assert excinfo.value.column >= 1, text
     assert time.perf_counter() - started < 1.0
+
+
+def test_rm_prices_equal_exact_arithmetic(full_scale_run):
+    """Every RM price on the seed-42 default dataset equals the formula
+    evaluated exactly, in fractions, from the Decimal original price, the
+    Decimal premium and the lead times, rounded half-even to the cent: the
+    float evaluation and its one rounding step lose no cent."""
+    dataset, pricing, _, _ = full_scale_run
+    premium = {p.customer_code: Fraction(p.premium) for p in pricing.premiums}
+    rm = {p.order_number: p.rm for p in pricing.priced_orders}
+    expedited = 0
+    disagree = []
+    for order in dataset.orders:
+        lt = derive_lead_times(order)
+        exact = Fraction(order.original_price)
+        if lt.olt_confirmed < lt.sdt:
+            expedited += 1
+            fraction = 1 - Fraction(lt.olt_confirmed, lt.sdt)
+            exact += exact * fraction * (premium[order.customer_code] - 1)
+        if rm[order.order_number] * 100 != round(exact * 100):  # half-even
+            disagree.append((order.order_number, rm[order.order_number], exact))
+    assert expedited == 38_949
+    assert disagree == []
 
 
 def test_c09_key_class_expedites_least(full_scale_run):

@@ -1,13 +1,17 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ltbp.cli import main
 
-TOTALS_RQ = Path(__file__).resolve().parent.parent / "src" / "ltbp" / "totals.rq"
+ROOT = Path(__file__).resolve().parent.parent
+TOTALS_RQ = ROOT / "src" / "ltbp" / "totals.rq"
 
 
 def run(args):
@@ -296,6 +300,44 @@ def test_same_day_delivery_row_rejected_or_skipped(tmp_path, capsys):
                 "--out", out / "report.json"]) == 0
 
 
+@pytest.mark.parametrize("column, value", [
+    ("original_price", "99999999999999999999999999.99"),
+    ("quantity", "1_000"),
+    ("quantity", " 12"),
+    ("quantity", "١_٢"),  # Arabic-Indic 1_2
+])
+def test_out_of_bound_or_loose_cell_rejected_or_skipped(tmp_path, capsys, column,
+                                                        value):
+    data = generate(tmp_path / "data")
+    with open(data / "orders.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[1][rows[0].index(column)] = value
+    with open(data / "orders.csv", "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    out = tmp_path / "run"
+
+    capsys.readouterr()
+    assert run(price_args(data, out)) == 2
+    err = capsys.readouterr().err
+    assert f"line 2, column {column}" in err and "internal error" not in err
+    assert run(["--skip-invalid", *price_args(data, out)]) == 0
+    with open(out / "priced_orders.csv", encoding="utf-8", newline="") as handle:
+        assert len(list(csv.reader(handle))) == len(rows) - 1
+
+
+@pytest.mark.parametrize("settings", [
+    ["--p-max", "1e300", "--alpha", "1e300"],
+    ["--p-max", "1000.5"],
+    ["--convex-alpha=-1e300"],
+])
+def test_setting_over_bound_is_data_error(tmp_path, capsys, settings):
+    args = [*price_args(generate(tmp_path / "data"), tmp_path / "run"), *settings]
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def _rewrite_graph(tmp_path, predicate, new_object):
     out = price(generate(tmp_path / "data"), tmp_path / "run")
     graph = out / "graph.nt"
@@ -366,3 +408,15 @@ def test_value_error_from_a_bug_is_internal_error(tmp_path, monkeypatch, capsys)
     code = run(["report", "--graph", out / "graph.nt", "--out", out / "report.json"])
     assert code == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_run_pipeline_script_runs_from_a_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, ROOT / "scripts" / "run_pipeline.py", "--out", tmp_path],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["counts"]["orders"] == 2_000
+    assert report["ordering_holds"] is True

@@ -359,6 +359,26 @@ class TestNtriples:
         assert lines == sorted(lines)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_export_orders_prefix_terms_as_sorted_lines(self, tmp_path):
+        g = Graph()
+        objects = [Iri("urn:ab"), Literal(5), Literal("5"), Iri("urn:a"),
+                   Literal("5 "), Literal("")]
+        for subject in ("urn:s", "urn:r"):
+            for predicate in ("urn:q", "urn:p"):
+                for obj in objects:
+                    g.add(Triple(Iri(subject), Iri(predicate), obj))
+        path = tmp_path / "g.nt"
+        export_ntriples(g, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 24
+        assert lines == sorted(lines)
+        assert lines[:4] == [
+            '<urn:r> <urn:p> "" .',
+            '<urn:r> <urn:p> "5 " .',
+            '<urn:r> <urn:p> "5" .',
+            '<urn:r> <urn:p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .',
+        ]
+
     def test_ten_order_fixture_has_hundred_order_triples(self, config):
         dataset = generate_synthetic(
             GeneratorConfig(seed=5, n_customers=4, n_orders=10, n_products=2)

@@ -48,6 +48,19 @@ def product_file(tmp_path):
     return write(tmp_path / "products.csv", PRODUCT_HEADER + "P01,BT-A,PL-1\n")
 
 
+def check_bad_customer_row(tmp_path, row, column):
+    """The row after a good one fails at ``column``; with issues it is skipped."""
+    path = write(
+        tmp_path / "c.csv", CUSTOMER_HEADER + "C001,Key,50000000,\n" + row + "\n"
+    )
+    with pytest.raises(MalformedRow) as excinfo:
+        load_customers(path)
+    assert (excinfo.value.line, excinfo.value.column) == (3, column)
+    issues = []
+    assert [c.customer_code for c in load_customers(path, issues=issues)] == ["C001"]
+    assert [(i.line, i.column) for i in issues] == [(3, column)]
+
+
 class TestLoadCustomers:
     def test_field_by_field_parse(self, customer_file):
         customers = load_customers(customer_file)
@@ -106,15 +119,11 @@ class TestLoadCustomers:
         (",Key,50000000,EMEA", "customer_code"),
     ])
     def test_bad_row_names_its_column_and_is_skippable(self, tmp_path, row, column):
-        path = write(
-            tmp_path / "c.csv", CUSTOMER_HEADER + "C001,Key,50000000,\n" + row + "\n"
-        )
-        with pytest.raises(MalformedRow) as excinfo:
-            load_customers(path)
-        assert (excinfo.value.line, excinfo.value.column) == (3, column)
-        issues = []
-        assert [c.customer_code for c in load_customers(path, issues=issues)] == ["C001"]
-        assert [(i.line, i.column) for i in issues] == [(3, column)]
+        check_bad_customer_row(tmp_path, row, column)
+
+    def test_revenue_over_bound_is_skippable(self, tmp_path):
+        check_bad_customer_row(tmp_path, "C009,Key,10000000000.00,EMEA",
+                               "annual_revenue")
 
     def test_class_revenue_mismatch_warns_but_keeps_declared(self, tmp_path, caplog):
         path = write(tmp_path / "c.csv", CUSTOMER_HEADER + "C001,Key,1000,\n")
@@ -136,6 +145,27 @@ class TestLoadProducts:
 
 
 GOOD_ORDER = "O1,C001,P01,5,123.45,2020-01-01,2020-01-11,2020-01-06,2020-01-21"
+
+
+def check_bad_order_cell(customer_file, product_file, tmp_path, column, value,
+                         error):
+    """An order after a good one with ``value`` at ``column`` fails there as
+    ``error``; with issues it is skipped."""
+    customers = load_customers(customer_file)
+    products = load_products(product_file)
+    cells = GOOD_ORDER.replace("O1,", "O2,", 1).split(",")
+    cells[ORDER_HEADER.strip().split(",").index(column)] = value
+    path = write(
+        tmp_path / "orders.csv",
+        ORDER_HEADER + GOOD_ORDER + "\n" + ",".join(cells) + "\n",
+    )
+    with pytest.raises(error) as excinfo:
+        load_orders(path, customers, products)
+    assert (excinfo.value.line, excinfo.value.column) == (3, column)
+    issues = []
+    orders = load_orders(path, customers, products, issues=issues)
+    assert [o.order_number for o in orders] == ["O1"]
+    assert [(type(i), i.line, i.column) for i in issues] == [(error, 3, column)]
 
 
 class TestLoadOrders:
@@ -200,21 +230,21 @@ class TestLoadOrders:
     def test_bad_cell_names_its_column_and_is_skippable(
         self, customer_file, product_file, tmp_path, column, value, error
     ):
-        customers = load_customers(customer_file)
-        products = load_products(product_file)
-        cells = GOOD_ORDER.replace("O1,", "O2,", 1).split(",")
-        cells[ORDER_HEADER.strip().split(",").index(column)] = value
-        path = write(
-            tmp_path / "orders.csv",
-            ORDER_HEADER + GOOD_ORDER + "\n" + ",".join(cells) + "\n",
-        )
-        with pytest.raises(error) as excinfo:
-            load_orders(path, customers, products)
-        assert (excinfo.value.line, excinfo.value.column) == (3, column)
-        issues = []
-        orders = load_orders(path, customers, products, issues=issues)
-        assert [o.order_number for o in orders] == ["O1"]
-        assert [(type(i), i.line, i.column) for i in issues] == [(error, 3, column)]
+        check_bad_order_cell(customer_file, product_file, tmp_path, column, value,
+                             error)
+
+    @pytest.mark.parametrize("column, value", [
+        ("original_price", "10000000000.00"),
+        ("original_price", "99999999999999999999999999.99"),
+        ("quantity", "1_000"),
+        ("quantity", " 12"),
+        ("quantity", "١_٢"),  # Arabic-Indic 1_2
+    ])
+    def test_over_bound_or_loose_cell_is_skippable(
+        self, customer_file, product_file, tmp_path, column, value
+    ):
+        check_bad_order_cell(customer_file, product_file, tmp_path, column, value,
+                             MalformedRow)
 
 
 class TestRoundTrip:

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ltbp.model import (
+    CONVEX_ALPHA_MIN,
+    MONEY_MAX,
+    P_MAX_MAX,
     AccountClass,
     Customer,
+    InvalidField,
     LeadTimes,
     Order,
     PricingConfig,
@@ -163,3 +167,39 @@ class TestPricingConfig:
     def test_positive_convex_alpha_rejected(self):
         with pytest.raises(ValueError):
             PricingConfig(convex_alpha=0.5)
+
+
+class TestBounds:
+    """Money and the settings that scale a price have upper bounds, so that
+    every accepted order prices below 2**45, where a float keeps the cent."""
+
+    def test_money_bound_is_inclusive(self):
+        Customer("C1", AccountClass.KEY, MONEY_MAX)
+        make_order("O1", "C1", "P1", date(2020, 1, 1), 1, 1, 5, price=str(MONEY_MAX))
+
+    def test_revenue_over_bound_rejected(self):
+        with pytest.raises(InvalidField) as excinfo:
+            Customer("C1", AccountClass.KEY, MONEY_MAX + Decimal("0.01"))
+        assert excinfo.value.field == "annual_revenue"
+
+    @pytest.mark.parametrize("price", [
+        str(MONEY_MAX + Decimal("0.01")), "99999999999999999999999999.99",
+    ])
+    def test_price_over_bound_rejected(self, price):
+        with pytest.raises(InvalidField) as excinfo:
+            make_order("O1", "C1", "P1", date(2020, 1, 1), 1, 1, 5, price=price)
+        assert excinfo.value.field == "original_price"
+
+    def test_setting_bounds_are_inclusive(self):
+        PricingConfig(p_max=P_MAX_MAX, convex_alpha=CONVEX_ALPHA_MIN)
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_max", P_MAX_MAX * 1.001),
+        ("p_max", 1e300),
+        ("convex_alpha", CONVEX_ALPHA_MIN * 1.001),
+        ("convex_alpha", -1e300),
+    ])
+    def test_setting_over_bound_rejected(self, field, value):
+        with pytest.raises(InvalidField) as excinfo:
+            PricingConfig(**{field: value})
+        assert excinfo.value.field == field

@@ -4,12 +4,23 @@ from datetime import date
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import ltbp.pricing
 from ltbp.ingest import Dataset, GeneratorConfig, generate_synthetic
-from ltbp.model import AccountClass, Customer, PricingConfig, Product, derive_lead_times
+from ltbp.model import (
+    CONVEX_ALPHA_MIN,
+    MONEY_MAX,
+    P_MAX_MAX,
+    AccountClass,
+    Customer,
+    PricingConfig,
+    Product,
+    derive_lead_times,
+    float_to_money,
+    to_money,
+)
 from ltbp.pricing import (
-    CustomerPremium,
     CustomerStats,
     LogDomainError,
     behavior_series,
@@ -24,10 +35,6 @@ from tests.conftest import make_order
 from tests.oracles import oracle_totals
 
 ratios = st.floats(min_value=0.01, max_value=2.0, allow_nan=False)
-
-
-def premium(value) -> CustomerPremium:
-    return CustomerPremium("C", Decimal(str(value)))
 
 
 class TestBehaviorSeries:
@@ -147,22 +154,23 @@ class TestRmPrice:
     def test_premium_one_keeps_original(self):
         order = self.order()
         lt = derive_lead_times(order)
-        assert rm_price(order, lt, premium(1)) == 100.0
+        assert rm_price(float(order.original_price), lt, 1.0) == 100.0
 
     def test_confirmed_at_standard_keeps_original(self):
         order = self.order(confirmed=10, sdt=10)
         lt = derive_lead_times(order)
-        assert rm_price(order, lt, premium(1.5)) == 100.0
+        assert rm_price(float(order.original_price), lt, 1.5) == 100.0
 
     def test_worked_example(self):
         order = self.order(confirmed=5, sdt=10)
         lt = derive_lead_times(order)
-        assert rm_price(order, lt, premium(1.5)) == pytest.approx(125.0, abs=1e-9)
+        value = rm_price(float(order.original_price), lt, 1.5)
+        assert value == pytest.approx(125.0, abs=1e-9)
 
     def test_slower_than_standard_never_discounts(self):
         order = self.order(confirmed=15, sdt=10)
         lt = derive_lead_times(order)
-        assert rm_price(order, lt, premium(2)) == 100.0
+        assert rm_price(float(order.original_price), lt, 2.0) == 100.0
 
     @given(
         price=st.decimals(min_value="0.01", max_value="99999.99", places=2),
@@ -174,7 +182,7 @@ class TestRmPrice:
         order = self.order(price=str(price), requested=0, confirmed=confirmed,
                            sdt=sdt)
         lt = derive_lead_times(order)
-        value = rm_price(order, lt, premium(round(prem, 6)))
+        value = rm_price(float(order.original_price), lt, round(prem, 6))
         assert float(price) <= value <= float(price) * 2.0 + 1e-9
 
     @given(
@@ -183,9 +191,9 @@ class TestRmPrice:
     def test_deeper_expedite_larger_price(self, conf1, conf2, sdt):
         lo, hi = sorted((conf1, conf2))
         order = self.order(requested=0, confirmed=lo, sdt=sdt)
-        deep = rm_price(order, derive_lead_times(order), premium(1.5))
+        deep = rm_price(100.0, derive_lead_times(order), 1.5)
         order2 = self.order(requested=0, confirmed=hi, sdt=sdt)
-        shallow = rm_price(order2, derive_lead_times(order2), premium(1.5))
+        shallow = rm_price(100.0, derive_lead_times(order2), 1.5)
         assert deep >= shallow
 
 
@@ -193,13 +201,13 @@ class TestConvexPrice:
     def test_confirmed_at_standard_keeps_original(self, config):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 10, 10)
         lt = derive_lead_times(order)
-        assert convex_price(order, lt, config) == 100.0
+        assert convex_price(100.0, lt, config.convex_alpha) == 100.0
 
     def test_worked_example(self, config):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 5, 10)
         lt = derive_lead_times(order)
         expected = 100.0 * (1.0 - 0.5 * math.log(0.5))
-        value = convex_price(order, lt, config)
+        value = convex_price(100.0, lt, config.convex_alpha)
         assert value == pytest.approx(expected, abs=1e-9)
         assert round(value, 2) == 134.66
 
@@ -207,7 +215,7 @@ class TestConvexPrice:
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 0, 10)
         lt = derive_lead_times(order)
         with pytest.raises(LogDomainError):
-            convex_price(order, lt, config)
+            convex_price(100.0, lt, config.convex_alpha)
 
 
 class TestPriceDataset:
@@ -270,3 +278,81 @@ class TestPriceDataset:
         assert price_dataset(small_dataset, config) == price_dataset(
             small_dataset, config
         )
+
+
+class TestFloatToMoney:
+    @given(st.one_of(
+        st.floats(min_value=-(2.0**45), max_value=2.0**45),
+        st.integers(-(2**48), 2**48).map(lambda k: k / 8),  # exact half-cent ties
+    ))
+    @example(0.125)
+    @example(0.375)
+    @example(2.675)
+    @example(1.005)
+    def test_equals_to_money(self, value):
+        cents = float_to_money(value)
+        assert cents == to_money(value)
+        assert str(cents) == str(to_money(value))
+
+    def test_ties_round_half_even_on_the_binary_value(self):
+        assert [str(float_to_money(x)) for x in (0.125, 0.375, 2.675, 1.005)] == [
+            "0.12", "0.38", "2.67", "1.00",  # 2.675 and 1.005 are stored below
+        ]
+
+
+class TestOnePass:
+    def test_lead_times_derived_once_per_order(self, small_dataset, config,
+                                               monkeypatch):
+        calls = []
+
+        def counting(order):
+            calls.append(order.order_number)
+            return derive_lead_times(order)
+
+        monkeypatch.setattr(ltbp.pricing, "derive_lead_times", counting)
+        price_dataset(small_dataset, config)
+        assert sorted(calls) == sorted(o.order_number for o in small_dataset.orders)
+
+    def test_order_of_orders_does_not_change_stats(self, config):
+        dataset = generate_synthetic(
+            GeneratorConfig(seed=3, n_customers=12, n_orders=600)
+        )
+        result = price_dataset(dataset, config)
+        shuffled = Dataset(dataset.customers, dataset.products,
+                           dataset.orders[::-1])
+        again = price_dataset(shuffled, config)
+        assert again.stats == result.stats  # float fields compared exactly
+        assert again.premiums == result.premiums
+
+    def test_not_expedited_prices_are_the_original(self, small_dataset, config):
+        result = price_dataset(small_dataset, config)
+        by_number = {p.order_number: p for p in result.priced_orders}
+        for order in small_dataset.orders:
+            lt = derive_lead_times(order)
+            if lt.olt_confirmed < lt.sdt:
+                continue
+            priced = by_number[order.order_number]
+            for price in (priced.rm, priced.convex):
+                assert price == order.original_price
+                assert str(price) == str(order.original_price)
+
+    def test_largest_accepted_order_prices_to_the_cent(self):
+        config = PricingConfig(alpha=1e300, p_max=P_MAX_MAX,
+                               convex_alpha=CONVEX_ALPHA_MIN)
+        start = date.min
+        customers = (Customer("C1", AccountClass.OTHERS, MONEY_MAX),)
+        products = (Product("P1", "BT-A", "PL-1"),)
+        longest = (date.max - start).days
+        orders = (
+            make_order("O1", "C1", "P1", start, 0, 1, longest, price=str(MONEY_MAX)),
+            make_order("O2", "C1", "P1", start, 1, 1, 3, price=str(MONEY_MAX)),
+        )
+        result = price_dataset(Dataset(customers, products, orders), config)
+        assert result.premiums[0].premium == Decimal(P_MAX_MAX).quantize(
+            Decimal("0.000001"))
+        first = result.priced_orders[0]
+        lt = derive_lead_times(orders[0])
+        p_o, premium = float(MONEY_MAX), float(result.premiums[0].premium)
+        assert first.rm == to_money(rm_price(p_o, lt, premium))
+        assert first.convex == to_money(convex_price(p_o, lt, config.convex_alpha))
+        assert max(first.rm, first.convex) < 2**45
