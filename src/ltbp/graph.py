@@ -22,6 +22,17 @@ it by that value's text: ``"007"^^xsd:integer`` loads as ``"7"`` and
 ``"+1.0"^^xsd:decimal`` as ``"1.0"``, so lines that differ only in such a
 form load as one triple.
 
+``build_graph`` and each ``assert_*`` call add entities through one
+``_Builder``, which adds id triples directly: ``build_graph`` makes no
+``Literal`` or ``Triple`` object, and an ``assert_*`` call makes only the
+``Triple``s it returns. Per build the builder interns each predicate and
+class IRI once, quotes each entity id into its IRI once, and keys dates by
+``date`` and quantities by ``int``. Its duplicate-subject and
+dangling-reference checks read per-build dicts from entity id to subject id.
+Decimals are not keyed by value: ``Decimal("100")`` equals
+``Decimal("100.00")``, yet the two are different terms (above), so a decimal
+is formatted and interned by its text.
+
 Iteration order is deterministic for a deterministically built graph,
 regardless of hash randomization: ``spo`` yields subjects in first-insertion
 order, then each subject's predicates and objects in insertion order; ``pos``
@@ -101,7 +112,10 @@ def _nt_term(term: Union[Iri, Literal]) -> str:
     """A term's N-Triples text, which is also its identity in the store."""
     if isinstance(term, Iri):
         return f"<{term.value}>"
-    value = term.value
+    return _nt_literal(term.value)
+
+
+def _nt_literal(value) -> str:
     if isinstance(value, str):
         return f'"{value.translate(_NT_ESCAPES)}"'
     if isinstance(value, bool):
@@ -169,14 +183,19 @@ class Graph:
     # -- ids ------------------------------------------------------------------
 
     def _intern(self, term: Union[Iri, Literal]) -> int:
-        return self._intern_text(_nt_term(term), term)
+        value = term if isinstance(term, Iri) else term.value
+        return self._intern_text(_nt_term(term), value)
 
-    def _intern_text(self, text: str, term: Union[Iri, Literal]) -> int:
+    def _intern_text(self, text: str, value: BindingValue) -> int:
+        """The id of the term whose N-Triples text is ``text``.
+
+        ``value``, the term's Iri or literal value, is stored when it is new.
+        """
         tid = self._ids.get(text)
         if tid is None:
             tid = self._ids[text] = len(self._text)
             self._text.append(text)
-            self._values.append(term if isinstance(term, Iri) else term.value)
+            self._values.append(value)
         return tid
 
     def _id_of(self, term: Union[Iri, Literal]) -> Optional[int]:
@@ -228,6 +247,28 @@ class Graph:
         self._size += 1
         return True
 
+    def _add_subject(self, s: int, by_p: dict[int, list[int]]) -> None:
+        """Add the first triples of subject ``s``, which has none yet.
+
+        ``by_p`` maps each predicate to its distinct objects and becomes the
+        subject's ``spo`` entry.
+        """
+        self._spo[s] = by_p
+        pos = self._pos
+        size = 0
+        for p, objects in by_p.items():
+            by_o = pos.get(p)
+            if by_o is None:
+                by_o = pos[p] = {}
+            for o in objects:
+                subjects = by_o.get(o)
+                if subjects is None:
+                    by_o[o] = [s]
+                else:
+                    subjects.append(s)
+            size += len(objects)
+        self._size += size
+
     def _match_ids(self, s, p, o) -> Iterable[tuple[int, int, int]]:
         """(s, p, o) id triples matching the given ids (None = any).
 
@@ -261,121 +302,237 @@ class Graph:
 
 # --- entity assertion --------------------------------------------------------
 
+# Each entity kind's predicate and class IRIs, in the order its helper in
+# _Builder unpacks them.
+_VOCABULARY = {
+    "product": (T.TYPE, T.PRODUCT_CLASS, T.HAS_PRODUCT_NUMBER, T.HAS_BASIC_TYPE,
+                T.HAS_PRODUCT_LINE),
+    "customer": (T.TYPE, T.CUSTOMER_CLASS, T.HAS_CUSTOMER_CODE,
+                 T.HAS_ACCOUNT_TYPE, T.HAS_ADJUSTMENT_FACTOR,
+                 T.HAS_ANNUAL_REVENUE, T.HAS_REGION),
+    "order": (T.TYPE, T.ORDER_CLASS, T.HAS_ORDER_NUMBER, T.HAS_QUANTITY,
+              T.HAS_ORIGINAL_PRICE, T.HAS_ORDER_DATE, T.HAS_REQUESTED_DATE,
+              T.HAS_CONFIRMED_DATE, T.HAS_STANDARD_DATE, T.WAS_PLACED_BY,
+              T.CONTAINS_PRODUCT),
+    "premium": (T.HAS_PREMIUM,),
+    "priced": (T.HAS_RM_PRICE, T.HAS_CONVEX_PRICE),
+}
 
-def _assert(graph: Graph, subject: Iri, pairs) -> list[Triple]:
-    """Add (subject, predicate, object) per pair; returns the new triples."""
-    s = graph._intern(subject)
-    added = []
-    for predicate, obj in pairs:
-        if graph._add_ids(s, graph._intern(predicate), graph._intern(obj)):
-            added.append(Triple(subject, predicate, obj))
-    return added
+
+class _Builder:
+    """Adds entities to one graph as id triples, interning each term once.
+
+    ``products``, ``customers`` and ``orders`` map an entity's id string to
+    its subject id, so the duplicate and dangling-reference checks are dict
+    lookups. When the graph held triples before the builder started, an id
+    these dicts miss is looked up in the graph by its IRI. With ``added`` a
+    list, the builder appends the ``(s, p, o)`` ids of each new triple to it.
+    """
+
+    def __init__(self, graph: Graph, config: PricingConfig | None = None,
+                 added: list | None = None) -> None:
+        self.graph = graph
+        self.config = config
+        self.added = added
+        self._probe = bool(graph._spo)
+        self.products: dict[str, int] = {}
+        self.customers: dict[str, int] = {}
+        self.orders: dict[str, int] = {}
+        self._vocab: dict[str, tuple[int, ...]] = {}  # kind -> predicate/class ids
+        self._dates: dict[date, int] = {}
+        self._ints: dict[int, int] = {}
+
+    # -- terms ----------------------------------------------------------------
+
+    def _vocabulary(self, kind: str) -> tuple[int, ...]:
+        ids = self._vocab.get(kind)
+        if ids is None:
+            ids = self._vocab[kind] = tuple(map(self.graph._intern, _VOCABULARY[kind]))
+        return ids
+
+    def _literal(self, value) -> int:
+        return self.graph._intern_text(_nt_literal(value), value)
+
+    def _int(self, value) -> int:
+        if type(value) is not int:  # a bool or Decimal would hit an int's entry
+            return self._literal(value)
+        tid = self._ints.get(value)
+        if tid is None:
+            tid = self._ints[value] = self._literal(value)
+        return tid
+
+    def _date(self, value) -> int:
+        tid = self._dates.get(value)
+        if tid is None:
+            tid = self._dates[value] = self._literal(value)
+        return tid
+
+    # -- subjects -------------------------------------------------------------
+
+    def _subject(self, known: dict, make_iri, key: str) -> Optional[int]:
+        """The subject id of entity ``key``, or None when it has no triple."""
+        tid = known.get(key)
+        if tid is None and self._probe:
+            tid = self.graph._id_of(make_iri(key))
+            if tid not in self.graph._spo:
+                return None
+            known[key] = tid
+        return tid
+
+    def _new_subject(self, known: dict, make_iri, key: str) -> int:
+        tid = known[key] = self.graph._intern(make_iri(key))
+        return tid
+
+    def _install(self, s: int, by_p: dict[int, list[int]]) -> None:
+        self.graph._add_subject(s, by_p)
+        if self.added is not None:
+            self.added.extend((s, p, o) for p, objects in by_p.items() for o in objects)
+
+    def _attach(self, s: int, p: int, o: int) -> None:
+        if self.graph._add_ids(s, p, o) and self.added is not None:
+            self.added.append((s, p, o))
+
+    # -- entities -------------------------------------------------------------
+
+    def product(self, product: Product) -> None:
+        number = product.product_number
+        if self._subject(self.products, T.product_iri, number) is not None:
+            raise DuplicateSubjectError(
+                f"product already asserted: {T.product_iri(number).value}"
+            )
+        type_, cls, number_p, basic_p, line_p = self._vocabulary("product")
+        s = self._new_subject(self.products, T.product_iri, number)
+        literal = self._literal
+        self._install(s, {
+            type_: [cls],
+            number_p: [literal(number)],
+            basic_p: [literal(product.basic_type)],
+            line_p: [literal(product.product_line)],
+        })
+
+    def customer(self, customer: Customer) -> None:
+        code = customer.customer_code
+        if self._subject(self.customers, T.customer_iri, code) is not None:
+            raise DuplicateSubjectError(
+                f"customer already asserted: {T.customer_iri(code).value}"
+            )
+        rho = adjustment_factor(customer.account_class, self.config)
+        type_, cls, code_p, account_p, factor_p, revenue_p, region_p = (
+            self._vocabulary("customer")
+        )
+        s = self._new_subject(self.customers, T.customer_iri, code)
+        literal = self._literal
+        by_p = {
+            type_: [cls],
+            code_p: [literal(code)],
+            account_p: [literal(customer.account_class.value)],
+            factor_p: [literal(to_factor(rho))],
+            revenue_p: [literal(customer.annual_revenue)],
+        }
+        if customer.region is not None:
+            by_p[region_p] = [literal(customer.region)]
+        self._install(s, by_p)
+
+    def order(self, order: Order) -> None:
+        number = order.order_number
+        if self._subject(self.orders, T.order_iri, number) is not None:
+            raise DuplicateSubjectError(
+                f"order already asserted: {T.order_iri(number).value}"
+            )
+        customer = self._subject(self.customers, T.customer_iri, order.customer_code)
+        if customer is None:
+            raise DanglingReferenceError(
+                f"order {number} references unknown customer {order.customer_code}"
+            )
+        product = self._subject(self.products, T.product_iri, order.product_number)
+        if product is None:
+            raise DanglingReferenceError(
+                f"order {number} references unknown product {order.product_number}"
+            )
+        (type_, cls, number_p, quantity_p, price_p, ordered_p, requested_p,
+         confirmed_p, standard_p, placed_p, contains_p) = self._vocabulary("order")
+        s = self._new_subject(self.orders, T.order_iri, number)
+        literal, day = self._literal, self._date
+        self._install(s, {
+            type_: [cls],
+            number_p: [literal(number)],
+            quantity_p: [self._int(order.quantity)],
+            price_p: [literal(order.original_price)],
+            ordered_p: [day(order.order_date)],
+            requested_p: [day(order.customer_request_date)],
+            confirmed_p: [day(order.customer_delivery_date)],
+            standard_p: [day(order.standard_delivery_date)],
+            placed_p: [customer],
+            contains_p: [product],
+        })
+
+    def premium(self, premium) -> None:
+        code = premium.customer_code
+        s = self._subject(self.customers, T.customer_iri, code)
+        if s is None:
+            raise DanglingReferenceError(f"premium references unknown customer {code}")
+        (premium_p,) = self._vocabulary("premium")
+        self._attach(s, premium_p, self._literal(to_factor(premium.premium)))
+
+    def priced(self, priced) -> None:
+        number = priced.order_number
+        s = self._subject(self.orders, T.order_iri, number)
+        if s is None:
+            raise UnknownOrderError(f"priced order references unknown order {number}")
+        rm_p, convex_p = self._vocabulary("priced")
+        self._attach(s, rm_p, self._literal(priced.rm))
+        self._attach(s, convex_p, self._literal(priced.convex))
+
+
+def _assert(graph: Graph, add, entity, config=None) -> list[Triple]:
+    """Add one entity through a fresh builder; returns the new triples."""
+    builder = _Builder(graph, config, added=[])
+    add(builder, entity)
+    return list(graph._triples(builder.added))
 
 
 def assert_customer(
     graph: Graph, customer: Customer, config: PricingConfig
 ) -> list[Triple]:
     """Assert one customer: 5 triples, 6 when a region is present."""
-    subject = T.customer_iri(customer.customer_code)
-    if graph.has_subject(subject):
-        raise DuplicateSubjectError(f"customer already asserted: {subject.value}")
-    rho = adjustment_factor(customer.account_class, config)
-    pairs = [
-        (T.TYPE, T.CUSTOMER_CLASS),
-        (T.HAS_CUSTOMER_CODE, Literal(customer.customer_code)),
-        (T.HAS_ACCOUNT_TYPE, Literal(customer.account_class.value)),
-        (T.HAS_ADJUSTMENT_FACTOR, Literal(to_factor(rho))),
-        (T.HAS_ANNUAL_REVENUE, Literal(customer.annual_revenue)),
-    ]
-    if customer.region is not None:
-        pairs.append((T.HAS_REGION, Literal(customer.region)))
-    return _assert(graph, subject, pairs)
+    return _assert(graph, _Builder.customer, customer, config)
 
 
 def assert_product(graph: Graph, product: Product) -> list[Triple]:
     """Assert one product: exactly 4 triples."""
-    subject = T.product_iri(product.product_number)
-    if graph.has_subject(subject):
-        raise DuplicateSubjectError(f"product already asserted: {subject.value}")
-    return _assert(graph, subject, [
-        (T.TYPE, T.PRODUCT_CLASS),
-        (T.HAS_PRODUCT_NUMBER, Literal(product.product_number)),
-        (T.HAS_BASIC_TYPE, Literal(product.basic_type)),
-        (T.HAS_PRODUCT_LINE, Literal(product.product_line)),
-    ])
+    return _assert(graph, _Builder.product, product)
 
 
 def assert_order(graph: Graph, order: Order) -> list[Triple]:
     """Assert one order: exactly 10 triples linking customer and product."""
-    subject = T.order_iri(order.order_number)
-    if graph.has_subject(subject):
-        raise DuplicateSubjectError(f"order already asserted: {subject.value}")
-    customer = T.customer_iri(order.customer_code)
-    product = T.product_iri(order.product_number)
-    if not graph.has_subject(customer):
-        raise DanglingReferenceError(
-            f"order {order.order_number} references unknown customer "
-            f"{order.customer_code}"
-        )
-    if not graph.has_subject(product):
-        raise DanglingReferenceError(
-            f"order {order.order_number} references unknown product "
-            f"{order.product_number}"
-        )
-    return _assert(graph, subject, [
-        (T.TYPE, T.ORDER_CLASS),
-        (T.HAS_ORDER_NUMBER, Literal(order.order_number)),
-        (T.HAS_QUANTITY, Literal(order.quantity)),
-        (T.HAS_ORIGINAL_PRICE, Literal(order.original_price)),
-        (T.HAS_ORDER_DATE, Literal(order.order_date)),
-        (T.HAS_REQUESTED_DATE, Literal(order.customer_request_date)),
-        (T.HAS_CONFIRMED_DATE, Literal(order.customer_delivery_date)),
-        (T.HAS_STANDARD_DATE, Literal(order.standard_delivery_date)),
-        (T.WAS_PLACED_BY, customer),
-        (T.CONTAINS_PRODUCT, product),
-    ])
+    return _assert(graph, _Builder.order, order)
 
 
 def assert_premium(graph: Graph, premium) -> list[Triple]:
     """Attach a customer's premium: 1 triple; idempotent on re-assert."""
-    subject = T.customer_iri(premium.customer_code)
-    if not graph.has_subject(subject):
-        raise DanglingReferenceError(
-            f"premium references unknown customer {premium.customer_code}"
-        )
-    return _assert(
-        graph, subject, [(T.HAS_PREMIUM, Literal(to_factor(premium.premium)))]
-    )
+    return _assert(graph, _Builder.premium, premium)
 
 
 def assert_priced(graph: Graph, priced) -> list[Triple]:
     """Attach RM and convex prices to an asserted order: 2 triples."""
-    subject = T.order_iri(priced.order_number)
-    if not graph.has_subject(subject):
-        raise UnknownOrderError(
-            f"priced order references unknown order {priced.order_number}"
-        )
-    return _assert(graph, subject, [
-        (T.HAS_RM_PRICE, Literal(priced.rm)),
-        (T.HAS_CONVEX_PRICE, Literal(priced.convex)),
-    ])
+    return _assert(graph, _Builder.priced, priced)
 
 
 def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> Graph:
     """Materialize a dataset (and optional pricing output) as a graph."""
-    config = config or PricingConfig()
     graph = Graph()
+    builder = _Builder(graph, config or PricingConfig())
     for product in dataset.products:
-        assert_product(graph, product)
+        builder.product(product)
     for customer in dataset.customers:
-        assert_customer(graph, customer, config)
+        builder.customer(customer)
     for order in dataset.orders:
-        assert_order(graph, order)
+        builder.order(order)
     if pricing is not None:
         for premium in pricing.premiums:
-            assert_premium(graph, premium)
+            builder.premium(premium)
         for priced in pricing.priced_orders:
-            assert_priced(graph, priced)
+            builder.priced(priced)
     return graph
 
 

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import gc
 import json
 import os
 import subprocess
@@ -408,6 +409,46 @@ def test_value_error_from_a_bug_is_internal_error(tmp_path, monkeypatch, capsys)
     code = run(["report", "--graph", out / "graph.nt", "--out", out / "report.json"])
     assert code == 3
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys,
+                                                  collecting):
+    import ltbp.cli
+
+    seen = []
+
+    def recording(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    def bug(config):
+        raise ValueError("synthetic bug")
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        codes = [run(["generate", "--seed", "1", "--orders", "5", "--customers", "2",
+                      "--out", tmp_path / "d"])]
+        assert gc.isenabled() is collecting
+        codes.append(run(["price", "--orders", tmp_path / "nope.csv",
+                          "--portfolio", tmp_path / "nope.csv",
+                          "--products", tmp_path / "nope.csv",
+                          "--out", tmp_path / "run"]))
+        assert gc.isenabled() is collecting
+        with monkeypatch.context() as patch:
+            patch.setattr(ltbp.cli.ingest, "generate_synthetic", bug)
+            codes.append(run(["generate", "--out", tmp_path / "e"]))
+        assert gc.isenabled() is collecting
+        with monkeypatch.context() as patch:
+            patch.setattr(ltbp.cli, "cmd_generate", recording)
+            codes.append(run(["generate"]))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert codes == [0, 2, 3, 0]
+    assert seen == [False]
+    capsys.readouterr()
 
 
 def test_run_pipeline_script_runs_from_a_checkout(tmp_path):

@@ -1,10 +1,14 @@
+import dataclasses
 import itertools
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal
+from urllib.parse import quote
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import ltbp.graph
+import ltbp.terms
 from ltbp.graph import (
     DanglingReferenceError,
     DuplicateSubjectError,
@@ -22,9 +26,9 @@ from ltbp.graph import (
     load_ntriples,
     match_patterns,
 )
-from ltbp.ingest import GeneratorConfig, generate_synthetic
-from ltbp.model import AccountClass, Customer
-from ltbp.pricing import CustomerPremium, PricedOrder
+from ltbp.ingest import Dataset, GeneratorConfig, generate_synthetic
+from ltbp.model import AccountClass, Customer, PricingConfig, Product
+from ltbp.pricing import CustomerPremium, PricedOrder, price_dataset
 from ltbp.query import parse_query
 from ltbp.terms import (
     HAS_ADJUSTMENT_FACTOR,
@@ -40,6 +44,7 @@ from ltbp.terms import (
     customer_iri,
     order_iri,
 )
+from tests.conftest import make_order
 from tests.oracles import brute_force_match
 
 
@@ -170,6 +175,133 @@ class TestAssertions:
             + 2 * len(small_pricing.priced_orders)
         )
         assert len(g) == expected
+
+
+def _with(dataset, **extra):
+    """The dataset with each named entity tuple extended by the given items."""
+    grown = {name: getattr(dataset, name) + items for name, items in extra.items()}
+    return dataclasses.replace(dataset, **grown)
+
+
+_STRAY = make_order("O 7", "C001", "P01", date(2020, 5, 1), 5, 5, 10)
+
+
+class TestBuildGraph:
+    @pytest.mark.parametrize("extra, pricing_extra, error, message", [
+        ({"products": (Product("P01", "BT-Z", "PL-9"),)}, {},
+         DuplicateSubjectError, "product already asserted: urn:ltbp:product:P01"),
+        ({"customers": (Customer("C001", AccountClass.OTHERS, Decimal("1.00")),)},
+         {}, DuplicateSubjectError,
+         "customer already asserted: urn:ltbp:customer:C001"),
+        ({"orders": (make_order("O1", "C002", "P02", date(2020, 5, 1), 5, 5, 10),)},
+         {}, DuplicateSubjectError, "order already asserted: urn:ltbp:order:O1"),
+        ({"orders": (dataclasses.replace(_STRAY, customer_code="C 404"),)}, {},
+         DanglingReferenceError, "order O 7 references unknown customer C 404"),
+        ({"orders": (dataclasses.replace(_STRAY, product_number="P/404"),)}, {},
+         DanglingReferenceError, "order O 7 references unknown product P/404"),
+        ({}, {"premiums": (CustomerPremium("C404", Decimal("1.5")),)},
+         DanglingReferenceError, "premium references unknown customer C404"),
+        ({}, {"priced_orders": (PricedOrder("O404", Decimal("1.00"),
+                                            Decimal("1.00"), Decimal("1.00")),)},
+         UnknownOrderError, "priced order references unknown order O404"),
+    ], ids=["duplicate-product", "duplicate-customer", "duplicate-order",
+            "unknown-customer", "unknown-product", "premium-unknown-customer",
+            "priced-unknown-order"])
+    def test_bad_dataset_raises_like_assert(self, small_dataset, small_pricing,
+                                            config, extra, pricing_extra,
+                                            error, message):
+        dataset = _with(small_dataset, **extra)
+        pricing = _with(small_pricing, **pricing_extra)
+        with pytest.raises(error) as raised:
+            build_graph(dataset, pricing, config)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_builds_no_triple_objects_and_quotes_each_id_once(
+        self, small_dataset, small_pricing, config, monkeypatch
+    ):
+        made, quoted = [], []
+
+        def counting_triple(*args):
+            made.append(args)
+            return Triple(*args)
+
+        def counting_quote(text, safe="/"):
+            quoted.append(text)
+            return quote(text, safe=safe)
+
+        monkeypatch.setattr(ltbp.graph, "Triple", counting_triple)
+        monkeypatch.setattr(ltbp.terms, "quote", counting_quote)
+        build_graph(small_dataset, small_pricing, config)
+        assert made == []
+        ids = (
+            [p.product_number for p in small_dataset.products]
+            + [c.customer_code for c in small_dataset.customers]
+            + [o.order_number for o in small_dataset.orders]
+        )
+        assert sorted(quoted) == sorted(ids)
+        assert len(assert_product(Graph(), small_dataset.products[0])) == 4
+        assert len(made) == 4  # the counted name is the one graph.py uses
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_build_exports_like_assert_calls(self, tmp_path_factory, data):
+        ids = st.text(
+            st.one_of(
+                st.sampled_from(' /%"\\éü€'),
+                st.characters(blacklist_categories=("Cs", "Cc")),
+            ),
+            min_size=1, max_size=6,
+        )
+        money = st.sampled_from(
+            [Decimal("100"), Decimal("100.00"), Decimal("99.5"), Decimal("250.00")]
+        )
+        region = st.one_of(st.none(), st.sampled_from(["EMEA", "AP AC", 'N"A']))
+        products = tuple(
+            Product(number, data.draw(ids), data.draw(ids))
+            for number in data.draw(st.lists(ids, min_size=2, max_size=5, unique=True))
+        )
+        customers = tuple(
+            Customer(code, data.draw(st.sampled_from(AccountClass)),
+                     data.draw(money), data.draw(region))
+            for code in data.draw(st.lists(ids, min_size=2, max_size=5, unique=True))
+        )
+        numbers = data.draw(st.lists(ids, min_size=5, max_size=20, unique=True))
+        day = st.integers(0, 30)
+        orders = tuple(
+            make_order(
+                number,
+                data.draw(st.sampled_from(customers)).customer_code,
+                data.draw(st.sampled_from(products)).product_number,
+                date(2020, 1, 1) + timedelta(days=data.draw(day)),
+                data.draw(day), data.draw(day), data.draw(st.integers(1, 30)),
+                price=str(data.draw(money)),
+                quantity=data.draw(st.integers(1, 3)),
+            )
+            for number in numbers
+        )
+        dataset = Dataset(customers, products, orders)
+        config = PricingConfig()
+        pricing = price_dataset(dataset, config)
+
+        built = build_graph(dataset, pricing, config)
+        asserted = Graph()
+        for product in products:
+            assert_product(asserted, product)
+        for customer in customers:
+            assert_customer(asserted, customer, config)
+        for order in orders:
+            assert_order(asserted, order)
+        for premium in pricing.premiums:
+            assert_premium(asserted, premium)
+        for priced in pricing.priced_orders:
+            assert_priced(asserted, priced)
+
+        assert len(built) == len(asserted)
+        out = tmp_path_factory.mktemp("paths")
+        export_ntriples(built, out / "built.nt")
+        export_ntriples(asserted, out / "asserted.nt")
+        assert (out / "built.nt").read_bytes() == (out / "asserted.nt").read_bytes()
 
 
 class TestMatchPatterns:
