@@ -247,28 +247,6 @@ class Graph:
         self._size += 1
         return True
 
-    def _add_subject(self, s: int, by_p: dict[int, list[int]]) -> None:
-        """Add the first triples of subject ``s``, which has none yet.
-
-        ``by_p`` maps each predicate to its distinct objects and becomes the
-        subject's ``spo`` entry.
-        """
-        self._spo[s] = by_p
-        pos = self._pos
-        size = 0
-        for p, objects in by_p.items():
-            by_o = pos.get(p)
-            if by_o is None:
-                by_o = pos[p] = {}
-            for o in objects:
-                subjects = by_o.get(o)
-                if subjects is None:
-                    by_o[o] = [s]
-                else:
-                    subjects.append(s)
-            size += len(objects)
-        self._size += size
-
     def _match_ids(self, s, p, o) -> Iterable[tuple[int, int, int]]:
         """(s, p, o) id triples matching the given ids (None = any).
 
@@ -302,21 +280,16 @@ class Graph:
 
 # --- entity assertion --------------------------------------------------------
 
-# Each entity kind's predicate and class IRIs, in the order its helper in
-# _Builder unpacks them.
-_VOCABULARY = {
-    "product": (T.TYPE, T.PRODUCT_CLASS, T.HAS_PRODUCT_NUMBER, T.HAS_BASIC_TYPE,
-                T.HAS_PRODUCT_LINE),
-    "customer": (T.TYPE, T.CUSTOMER_CLASS, T.HAS_CUSTOMER_CODE,
-                 T.HAS_ACCOUNT_TYPE, T.HAS_ADJUSTMENT_FACTOR,
-                 T.HAS_ANNUAL_REVENUE, T.HAS_REGION),
-    "order": (T.TYPE, T.ORDER_CLASS, T.HAS_ORDER_NUMBER, T.HAS_QUANTITY,
-              T.HAS_ORIGINAL_PRICE, T.HAS_ORDER_DATE, T.HAS_REQUESTED_DATE,
-              T.HAS_CONFIRMED_DATE, T.HAS_STANDARD_DATE, T.WAS_PLACED_BY,
-              T.CONTAINS_PRODUCT),
-    "premium": (T.HAS_PREMIUM,),
-    "priced": (T.HAS_RM_PRICE, T.HAS_CONVEX_PRICE),
-}
+class _TermIds(dict):
+    """Iri -> its id in one graph, interned on first lookup."""
+
+    def __init__(self, graph: Graph) -> None:
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, iri: Iri) -> int:
+        tid = self[iri] = self.graph._intern(iri)
+        return tid
 
 
 class _Builder:
@@ -338,17 +311,11 @@ class _Builder:
         self.products: dict[str, int] = {}
         self.customers: dict[str, int] = {}
         self.orders: dict[str, int] = {}
-        self._vocab: dict[str, tuple[int, ...]] = {}  # kind -> predicate/class ids
+        self.p = _TermIds(graph)  # predicate and class IRIs
         self._dates: dict[date, int] = {}
         self._ints: dict[int, int] = {}
 
     # -- terms ----------------------------------------------------------------
-
-    def _vocabulary(self, kind: str) -> tuple[int, ...]:
-        ids = self._vocab.get(kind)
-        if ids is None:
-            ids = self._vocab[kind] = tuple(map(self.graph._intern, _VOCABULARY[kind]))
-        return ids
 
     def _literal(self, value) -> int:
         return self.graph._intern_text(_nt_literal(value), value)
@@ -383,11 +350,6 @@ class _Builder:
         tid = known[key] = self.graph._intern(make_iri(key))
         return tid
 
-    def _install(self, s: int, by_p: dict[int, list[int]]) -> None:
-        self.graph._add_subject(s, by_p)
-        if self.added is not None:
-            self.added.extend((s, p, o) for p, objects in by_p.items() for o in objects)
-
     def _attach(self, s: int, p: int, o: int) -> None:
         if self.graph._add_ids(s, p, o) and self.added is not None:
             self.added.append((s, p, o))
@@ -400,15 +362,12 @@ class _Builder:
             raise DuplicateSubjectError(
                 f"product already asserted: {T.product_iri(number).value}"
             )
-        type_, cls, number_p, basic_p, line_p = self._vocabulary("product")
         s = self._new_subject(self.products, T.product_iri, number)
-        literal = self._literal
-        self._install(s, {
-            type_: [cls],
-            number_p: [literal(number)],
-            basic_p: [literal(product.basic_type)],
-            line_p: [literal(product.product_line)],
-        })
+        p, attach, literal = self.p, self._attach, self._literal
+        attach(s, p[T.TYPE], p[T.PRODUCT_CLASS])
+        attach(s, p[T.HAS_PRODUCT_NUMBER], literal(number))
+        attach(s, p[T.HAS_BASIC_TYPE], literal(product.basic_type))
+        attach(s, p[T.HAS_PRODUCT_LINE], literal(product.product_line))
 
     def customer(self, customer: Customer) -> None:
         code = customer.customer_code
@@ -417,21 +376,15 @@ class _Builder:
                 f"customer already asserted: {T.customer_iri(code).value}"
             )
         rho = adjustment_factor(customer.account_class, self.config)
-        type_, cls, code_p, account_p, factor_p, revenue_p, region_p = (
-            self._vocabulary("customer")
-        )
         s = self._new_subject(self.customers, T.customer_iri, code)
-        literal = self._literal
-        by_p = {
-            type_: [cls],
-            code_p: [literal(code)],
-            account_p: [literal(customer.account_class.value)],
-            factor_p: [literal(to_factor(rho))],
-            revenue_p: [literal(customer.annual_revenue)],
-        }
+        p, attach, literal = self.p, self._attach, self._literal
+        attach(s, p[T.TYPE], p[T.CUSTOMER_CLASS])
+        attach(s, p[T.HAS_CUSTOMER_CODE], literal(code))
+        attach(s, p[T.HAS_ACCOUNT_TYPE], literal(customer.account_class.value))
+        attach(s, p[T.HAS_ADJUSTMENT_FACTOR], literal(to_factor(rho)))
+        attach(s, p[T.HAS_ANNUAL_REVENUE], literal(customer.annual_revenue))
         if customer.region is not None:
-            by_p[region_p] = [literal(customer.region)]
-        self._install(s, by_p)
+            attach(s, p[T.HAS_REGION], literal(customer.region))
 
     def order(self, order: Order) -> None:
         number = order.order_number
@@ -449,39 +402,33 @@ class _Builder:
             raise DanglingReferenceError(
                 f"order {number} references unknown product {order.product_number}"
             )
-        (type_, cls, number_p, quantity_p, price_p, ordered_p, requested_p,
-         confirmed_p, standard_p, placed_p, contains_p) = self._vocabulary("order")
         s = self._new_subject(self.orders, T.order_iri, number)
-        literal, day = self._literal, self._date
-        self._install(s, {
-            type_: [cls],
-            number_p: [literal(number)],
-            quantity_p: [self._int(order.quantity)],
-            price_p: [literal(order.original_price)],
-            ordered_p: [day(order.order_date)],
-            requested_p: [day(order.customer_request_date)],
-            confirmed_p: [day(order.customer_delivery_date)],
-            standard_p: [day(order.standard_delivery_date)],
-            placed_p: [customer],
-            contains_p: [product],
-        })
+        p, attach, literal, day = self.p, self._attach, self._literal, self._date
+        attach(s, p[T.TYPE], p[T.ORDER_CLASS])
+        attach(s, p[T.HAS_ORDER_NUMBER], literal(number))
+        attach(s, p[T.HAS_QUANTITY], self._int(order.quantity))
+        attach(s, p[T.HAS_ORIGINAL_PRICE], literal(order.original_price))
+        attach(s, p[T.HAS_ORDER_DATE], day(order.order_date))
+        attach(s, p[T.HAS_REQUESTED_DATE], day(order.customer_request_date))
+        attach(s, p[T.HAS_CONFIRMED_DATE], day(order.customer_delivery_date))
+        attach(s, p[T.HAS_STANDARD_DATE], day(order.standard_delivery_date))
+        attach(s, p[T.WAS_PLACED_BY], customer)
+        attach(s, p[T.CONTAINS_PRODUCT], product)
 
     def premium(self, premium) -> None:
         code = premium.customer_code
         s = self._subject(self.customers, T.customer_iri, code)
         if s is None:
             raise DanglingReferenceError(f"premium references unknown customer {code}")
-        (premium_p,) = self._vocabulary("premium")
-        self._attach(s, premium_p, self._literal(to_factor(premium.premium)))
+        self._attach(s, self.p[T.HAS_PREMIUM], self._literal(to_factor(premium.premium)))
 
     def priced(self, priced) -> None:
         number = priced.order_number
         s = self._subject(self.orders, T.order_iri, number)
         if s is None:
             raise UnknownOrderError(f"priced order references unknown order {number}")
-        rm_p, convex_p = self._vocabulary("priced")
-        self._attach(s, rm_p, self._literal(priced.rm))
-        self._attach(s, convex_p, self._literal(priced.convex))
+        self._attach(s, self.p[T.HAS_RM_PRICE], self._literal(priced.rm))
+        self._attach(s, self.p[T.HAS_CONVEX_PRICE], self._literal(priced.convex))
 
 
 def _assert(graph: Graph, add, entity, config=None) -> list[Triple]:

@@ -27,7 +27,10 @@ from ltbp.graph import (
     match_patterns,
 )
 from ltbp.ingest import Dataset, GeneratorConfig, generate_synthetic
-from ltbp.model import AccountClass, Customer, PricingConfig, Product
+from ltbp import terms as T
+from ltbp.model import (
+    AccountClass, Customer, PricingConfig, Product, adjustment_factor, to_factor,
+)
 from ltbp.pricing import CustomerPremium, PricedOrder, price_dataset
 from ltbp.query import parse_query
 from ltbp.terms import (
@@ -242,6 +245,55 @@ class TestBuildGraph:
         assert sorted(quoted) == sorted(ids)
         assert len(assert_product(Graph(), small_dataset.products[0])) == 4
         assert len(made) == 4  # the counted name is the one graph.py uses
+
+    def test_each_predicate_holds_its_field(self, small_dataset, small_pricing,
+                                            config):
+        g = build_graph(small_dataset, small_pricing, config)
+
+        def check(subject, expected):
+            found = [(t.predicate, t.object) for t in g.match(subject, None, None)]
+            assert len(found) == len(expected)
+            assert dict(found) == expected
+
+        for product in small_dataset.products:
+            check(T.product_iri(product.product_number), {
+                T.TYPE: T.PRODUCT_CLASS,
+                T.HAS_PRODUCT_NUMBER: Literal(product.product_number),
+                T.HAS_BASIC_TYPE: Literal(product.basic_type),
+                T.HAS_PRODUCT_LINE: Literal(product.product_line),
+            })
+        premiums = {p.customer_code: p.premium for p in small_pricing.premiums}
+        for customer in small_dataset.customers:
+            rho = adjustment_factor(customer.account_class, config)
+            expected = {
+                T.TYPE: T.CUSTOMER_CLASS,
+                T.HAS_CUSTOMER_CODE: Literal(customer.customer_code),
+                T.HAS_ACCOUNT_TYPE: Literal(customer.account_class.value),
+                T.HAS_ADJUSTMENT_FACTOR: Literal(to_factor(rho)),
+                T.HAS_ANNUAL_REVENUE: Literal(customer.annual_revenue),
+                T.HAS_PREMIUM: Literal(to_factor(premiums[customer.customer_code])),
+            }
+            if customer.region is not None:
+                expected[T.HAS_REGION] = Literal(customer.region)
+            check(T.customer_iri(customer.customer_code), expected)
+        priced = {p.order_number: p for p in small_pricing.priced_orders}
+        for order in small_dataset.orders:
+            expected = {
+                T.TYPE: T.ORDER_CLASS,
+                T.HAS_ORDER_NUMBER: Literal(order.order_number),
+                T.HAS_QUANTITY: Literal(order.quantity),
+                T.HAS_ORIGINAL_PRICE: Literal(order.original_price),
+                T.HAS_ORDER_DATE: Literal(order.order_date),
+                T.HAS_REQUESTED_DATE: Literal(order.customer_request_date),
+                T.HAS_CONFIRMED_DATE: Literal(order.customer_delivery_date),
+                T.HAS_STANDARD_DATE: Literal(order.standard_delivery_date),
+                T.WAS_PLACED_BY: T.customer_iri(order.customer_code),
+                T.CONTAINS_PRODUCT: T.product_iri(order.product_number),
+            }
+            if order.order_number in priced:
+                expected[T.HAS_RM_PRICE] = Literal(priced[order.order_number].rm)
+                expected[T.HAS_CONVEX_PRICE] = Literal(priced[order.order_number].convex)
+            check(T.order_iri(order.order_number), expected)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
