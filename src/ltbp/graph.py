@@ -1,4 +1,4 @@
-"""In-memory triple store: entity assertion, pattern matching, aggregation.
+"""In-memory triple store: graph building, pattern matching, aggregation.
 
 Triples follow the domain ontology: orders link to customers and products via
 ``wasPlacedBy`` / ``containsProduct``; data properties carry codes, dates,
@@ -17,19 +17,18 @@ greedy order over rows of ids, looking each row's triples up through
 A term's identity is the N-Triples text it exports as, so a literal is its
 lexical form plus datatype. ``100`` (integer), ``100.00`` and ``1.00``
 (decimal) are equal as Python values but are three terms, and each exports
-as it was asserted. The loader reads a typed literal to its value and keys
-it by that value's text: ``"007"^^xsd:integer`` loads as ``"7"`` and
+as it was built. The loader keys each token by the store's own term text, so
+a token already in the store is one dict lookup. A typed literal loads as
+its value's text: ``"007"^^xsd:integer`` loads as ``"7"`` and
 ``"+1.0"^^xsd:decimal`` as ``"1.0"``, so lines that differ only in such a
 form load as one triple.
 
-``build_graph`` and each ``assert_*`` call add entities through one
-``_Builder``, which adds id triples directly: ``build_graph`` makes no
-``Literal`` or ``Triple`` object, and an ``assert_*`` call makes only the
-``Triple``s it returns. Per build the builder interns each predicate and
-class IRI once, quotes each entity id into its IRI once, and keys dates by
-``date`` and quantities by ``int``. Its duplicate-subject and
-dangling-reference checks read per-build dicts from entity id to subject id.
-Decimals are not keyed by value: ``Decimal("100")`` equals
+``build_graph`` adds entities through a ``_Builder``, which adds id triples
+directly and makes no ``Literal`` or ``Triple`` object. Per build it interns
+each predicate and class IRI once, quotes each entity id into its IRI once,
+and keys dates by ``date`` and quantities by ``int``. Its duplicate-subject
+and dangling-reference checks read per-build dicts from entity id to subject
+id. Decimals are not keyed by value: ``Decimal("100")`` equals
 ``Decimal("100.00")``, yet the two are different terms (above), so a decimal
 is formatted and interned by its text.
 
@@ -129,6 +128,9 @@ def _nt_literal(value) -> str:
     raise GraphError(f"unsupported literal value {value!r}")
 
 
+_MISSING = -1  # id of a term the graph does not hold; it matches nothing
+
+
 class Graph:
     """Set of triples over interned term ids, indexed as spo and pos."""
 
@@ -157,9 +159,6 @@ class Graph:
             self._intern(triple.predicate),
             self._intern(triple.object),
         )
-
-    def has_subject(self, iri: Iri) -> bool:
-        return self._ids.get(f"<{iri.value}>") in self._spo
 
     def match(
         self,
@@ -198,22 +197,16 @@ class Graph:
             self._values.append(value)
         return tid
 
-    def _id_of(self, term: Union[Iri, Literal]) -> Optional[int]:
+    def _id_of(self, term: Union[Iri, Literal]) -> int:
+        """The term's id, or ``_MISSING`` when the graph does not hold it."""
         try:
-            return self._ids.get(_nt_term(term))
+            return self._ids.get(_nt_term(term), _MISSING)
         except GraphError:  # a value no stored term can have
-            return None
+            return _MISSING
 
     def _match_terms(self, subject, predicate, object) -> Iterator[Triple]:
-        ids = []
-        for term in (subject, predicate, object):
-            if term is None:
-                ids.append(None)
-                continue
-            tid = self._id_of(term)
-            if tid is None:
-                return
-            ids.append(tid)
+        terms = (subject, predicate, object)
+        ids = [None if term is None else self._id_of(term) for term in terms]
         yield from self._triples(self._match_ids(*ids))
 
     def _term(self, tid: int) -> Union[Iri, Literal]:
@@ -278,7 +271,7 @@ class Graph:
         return [(s2, p2, o) for p2, by_o in groups for s2 in by_o.get(o, ())]
 
 
-# --- entity assertion --------------------------------------------------------
+# --- graph building ----------------------------------------------------------
 
 class _TermIds(dict):
     """Iri -> its id in one graph, interned on first lookup."""
@@ -293,25 +286,21 @@ class _TermIds(dict):
 
 
 class _Builder:
-    """Adds entities to one graph as id triples, interning each term once.
+    """Adds entities to one new graph as id triples, interning each term once.
 
     ``products``, ``customers`` and ``orders`` map an entity's id string to
     its subject id, so the duplicate and dangling-reference checks are dict
-    lookups. When the graph held triples before the builder started, an id
-    these dicts miss is looked up in the graph by its IRI. With ``added`` a
-    list, the builder appends the ``(s, p, o)`` ids of each new triple to it.
+    lookups.
     """
 
-    def __init__(self, graph: Graph, config: PricingConfig | None = None,
-                 added: list | None = None) -> None:
+    def __init__(self, graph: Graph, config: PricingConfig) -> None:
         self.graph = graph
         self.config = config
-        self.added = added
-        self._probe = bool(graph._spo)
         self.products: dict[str, int] = {}
         self.customers: dict[str, int] = {}
         self.orders: dict[str, int] = {}
         self.p = _TermIds(graph)  # predicate and class IRIs
+        self._attach = graph._add_ids
         self._dates: dict[date, int] = {}
         self._ints: dict[int, int] = {}
 
@@ -334,35 +323,15 @@ class _Builder:
             tid = self._dates[value] = self._literal(value)
         return tid
 
-    # -- subjects -------------------------------------------------------------
-
-    def _subject(self, known: dict, make_iri, key: str) -> Optional[int]:
-        """The subject id of entity ``key``, or None when it has no triple."""
-        tid = known.get(key)
-        if tid is None and self._probe:
-            tid = self.graph._id_of(make_iri(key))
-            if tid not in self.graph._spo:
-                return None
-            known[key] = tid
-        return tid
-
-    def _new_subject(self, known: dict, make_iri, key: str) -> int:
-        tid = known[key] = self.graph._intern(make_iri(key))
-        return tid
-
-    def _attach(self, s: int, p: int, o: int) -> None:
-        if self.graph._add_ids(s, p, o) and self.added is not None:
-            self.added.append((s, p, o))
-
     # -- entities -------------------------------------------------------------
 
     def product(self, product: Product) -> None:
         number = product.product_number
-        if self._subject(self.products, T.product_iri, number) is not None:
+        if number in self.products:
             raise DuplicateSubjectError(
                 f"product already asserted: {T.product_iri(number).value}"
             )
-        s = self._new_subject(self.products, T.product_iri, number)
+        s = self.products[number] = self.graph._intern(T.product_iri(number))
         p, attach, literal = self.p, self._attach, self._literal
         attach(s, p[T.TYPE], p[T.PRODUCT_CLASS])
         attach(s, p[T.HAS_PRODUCT_NUMBER], literal(number))
@@ -371,12 +340,12 @@ class _Builder:
 
     def customer(self, customer: Customer) -> None:
         code = customer.customer_code
-        if self._subject(self.customers, T.customer_iri, code) is not None:
+        if code in self.customers:
             raise DuplicateSubjectError(
                 f"customer already asserted: {T.customer_iri(code).value}"
             )
         rho = adjustment_factor(customer.account_class, self.config)
-        s = self._new_subject(self.customers, T.customer_iri, code)
+        s = self.customers[code] = self.graph._intern(T.customer_iri(code))
         p, attach, literal = self.p, self._attach, self._literal
         attach(s, p[T.TYPE], p[T.CUSTOMER_CLASS])
         attach(s, p[T.HAS_CUSTOMER_CODE], literal(code))
@@ -388,21 +357,21 @@ class _Builder:
 
     def order(self, order: Order) -> None:
         number = order.order_number
-        if self._subject(self.orders, T.order_iri, number) is not None:
+        if number in self.orders:
             raise DuplicateSubjectError(
                 f"order already asserted: {T.order_iri(number).value}"
             )
-        customer = self._subject(self.customers, T.customer_iri, order.customer_code)
+        customer = self.customers.get(order.customer_code)
         if customer is None:
             raise DanglingReferenceError(
                 f"order {number} references unknown customer {order.customer_code}"
             )
-        product = self._subject(self.products, T.product_iri, order.product_number)
+        product = self.products.get(order.product_number)
         if product is None:
             raise DanglingReferenceError(
                 f"order {number} references unknown product {order.product_number}"
             )
-        s = self._new_subject(self.orders, T.order_iri, number)
+        s = self.orders[number] = self.graph._intern(T.order_iri(number))
         p, attach, literal, day = self.p, self._attach, self._literal, self._date
         attach(s, p[T.TYPE], p[T.ORDER_CLASS])
         attach(s, p[T.HAS_ORDER_NUMBER], literal(number))
@@ -417,52 +386,18 @@ class _Builder:
 
     def premium(self, premium) -> None:
         code = premium.customer_code
-        s = self._subject(self.customers, T.customer_iri, code)
+        s = self.customers.get(code)
         if s is None:
             raise DanglingReferenceError(f"premium references unknown customer {code}")
         self._attach(s, self.p[T.HAS_PREMIUM], self._literal(to_factor(premium.premium)))
 
     def priced(self, priced) -> None:
         number = priced.order_number
-        s = self._subject(self.orders, T.order_iri, number)
+        s = self.orders.get(number)
         if s is None:
             raise UnknownOrderError(f"priced order references unknown order {number}")
         self._attach(s, self.p[T.HAS_RM_PRICE], self._literal(priced.rm))
         self._attach(s, self.p[T.HAS_CONVEX_PRICE], self._literal(priced.convex))
-
-
-def _assert(graph: Graph, add, entity, config=None) -> list[Triple]:
-    """Add one entity through a fresh builder; returns the new triples."""
-    builder = _Builder(graph, config, added=[])
-    add(builder, entity)
-    return list(graph._triples(builder.added))
-
-
-def assert_customer(
-    graph: Graph, customer: Customer, config: PricingConfig
-) -> list[Triple]:
-    """Assert one customer: 5 triples, 6 when a region is present."""
-    return _assert(graph, _Builder.customer, customer, config)
-
-
-def assert_product(graph: Graph, product: Product) -> list[Triple]:
-    """Assert one product: exactly 4 triples."""
-    return _assert(graph, _Builder.product, product)
-
-
-def assert_order(graph: Graph, order: Order) -> list[Triple]:
-    """Assert one order: exactly 10 triples linking customer and product."""
-    return _assert(graph, _Builder.order, order)
-
-
-def assert_premium(graph: Graph, premium) -> list[Triple]:
-    """Attach a customer's premium: 1 triple; idempotent on re-assert."""
-    return _assert(graph, _Builder.premium, premium)
-
-
-def assert_priced(graph: Graph, priced) -> list[Triple]:
-    """Attach RM and convex prices to an asserted order: 2 triples."""
-    return _assert(graph, _Builder.priced, priced)
 
 
 def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> Graph:
@@ -484,8 +419,6 @@ def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> G
 
 
 # --- pattern matching --------------------------------------------------------
-
-_MISSING = -1  # id of a constant the graph does not hold; it matches nothing
 
 
 def _plan(graph: Graph, patterns: Sequence[tuple]):
@@ -513,9 +446,8 @@ def _plan(graph: Graph, patterns: Sequence[tuple]):
                 continue
             if not isinstance(term, (Iri, Literal)):
                 term = Literal(term)
-            tid = graph._id_of(term)
             cells.append(len(start))
-            start.append(_MISSING if tid is None else tid)
+            start.append(graph._id_of(term))
         pending.append(tuple(cells))
 
     bound = {cell for cell, tid in enumerate(start) if tid is not None}
@@ -894,21 +826,6 @@ def _parse_object(token: str, lineno: int) -> Union[Iri, Literal]:
     raise GraphParseError(f"line {lineno}: invalid literal {body!r} for <{dtype}>")
 
 
-def _token_ids(graph: Graph, tokens, lineno: int, iris: dict, objects: dict):
-    s_token, p_token, o_token = tokens
-    ids = []
-    for token in (s_token, p_token):
-        tid = iris.get(token)
-        if tid is None:
-            tid = iris[token] = graph._intern_text(token, _parse_iri(token, lineno))
-        ids.append(tid)
-    tid = objects.get(o_token)
-    if tid is None:
-        tid = objects[o_token] = graph._intern(_parse_object(o_token, lineno))
-    ids.append(tid)
-    return ids
-
-
 def _malformed(lineno: int, line: str) -> GraphParseError:
     return GraphParseError(f"line {lineno}: malformed triple: {line!r}")
 
@@ -917,13 +834,15 @@ def load_ntriples(path) -> Graph:
     """Read an N-Triples file; GraphParseError names the first bad line.
 
     A line is three terms split at whitespace and a final "."; the object,
-    which may hold spaces, is all that follows the predicate. Each distinct
-    token is parsed and checked once, so a line whose tokens were all seen
-    before costs a split and three dict lookups.
+    which may hold spaces, is all that follows the predicate. Tokens are
+    looked up in the store's own text -> id table, so a token already in the
+    store costs one dict lookup; any other token is parsed, checked and
+    interned. A subject or predicate found there must still be an IRI. A
+    non-canonical literal such as ``"007"^^xsd:integer`` is not a key in the
+    table, so it is parsed each time it occurs.
     """
     graph = Graph()
-    iris: dict[str, int] = {}  # subject and predicate tokens -> id
-    objects: dict[str, int] = {}  # object tokens -> id
+    ids = graph._ids
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for lineno, raw in enumerate(handle, start=1):
@@ -937,13 +856,15 @@ def load_ntriples(path) -> Graph:
                 except ValueError:  # fewer than three terms
                     raise _malformed(lineno, line) from None
                 o_token = o_token.rstrip()
-                s = iris.get(s_token)
-                p = iris.get(p_token)
-                o = objects.get(o_token)
-                if s is None or p is None or o is None:
-                    s, p, o = _token_ids(
-                        graph, (s_token, p_token, o_token), lineno, iris, objects
-                    )
+                s = ids.get(s_token)
+                if s is None or s_token[0] != "<":
+                    s = graph._intern_text(s_token, _parse_iri(s_token, lineno))
+                p = ids.get(p_token)
+                if p is None or p_token[0] != "<":
+                    p = graph._intern_text(p_token, _parse_iri(p_token, lineno))
+                o = ids.get(o_token)
+                if o is None:
+                    o = graph._intern(_parse_object(o_token, lineno))
                 graph._add_ids(s, p, o)
         except UnicodeDecodeError as exc:
             raise GraphParseError(f"{path}: not UTF-8 text: {exc}") from None

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
 
-from .terms import Iri, Literal, PREFIXES, Term, Variable
+from .terms import Iri, Literal, PREFIXES, Term, TriplePattern, Variable
 
 
 class QueryError(Exception):
@@ -220,9 +220,6 @@ class QuerySpec:
                 )
         if self.limit is not None and self.limit < 0:
             raise QueryValidationError("limit must be >= 0")
-
-
-TriplePattern = tuple  # (Term, Term, Term)
 
 
 # --- tokenizer -------------------------------------------------------------

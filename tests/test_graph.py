@@ -15,11 +15,6 @@ from ltbp.graph import (
     FilterTypeError,
     Graph,
     UnknownOrderError,
-    assert_customer,
-    assert_order,
-    assert_premium,
-    assert_priced,
-    assert_product,
     build_graph,
     evaluate,
     export_ntriples,
@@ -31,7 +26,7 @@ from ltbp import terms as T
 from ltbp.model import (
     AccountClass, Customer, PricingConfig, Product, adjustment_factor, to_factor,
 )
-from ltbp.pricing import CustomerPremium, PricedOrder, price_dataset
+from ltbp.pricing import CustomerPremium, PricedOrder, PricingResult, price_dataset
 from ltbp.query import parse_query
 from ltbp.terms import (
     HAS_ADJUSTMENT_FACTOR,
@@ -79,9 +74,8 @@ class TestStore:
 
 class TestAssertions:
     def test_customer_with_region_emits_six(self, key_customer, config):
-        g = Graph()
-        triples = assert_customer(g, key_customer, config)
-        assert len(triples) == 6
+        g = build_graph(Dataset((key_customer,), (), ()), config=config)
+        assert len(g) == 6
         assert (
             Triple(customer_iri("C001"), HAS_ADJUSTMENT_FACTOR,
                    Literal(Decimal("0.100000")))
@@ -89,37 +83,25 @@ class TestAssertions:
         )
 
     def test_customer_without_region_emits_five(self, config):
-        g = Graph()
         customer = Customer("C009", AccountClass.OTHERS, Decimal("100.00"))
-        assert len(assert_customer(g, customer, config)) == 5
+        g = build_graph(Dataset((customer,), (), ()), config=config)
+        assert len(g) == 5
 
     def test_distinct_customers_distinct_subjects(self, config):
-        g = Graph()
-        a = assert_customer(
-            g, Customer("C1", AccountClass.KEY, Decimal("1.00")), config
+        customers = tuple(
+            Customer(code, AccountClass.KEY, Decimal("1.00")) for code in ("C1", "C2")
         )
-        b = assert_customer(
-            g, Customer("C2", AccountClass.KEY, Decimal("1.00")), config
-        )
-        assert {t.subject for t in a}.isdisjoint({t.subject for t in b})
-
-    def test_duplicate_customer_rejected(self, key_customer, config):
-        g = Graph()
-        assert_customer(g, key_customer, config)
-        with pytest.raises(DuplicateSubjectError):
-            assert_customer(g, key_customer, config)
+        g = build_graph(Dataset(customers, (), ()), config=config)
+        subjects = [t.subject for t in g.match(None, T.HAS_CUSTOMER_CODE, None)]
+        assert subjects == [customer_iri("C1"), customer_iri("C2")]
+        assert {t.subject for t in g} == set(subjects)
 
     def test_order_emits_exactly_ten(self, small_dataset, config):
-        g = Graph()
-        for p in small_dataset.products:
-            assert_product(g, p)
-        for c in small_dataset.customers:
-            assert_customer(g, c, config)
-        order = small_dataset.orders[0]
-        triples = assert_order(g, order)
+        g = build_graph(small_dataset, config=config)
+        triples = list(g.match(order_iri("O1"), None, None))
         assert len(triples) == 10
         assert Triple(order_iri("O1"), WAS_PLACED_BY, customer_iri("C001")) in g
-        assert any(t.predicate == CONTAINS_PRODUCT for t in triples)
+        assert Triple(order_iri("O1"), CONTAINS_PRODUCT, T.product_iri("P01")) in g
 
     def test_order_count_scales_by_ten(self, small_dataset, config):
         g = build_graph(small_dataset)
@@ -131,28 +113,19 @@ class TestAssertions:
         ]
         assert len(order_triples) == 10 * len(order_subjects)
 
-    def test_order_with_unknown_customer_rejected(self, small_dataset):
-        g = Graph()
-        for p in small_dataset.products:
-            assert_product(g, p)
-        with pytest.raises(DanglingReferenceError):
-            assert_order(g, small_dataset.orders[0])
-
     def test_priced_emits_two_and_is_idempotent(self, small_dataset, config):
-        g = build_graph(small_dataset)
         priced = PricedOrder(
             "O1", Decimal("100.00"), Decimal("125.00"), Decimal("134.66")
         )
-        first = assert_priced(g, priced)
-        assert len(first) == 2
+        g = build_graph(small_dataset, PricingResult((), (priced,), ()), config)
+        assert len(g) == len(build_graph(small_dataset, config=config)) + 2
+        twice = build_graph(small_dataset, PricingResult((), (priced,) * 2, ()), config)
+        assert list(twice) == list(g)
         assert Triple(order_iri("O1"), HAS_RM_PRICE, Literal(Decimal("125.00"))) in g
-        assert assert_priced(g, priced) == []
-
-    def test_priced_unknown_order_rejected(self):
-        g = Graph()
-        priced = PricedOrder("O9", Decimal("1.00"), Decimal("1.00"), Decimal("1.00"))
-        with pytest.raises(UnknownOrderError):
-            assert_priced(g, priced)
+        assert (
+            Triple(order_iri("O1"), T.HAS_CONVEX_PRICE, Literal(Decimal("134.66")))
+            in g
+        )
 
     def test_unpriced_order_has_no_rm_binding(self, small_dataset):
         g = build_graph(small_dataset)
@@ -160,11 +133,6 @@ class TestAssertions:
             g, [(Variable("o"), HAS_RM_PRICE, Variable("p"))]
         )
         assert rows == []
-
-    def test_premium_requires_known_customer(self):
-        g = Graph()
-        with pytest.raises(DanglingReferenceError):
-            assert_premium(g, CustomerPremium("C404", Decimal("1.5")))
 
     def test_total_triple_count_matches_per_entity_expectation(
         self, small_dataset, small_pricing, config
@@ -235,7 +203,7 @@ class TestBuildGraph:
 
         monkeypatch.setattr(ltbp.graph, "Triple", counting_triple)
         monkeypatch.setattr(ltbp.terms, "quote", counting_quote)
-        build_graph(small_dataset, small_pricing, config)
+        g = build_graph(small_dataset, small_pricing, config)
         assert made == []
         ids = (
             [p.product_number for p in small_dataset.products]
@@ -243,61 +211,18 @@ class TestBuildGraph:
             + [o.order_number for o in small_dataset.orders]
         )
         assert sorted(quoted) == sorted(ids)
-        assert len(assert_product(Graph(), small_dataset.products[0])) == 4
-        assert len(made) == 4  # the counted name is the one graph.py uses
+        assert len(list(g)) == len(g)
+        assert len(made) == len(g)  # the counted name is the one graph.py uses
 
     def test_each_predicate_holds_its_field(self, small_dataset, small_pricing,
                                             config):
         g = build_graph(small_dataset, small_pricing, config)
-
-        def check(subject, expected):
-            found = [(t.predicate, t.object) for t in g.match(subject, None, None)]
-            assert len(found) == len(expected)
-            assert dict(found) == expected
-
-        for product in small_dataset.products:
-            check(T.product_iri(product.product_number), {
-                T.TYPE: T.PRODUCT_CLASS,
-                T.HAS_PRODUCT_NUMBER: Literal(product.product_number),
-                T.HAS_BASIC_TYPE: Literal(product.basic_type),
-                T.HAS_PRODUCT_LINE: Literal(product.product_line),
-            })
-        premiums = {p.customer_code: p.premium for p in small_pricing.premiums}
-        for customer in small_dataset.customers:
-            rho = adjustment_factor(customer.account_class, config)
-            expected = {
-                T.TYPE: T.CUSTOMER_CLASS,
-                T.HAS_CUSTOMER_CODE: Literal(customer.customer_code),
-                T.HAS_ACCOUNT_TYPE: Literal(customer.account_class.value),
-                T.HAS_ADJUSTMENT_FACTOR: Literal(to_factor(rho)),
-                T.HAS_ANNUAL_REVENUE: Literal(customer.annual_revenue),
-                T.HAS_PREMIUM: Literal(to_factor(premiums[customer.customer_code])),
-            }
-            if customer.region is not None:
-                expected[T.HAS_REGION] = Literal(customer.region)
-            check(T.customer_iri(customer.customer_code), expected)
-        priced = {p.order_number: p for p in small_pricing.priced_orders}
-        for order in small_dataset.orders:
-            expected = {
-                T.TYPE: T.ORDER_CLASS,
-                T.HAS_ORDER_NUMBER: Literal(order.order_number),
-                T.HAS_QUANTITY: Literal(order.quantity),
-                T.HAS_ORIGINAL_PRICE: Literal(order.original_price),
-                T.HAS_ORDER_DATE: Literal(order.order_date),
-                T.HAS_REQUESTED_DATE: Literal(order.customer_request_date),
-                T.HAS_CONFIRMED_DATE: Literal(order.customer_delivery_date),
-                T.HAS_STANDARD_DATE: Literal(order.standard_delivery_date),
-                T.WAS_PLACED_BY: T.customer_iri(order.customer_code),
-                T.CONTAINS_PRODUCT: T.product_iri(order.product_number),
-            }
-            if order.order_number in priced:
-                expected[T.HAS_RM_PRICE] = Literal(priced[order.order_number].rm)
-                expected[T.HAS_CONVEX_PRICE] = Literal(priced[order.order_number].convex)
-            check(T.order_iri(order.order_number), expected)
+        _check_layout(g, _expected_layout(small_dataset, small_pricing, config))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_build_exports_like_assert_calls(self, tmp_path_factory, data):
+    def test_hostile_ids_build_their_layout_and_round_trip(self, tmp_path_factory,
+                                                           data):
         ids = st.text(
             st.one_of(
                 st.sampled_from(' /%"\\éü€'),
@@ -336,24 +261,75 @@ class TestBuildGraph:
         config = PricingConfig()
         pricing = price_dataset(dataset, config)
 
-        built = build_graph(dataset, pricing, config)
-        asserted = Graph()
-        for product in products:
-            assert_product(asserted, product)
-        for customer in customers:
-            assert_customer(asserted, customer, config)
-        for order in orders:
-            assert_order(asserted, order)
-        for premium in pricing.premiums:
-            assert_premium(asserted, premium)
-        for priced in pricing.priced_orders:
-            assert_priced(asserted, priced)
+        g = build_graph(dataset, pricing, config)
+        _check_layout(g, _expected_layout(dataset, pricing, config))
 
-        assert len(built) == len(asserted)
         out = tmp_path_factory.mktemp("paths")
-        export_ntriples(built, out / "built.nt")
-        export_ntriples(asserted, out / "asserted.nt")
-        assert (out / "built.nt").read_bytes() == (out / "asserted.nt").read_bytes()
+        export_ntriples(g, out / "graph.nt")
+        text = (out / "graph.nt").read_text(encoding="utf-8")
+        decimal = f"^^<{XSD}decimal> .\n"
+        for order in orders:
+            head = f"<{order_iri(order.order_number).value}> <{T.HAS_ORIGINAL_PRICE.value}>"
+            assert f'{head} "{order.original_price:f}"{decimal}' in text
+        for customer in customers:
+            head = (f"<{customer_iri(customer.customer_code).value}> "
+                    f"<{T.HAS_ANNUAL_REVENUE.value}>")
+            assert f'{head} "{customer.annual_revenue:f}"{decimal}' in text
+        export_ntriples(load_ntriples(out / "graph.nt"), out / "again.nt")
+        assert (out / "again.nt").read_bytes() == (out / "graph.nt").read_bytes()
+
+
+def _expected_layout(dataset, pricing, config):
+    """Subject -> the predicate -> object pairs ``build_graph`` gives it."""
+    layout = {}
+    for product in dataset.products:
+        layout[T.product_iri(product.product_number)] = {
+            T.TYPE: T.PRODUCT_CLASS,
+            T.HAS_PRODUCT_NUMBER: Literal(product.product_number),
+            T.HAS_BASIC_TYPE: Literal(product.basic_type),
+            T.HAS_PRODUCT_LINE: Literal(product.product_line),
+        }
+    premiums = {p.customer_code: p.premium for p in pricing.premiums}
+    for customer in dataset.customers:
+        code = customer.customer_code
+        rho = adjustment_factor(customer.account_class, config)
+        expected = layout[T.customer_iri(code)] = {
+            T.TYPE: T.CUSTOMER_CLASS,
+            T.HAS_CUSTOMER_CODE: Literal(code),
+            T.HAS_ACCOUNT_TYPE: Literal(customer.account_class.value),
+            T.HAS_ADJUSTMENT_FACTOR: Literal(to_factor(rho)),
+            T.HAS_ANNUAL_REVENUE: Literal(customer.annual_revenue),
+            T.HAS_PREMIUM: Literal(to_factor(premiums[code])),
+        }
+        if customer.region is not None:
+            expected[T.HAS_REGION] = Literal(customer.region)
+    priced = {p.order_number: p for p in pricing.priced_orders}
+    for order in dataset.orders:
+        expected = layout[T.order_iri(order.order_number)] = {
+            T.TYPE: T.ORDER_CLASS,
+            T.HAS_ORDER_NUMBER: Literal(order.order_number),
+            T.HAS_QUANTITY: Literal(order.quantity),
+            T.HAS_ORIGINAL_PRICE: Literal(order.original_price),
+            T.HAS_ORDER_DATE: Literal(order.order_date),
+            T.HAS_REQUESTED_DATE: Literal(order.customer_request_date),
+            T.HAS_CONFIRMED_DATE: Literal(order.customer_delivery_date),
+            T.HAS_STANDARD_DATE: Literal(order.standard_delivery_date),
+            T.WAS_PLACED_BY: T.customer_iri(order.customer_code),
+            T.CONTAINS_PRODUCT: T.product_iri(order.product_number),
+        }
+        if order.order_number in priced:
+            expected[T.HAS_RM_PRICE] = Literal(priced[order.order_number].rm)
+            expected[T.HAS_CONVEX_PRICE] = Literal(priced[order.order_number].convex)
+    return layout
+
+
+def _check_layout(g, layout):
+    """Each subject holds exactly its expected pairs, and nothing else is held."""
+    for subject, expected in layout.items():
+        found = [(t.predicate, t.object) for t in g.match(subject, None, None)]
+        assert len(found) == len(expected)
+        assert dict(found) == expected
+    assert len(g) == sum(len(expected) for expected in layout.values())
 
 
 class TestMatchPatterns:
@@ -598,6 +574,19 @@ class TestNtriples:
         with pytest.raises(GraphParseError, match="line 2"):
             load_ntriples(path)
 
+    @pytest.mark.parametrize("second", [
+        '"x" <urn:p> "y" .',
+        '<urn:s> "x" "y" .',
+    ], ids=["subject", "predicate"])
+    def test_stored_literal_rejected_outside_object_position(self, tmp_path,
+                                                             second):
+        from ltbp.graph import GraphParseError
+
+        path = tmp_path / "bad.nt"
+        path.write_text(f'<urn:s> <urn:p> "x" .\n{second}\n')
+        with pytest.raises(GraphParseError, match="line 2: expected an IRI"):
+            load_ntriples(path)
+
     def test_unknown_datatype_rejected(self, tmp_path):
         from ltbp.graph import GraphParseError
 
@@ -633,6 +622,7 @@ class TestNtriples:
             f'<urn:s> <urn:p> "007"^^<{XSD}integer> .\n'
             f'<urn:s> <urn:p> "7"^^<{XSD}integer> .\n'
             f'<urn:s> <urn:q> "+1.0"^^<{XSD}decimal> .\n'
+            f'<urn:s> <urn:p> "007"^^<{XSD}integer> .\n'
         )
         g = load_ntriples(path)
         assert len(g) == 2

@@ -3,10 +3,10 @@ from decimal import Decimal
 
 import pytest
 
-from ltbp.graph import assert_priced, build_graph
+from ltbp.graph import build_graph
 from ltbp.ingest import Dataset
 from ltbp.model import AccountClass, Customer, PricingConfig, Product
-from ltbp.pricing import PricedOrder, price_dataset
+from ltbp.pricing import PricedOrder, PricingResult, price_dataset
 from ltbp.report import (
     IncompleteDataError,
     RevenueComparison,
@@ -24,12 +24,8 @@ def single_order_graph(config):
     products = (Product("P1", "BT-A", "PL-1"),)
     orders = (make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 5, 10),)
     dataset = Dataset(customers, products, orders)
-    graph = build_graph(dataset)
-    assert_priced(
-        graph,
-        PricedOrder("O1", Decimal("100.00"), Decimal("125.00"), Decimal("134.66")),
-    )
-    return graph
+    priced = PricedOrder("O1", Decimal("100.00"), Decimal("125.00"), Decimal("134.66"))
+    return build_graph(dataset, PricingResult((), (priced,), ()))
 
 
 class TestRevenueTotals:
