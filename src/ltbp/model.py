@@ -235,24 +235,31 @@ class PricingConfig:
                 )
 
 
-def derive_lead_times(order: Order) -> LeadTimes:
-    """Calendar-day differences between the order date and each stage date."""
+def lead_days(order: Order) -> tuple[int, int, int]:
+    """``(olt_requested, olt_confirmed, sdt)``: calendar-day differences
+    between the order date and each stage date. ``Order`` guarantees that
+    the first two are >= 0 and ``sdt`` > 0."""
     base = order.order_date
-    return LeadTimes(
-        olt_requested=(order.customer_request_date - base).days,
-        olt_confirmed=(order.customer_delivery_date - base).days,
-        sdt=(order.standard_delivery_date - base).days,
+    return (
+        (order.customer_request_date - base).days,
+        (order.customer_delivery_date - base).days,
+        (order.standard_delivery_date - base).days,
     )
 
 
-def rm_eligible(lt: LeadTimes) -> bool:
+def derive_lead_times(order: Order) -> LeadTimes:
+    """The order's ``lead_days`` as a ``LeadTimes``."""
+    return LeadTimes(*lead_days(order))
+
+
+def rm_eligible(olt_requested: int, sdt: int) -> bool:
     """True when the order was requested earlier than the standard date."""
-    return lt.sdt > lt.olt_requested
+    return sdt > olt_requested
 
 
-def expedited(lt: LeadTimes) -> bool:
+def expedited(olt_confirmed: int, sdt: int) -> bool:
     """True when delivery was confirmed faster than the standard date."""
-    return lt.olt_confirmed < lt.sdt
+    return olt_confirmed < sdt
 
 
 def adjustment_factor(account_class: AccountClass, config: PricingConfig) -> float:

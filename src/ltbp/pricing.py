@@ -16,13 +16,16 @@ An order confirmed faster than its standard date is then priced at
 and at its original price otherwise: only faster-than-standard delivery is
 exploited, never discounted.
 
-``price_dataset`` handles each order once per pass: it derives the order's
-lead times once, for both the premium series and the prices; it converts
-each premium to a float once per customer; and it turns each float price
-into cents with one ``float_to_money``. An order not confirmed faster than
-standard gets its own ``original_price`` as both prices. The bounds in
-``model`` keep every price below 2**45, where these steps give the same
-cents as ``to_money`` of the float.
+``price_dataset`` reads each order twice, and each pass takes the lead days
+from the order's dates with ``lead_days``. The first pass appends the ratio
+of each eligible order to its customer's list; the lists become the
+customer's stats and are freed before the second pass prices the orders. So
+the only object kept per order is the ``PricedOrder`` it returns. Each premium
+becomes a float once per customer, and each float price becomes cents with
+one ``float_to_money``. An order not confirmed faster than standard gets its
+own ``original_price`` as both prices. The bounds in ``model`` keep every
+price below 2**45, where these steps give the same cents as ``to_money`` of
+the float.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ from typing import Iterable, Sequence
 
 from .ingest import write_csv
 from .model import (
-    LeadTimes,
+    Customer,
     Order,
     PricingConfig,
     adjustment_factor,
     derive_lead_times,
     expedited,
     float_to_money,
+    lead_days,
     rm_eligible,
     to_factor,
 )
@@ -112,11 +116,11 @@ def behavior_series(orders: Sequence[Order]) -> list[float]:
     if len(codes) > 1:
         raise ValueError(f"orders span multiple customers: {sorted(codes)}")
     ordered = sorted(orders, key=lambda o: (o.order_date, o.order_number))
-    return _eligible_ratios(map(derive_lead_times, ordered))
-
-
-def _eligible_ratios(lead_times: Iterable[LeadTimes]) -> list[float]:
-    return [lt.olt_requested / lt.sdt for lt in lead_times if rm_eligible(lt)]
+    return [
+        lt.olt_requested / lt.sdt
+        for lt in map(derive_lead_times, ordered)
+        if rm_eligible(lt.olt_requested, lt.sdt)
+    ]
 
 
 def compute_rsd(series: Sequence[float]) -> float:
@@ -155,27 +159,29 @@ def compute_premium(
     return CustomerPremium(stats.customer_code, to_factor(clamped))
 
 
-def rm_price(p_o: float, lt: LeadTimes, premium: float) -> float:
+def rm_price(p_o: float, olt_confirmed: int, sdt: int, premium: float) -> float:
     """Revenue-management price of an order of original price ``p_o``,
     before currency rounding.
 
     The premium applies to the expedited fraction (1 - olt_confirmed/sdt);
     an order not confirmed faster than standard keeps its original price.
     """
-    if not expedited(lt):
+    if not expedited(olt_confirmed, sdt):
         return p_o
-    factor = 1.0 - lt.olt_confirmed / lt.sdt
+    factor = 1.0 - olt_confirmed / sdt
     return p_o + p_o * factor * (premium - 1.0)
 
 
-def convex_price(p_o: float, lt: LeadTimes, convex_alpha: float) -> float:
+def convex_price(
+    p_o: float, olt_confirmed: int, sdt: int, convex_alpha: float
+) -> float:
     """Log-ratio baseline price of an order of original price ``p_o``,
     before currency rounding."""
-    if not expedited(lt):
+    if not expedited(olt_confirmed, sdt):
         return p_o
-    if lt.olt_confirmed == 0:
+    if olt_confirmed == 0:
         raise LogDomainError("confirmed lead time of 0 days has no defined log ratio")
-    return p_o * (1.0 + convex_alpha * math.log(lt.olt_confirmed / lt.sdt))
+    return p_o * (1.0 + convex_alpha * math.log(olt_confirmed / sdt))
 
 
 def price_dataset(dataset, config: PricingConfig) -> PricingResult:
@@ -186,22 +192,8 @@ def price_dataset(dataset, config: PricingConfig) -> PricingResult:
     order is left unpriced and the batch continues.
     """
     orders = dataset.orders
-    lead_times = [derive_lead_times(order) for order in orders]
-    by_customer: dict[str, list[LeadTimes]] = defaultdict(list)
-    for order, lt in zip(orders, lead_times):
-        by_customer[order.customer_code].append(lt)
-
     customers = sorted(dataset.customers, key=lambda c: c.customer_code)
-    stats = []
-    for customer in customers:
-        # In dataset order, not behavior_series' date order: RSD and RMD sum
-        # with math.fsum, which is exact in any order, so the stats are equal.
-        series = _eligible_ratios(by_customer[customer.customer_code])
-        stats.append(CustomerStats(
-            customer.customer_code, len(series), compute_rsd(series),
-            compute_rmd(series),
-        ))
-    stats = tuple(stats)
+    stats = _customer_stats(orders, customers)
     premiums = tuple(
         compute_premium(s, adjustment_factor(c.account_class, config), config)
         for c, s in zip(customers, stats)
@@ -211,24 +203,47 @@ def price_dataset(dataset, config: PricingConfig) -> PricingResult:
     convex_alpha = config.convex_alpha
     priced = []
     issues = []
-    for order, lt in zip(orders, lead_times):
+    for order in orders:
         number, original = order.order_number, order.original_price
+        _, olt_confirmed, sdt = lead_days(order)
         # Both prices are the original itself: a cent amount up to MONEY_MAX
         # is what to_money makes of its own float.
-        if not expedited(lt):
+        if not expedited(olt_confirmed, sdt):
             priced.append(PricedOrder(number, original, original, original))
             continue
         p_o = float(original)
         try:
-            convex = convex_price(p_o, lt, convex_alpha)
+            convex = convex_price(p_o, olt_confirmed, sdt, convex_alpha)
         except LogDomainError as exc:
             issues.append(PricingIssue(number, f"order {number}: {exc}"))
             continue
-        rm = rm_price(p_o, lt, premium_by_code[order.customer_code])
+        rm = rm_price(p_o, olt_confirmed, sdt, premium_by_code[order.customer_code])
         priced.append(PricedOrder(
             number, original, float_to_money(rm), float_to_money(convex)
         ))
     return PricingResult(premiums, tuple(priced), stats, tuple(issues))
+
+
+def _customer_stats(
+    orders: Iterable[Order], customers: Sequence[Customer]
+) -> tuple[CustomerStats, ...]:
+    """Stats of each customer, in ``customers`` order, over the ratios of
+    their eligible orders; the ratio lists are freed on return."""
+    ratios: dict[str, list[float]] = defaultdict(list)
+    for order in orders:
+        olt_requested, _, sdt = lead_days(order)
+        if rm_eligible(olt_requested, sdt):
+            ratios[order.customer_code].append(olt_requested / sdt)
+    # In dataset order, not behavior_series' date order: RSD and RMD sum with
+    # math.fsum, which is exact in any order, so the stats are equal.
+    stats = []
+    for customer in customers:
+        series = ratios[customer.customer_code]
+        stats.append(CustomerStats(
+            customer.customer_code, len(series), compute_rsd(series),
+            compute_rmd(series),
+        ))
+    return tuple(stats)
 
 
 def write_premiums(result: PricingResult, path) -> None:

@@ -5,10 +5,19 @@ the dataset, and the pricing output with plain dictionaries and loops, so
 agreement with query-engine results is a real two-route check.
 """
 
+import math
 from collections import defaultdict
 from decimal import Decimal
 
-from ltbp.model import derive_lead_times, rm_eligible
+from ltbp.model import derive_lead_times, rm_eligible, to_money
+from ltbp.pricing import (
+    CustomerStats,
+    PricedOrder,
+    behavior_series,
+    compute_premium,
+    compute_rmd,
+    compute_rsd,
+)
 from ltbp.terms import Literal, Variable
 
 
@@ -65,6 +74,47 @@ def oracle_cq1(dataset, pricing, n):
     return ranked[:n]
 
 
+def priced_orders_oracle(dataset, config):
+    """``(stats, premiums, priced_orders, issue_order_numbers)`` of
+    ``price_dataset``, computed customer by customer and order by order.
+
+    Each customer's stats come from ``behavior_series`` of their orders. Each
+    order is priced on its own from ``derive_lead_times`` with the RM and
+    convex formulas written out and rounded by ``to_money``; a same-day
+    confirmed expedited order is an issue, not a price.
+    """
+    orders_of = defaultdict(list)
+    for order in dataset.orders:
+        orders_of[order.customer_code].append(order)
+    stats, premiums = [], {}
+    for customer in sorted(dataset.customers, key=lambda c: c.customer_code):
+        code = customer.customer_code
+        series = behavior_series(orders_of[code])
+        stats.append(CustomerStats(
+            code, len(series), compute_rsd(series), compute_rmd(series)
+        ))
+        rho = config.rho_table[customer.account_class]
+        premiums[code] = compute_premium(stats[-1], rho, config)
+    priced, issues = [], []
+    for order in dataset.orders:
+        lt = derive_lead_times(order)
+        number, original = order.order_number, order.original_price
+        if lt.olt_confirmed >= lt.sdt:
+            priced.append(PricedOrder(number, original, original, original))
+        elif lt.olt_confirmed == 0:
+            issues.append(number)
+        else:
+            p_o = float(original)
+            premium = float(premiums[order.customer_code].premium)
+            ratio = lt.olt_confirmed / lt.sdt
+            rm = p_o + p_o * (1.0 - ratio) * (premium - 1.0)
+            convex = p_o * (1.0 + config.convex_alpha * math.log(ratio))
+            priced.append(PricedOrder(
+                number, original, to_money(rm), to_money(convex)
+            ))
+    return tuple(stats), tuple(premiums.values()), tuple(priced), issues
+
+
 def oracle_class_fractions(dataset):
     totals = defaultdict(int)
     eligible = defaultdict(int)
@@ -72,7 +122,8 @@ def oracle_class_fractions(dataset):
     for order in dataset.orders:
         cls = class_of[order.customer_code]
         totals[cls] += 1
-        if rm_eligible(derive_lead_times(order)):
+        lt = derive_lead_times(order)
+        if rm_eligible(lt.olt_requested, lt.sdt):
             eligible[cls] += 1
     present = {c.account_class for c in dataset.customers}
     return {

@@ -97,7 +97,9 @@ def test_c03_rm_price_oracle():
     started = time.perf_counter()
     order = make_order("O1", "C1", "P1", date(2020, 1, 1), 0, 5, 10, price="100.00")
     lt = derive_lead_times(order)
-    value = rm_price(float(order.original_price), lt, 1.5)
+    value = rm_price(
+        float(order.original_price), lt.olt_confirmed, lt.sdt, 1.5
+    )
     assert value == pytest.approx(125.0, abs=1e-9)
 
     rng = random.Random(7)
@@ -110,7 +112,10 @@ def test_c03_rm_price_oracle():
             f"R{i}", "C1", "P1", date(2019, 1, 1), 0, conf, sdt, price=str(price)
         )
         lt = derive_lead_times(order)
-        value = rm_price(float(order.original_price), lt, float(prem_value))
+        value = rm_price(
+            float(order.original_price), lt.olt_confirmed, lt.sdt,
+            float(prem_value),
+        )
         p_o = float(price)
         if conf >= sdt:
             expected = p_o
@@ -127,7 +132,8 @@ def test_c04_convex_price_oracle():
     order = make_order("O1", "C1", "P1", date(2020, 1, 1), 0, 5, 10, price="100.00")
     lt = derive_lead_times(order)
     value = convex_price(
-        float(order.original_price), lt, DEFAULT_CONFIG.convex_alpha
+        float(order.original_price), lt.olt_confirmed, lt.sdt,
+        DEFAULT_CONFIG.convex_alpha,
     )
     assert value == pytest.approx(100.0 - 50.0 * math.log(0.5), abs=1e-9)
     assert round(value, 2) == 134.66
@@ -142,7 +148,8 @@ def test_c04_convex_price_oracle():
         )
         lt = derive_lead_times(order)
         value = convex_price(
-            float(order.original_price), lt, DEFAULT_CONFIG.convex_alpha
+            float(order.original_price), lt.olt_confirmed, lt.sdt,
+            DEFAULT_CONFIG.convex_alpha,
         )
         p_o = float(price)
         if conf >= sdt:

@@ -311,7 +311,8 @@ class TestGenerator:
         for order in dataset.orders:
             cls = class_of[order.customer_code]
             totals[cls] += 1
-            if rm_eligible(derive_lead_times(order)):
+            lt = derive_lead_times(order)
+            if rm_eligible(lt.olt_requested, lt.sdt):
                 eligible[cls] += 1
         fraction = {cls: eligible[cls] / totals[cls] for cls in AccountClass}
         assert (

@@ -65,18 +65,18 @@ class TestDeriveLeadTimes:
 
 class TestRmEligible:
     def test_requested_before_standard(self):
-        assert rm_eligible(LeadTimes(10, 10, 20)) is True
+        assert rm_eligible(10, 20) is True
 
     def test_boundary_is_strict(self):
-        assert rm_eligible(LeadTimes(20, 10, 20)) is False
+        assert rm_eligible(20, 20) is False
 
     def test_late_request(self):
-        assert rm_eligible(LeadTimes(25, 10, 20)) is False
+        assert rm_eligible(25, 20) is False
 
     @given(sdt=st.integers(1, 200), olt=st.integers(0, 200), drop=st.integers(0, 200))
     def test_monotone_in_requested_lead_time(self, sdt, olt, drop):
-        before = rm_eligible(LeadTimes(olt, 0, sdt))
-        after = rm_eligible(LeadTimes(max(0, olt - drop), 0, sdt))
+        before = rm_eligible(olt, sdt)
+        after = rm_eligible(max(0, olt - drop), sdt)
         assert not (before and not after)
 
 

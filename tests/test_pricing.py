@@ -1,12 +1,12 @@
 import math
 import statistics
-from datetime import date
+import tracemalloc
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-import ltbp.pricing
 from ltbp.ingest import Dataset, GeneratorConfig, generate_synthetic
 from ltbp.model import (
     CONVEX_ALPHA_MIN,
@@ -32,7 +32,7 @@ from ltbp.pricing import (
     rm_price,
 )
 from tests.conftest import make_order
-from tests.oracles import oracle_totals
+from tests.oracles import oracle_totals, priced_orders_oracle
 
 ratios = st.floats(min_value=0.01, max_value=2.0, allow_nan=False)
 
@@ -154,23 +154,27 @@ class TestRmPrice:
     def test_premium_one_keeps_original(self):
         order = self.order()
         lt = derive_lead_times(order)
-        assert rm_price(float(order.original_price), lt, 1.0) == 100.0
+        p_o = float(order.original_price)
+        assert rm_price(p_o, lt.olt_confirmed, lt.sdt, 1.0) == 100.0
 
     def test_confirmed_at_standard_keeps_original(self):
         order = self.order(confirmed=10, sdt=10)
         lt = derive_lead_times(order)
-        assert rm_price(float(order.original_price), lt, 1.5) == 100.0
+        p_o = float(order.original_price)
+        assert rm_price(p_o, lt.olt_confirmed, lt.sdt, 1.5) == 100.0
 
     def test_worked_example(self):
         order = self.order(confirmed=5, sdt=10)
         lt = derive_lead_times(order)
-        value = rm_price(float(order.original_price), lt, 1.5)
+        p_o = float(order.original_price)
+        value = rm_price(p_o, lt.olt_confirmed, lt.sdt, 1.5)
         assert value == pytest.approx(125.0, abs=1e-9)
 
     def test_slower_than_standard_never_discounts(self):
         order = self.order(confirmed=15, sdt=10)
         lt = derive_lead_times(order)
-        assert rm_price(float(order.original_price), lt, 2.0) == 100.0
+        p_o = float(order.original_price)
+        assert rm_price(p_o, lt.olt_confirmed, lt.sdt, 2.0) == 100.0
 
     @given(
         price=st.decimals(min_value="0.01", max_value="99999.99", places=2),
@@ -182,7 +186,8 @@ class TestRmPrice:
         order = self.order(price=str(price), requested=0, confirmed=confirmed,
                            sdt=sdt)
         lt = derive_lead_times(order)
-        value = rm_price(float(order.original_price), lt, round(prem, 6))
+        p_o = float(order.original_price)
+        value = rm_price(p_o, lt.olt_confirmed, lt.sdt, round(prem, 6))
         assert float(price) <= value <= float(price) * 2.0 + 1e-9
 
     @given(
@@ -190,10 +195,10 @@ class TestRmPrice:
     )
     def test_deeper_expedite_larger_price(self, conf1, conf2, sdt):
         lo, hi = sorted((conf1, conf2))
-        order = self.order(requested=0, confirmed=lo, sdt=sdt)
-        deep = rm_price(100.0, derive_lead_times(order), 1.5)
-        order2 = self.order(requested=0, confirmed=hi, sdt=sdt)
-        shallow = rm_price(100.0, derive_lead_times(order2), 1.5)
+        lt = derive_lead_times(self.order(requested=0, confirmed=lo, sdt=sdt))
+        deep = rm_price(100.0, lt.olt_confirmed, lt.sdt, 1.5)
+        lt = derive_lead_times(self.order(requested=0, confirmed=hi, sdt=sdt))
+        shallow = rm_price(100.0, lt.olt_confirmed, lt.sdt, 1.5)
         assert deep >= shallow
 
 
@@ -201,13 +206,13 @@ class TestConvexPrice:
     def test_confirmed_at_standard_keeps_original(self, config):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 10, 10)
         lt = derive_lead_times(order)
-        assert convex_price(100.0, lt, config.convex_alpha) == 100.0
+        assert convex_price(100.0, lt.olt_confirmed, lt.sdt, config.convex_alpha) == 100.0
 
     def test_worked_example(self, config):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 5, 10)
         lt = derive_lead_times(order)
         expected = 100.0 * (1.0 - 0.5 * math.log(0.5))
-        value = convex_price(100.0, lt, config.convex_alpha)
+        value = convex_price(100.0, lt.olt_confirmed, lt.sdt, config.convex_alpha)
         assert value == pytest.approx(expected, abs=1e-9)
         assert round(value, 2) == 134.66
 
@@ -215,7 +220,7 @@ class TestConvexPrice:
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 0, 10)
         lt = derive_lead_times(order)
         with pytest.raises(LogDomainError):
-            convex_price(100.0, lt, config.convex_alpha)
+            convex_price(100.0, lt.olt_confirmed, lt.sdt, config.convex_alpha)
 
 
 class TestPriceDataset:
@@ -300,18 +305,56 @@ class TestFloatToMoney:
         ]
 
 
+@st.composite
+def small_datasets(draw):
+    """3-8 customers and 10-40 orders over a few weeks, with lead days drawn
+    to hit the boundaries: requested at standard, confirmed at standard,
+    confirmed the same day, and confirmed later than standard."""
+    n_customers = draw(st.integers(3, 8))
+    customers = tuple(
+        Customer(f"C{i}", draw(st.sampled_from(AccountClass)), Decimal("1.00"))
+        for i in range(n_customers)
+    )
+    products = (Product("P1", "BT-A", "PL-1"),)
+    orders = []
+    for i in range(draw(st.integers(10, 40))):
+        sdt = draw(st.integers(1, 30))
+        requested = draw(st.one_of(st.just(sdt), st.integers(0, 40)))
+        confirmed = draw(st.one_of(st.just(sdt), st.just(0), st.integers(0, 40)))
+        price = draw(st.decimals(min_value="0.01", max_value=MONEY_MAX, places=2))
+        orders.append(make_order(
+            f"O{i}", f"C{draw(st.integers(0, n_customers - 1))}", "P1",
+            date(2020, 1, 1) + timedelta(days=draw(st.integers(0, 40))),
+            requested, confirmed, sdt, price=str(price),
+        ))
+    return Dataset(customers, products, tuple(orders))
+
+
 class TestOnePass:
-    def test_lead_times_derived_once_per_order(self, small_dataset, config,
-                                               monkeypatch):
-        calls = []
+    @settings(max_examples=60, deadline=None)
+    @given(small_datasets())
+    def test_equals_the_per_order_oracle(self, dataset):
+        config = PricingConfig()
+        result = price_dataset(dataset, config)
+        stats, premiums, priced, issues = priced_orders_oracle(dataset, config)
+        assert result.stats == stats  # float fields compared exactly
+        assert result.premiums == premiums
+        assert result.priced_orders == priced
+        assert [i.order_number for i in result.issues] == issues
 
-        def counting(order):
-            calls.append(order.order_number)
-            return derive_lead_times(order)
-
-        monkeypatch.setattr(ltbp.pricing, "derive_lead_times", counting)
-        price_dataset(small_dataset, config)
-        assert sorted(calls) == sorted(o.order_number for o in small_dataset.orders)
+    def test_peak_above_the_result_per_order(self, config):
+        # The result is what price_dataset keeps. A per-order object held
+        # through the pass, such as a LeadTimes per order (83 bytes/order),
+        # shows as traced peak above it.
+        dataset = generate_synthetic(GeneratorConfig(seed=5, n_orders=20_000))
+        tracemalloc.start()
+        try:
+            result = price_dataset(dataset, config)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.priced_orders) == len(dataset.orders)
+        assert (peak - retained) / len(dataset.orders) <= 24
 
     def test_order_of_orders_does_not_change_stats(self, config):
         dataset = generate_synthetic(
@@ -353,6 +396,8 @@ class TestOnePass:
         first = result.priced_orders[0]
         lt = derive_lead_times(orders[0])
         p_o, premium = float(MONEY_MAX), float(result.premiums[0].premium)
-        assert first.rm == to_money(rm_price(p_o, lt, premium))
-        assert first.convex == to_money(convex_price(p_o, lt, config.convex_alpha))
+        confirmed, sdt = lt.olt_confirmed, lt.sdt
+        assert first.rm == to_money(rm_price(p_o, confirmed, sdt, premium))
+        assert first.convex == to_money(
+            convex_price(p_o, confirmed, sdt, config.convex_alpha))
         assert max(first.rm, first.convex) < 2**45
