@@ -6,12 +6,16 @@ quantities, and prices. Matching is a natural join over triple patterns with
 shared variables; evaluation adds filters, grouping, aggregates, ordering,
 and limits. Monetary aggregation is exact fixed-point decimal.
 
-Store layout (after Hexastore and RDF-3X): every term is interned once to an
-int id, and the graph keeps two nested-dict indexes over those ids,
-``spo: s -> p -> [o]`` and ``pos: p -> o -> [s]``. A pattern with a bound
-subject is answered from ``spo``; one with a bound predicate or object from
-``pos``; one with nothing bound scans ``spo``. A query joins its patterns in
-greedy order over rows of ids, looking each row's triples up through
+Store layout (after vertical partitioning and Hexastore): every term is
+interned once to an int id, and the graph keeps two maps per predicate over
+those ids, ``so: p -> {s: o}`` and ``os: p -> {o: s}``. Each entry holds a
+bare id, and becomes a list of ids only when a second value arrives for the
+same key; an ltbp graph has one object per (subject, predicate) pair, so its
+``so`` entries stay bare. A pattern with a bound predicate is answered from
+that predicate's maps: ``so`` when the subject is bound, ``os`` otherwise.
+One with an unbound predicate tries each predicate's maps in turn; one with
+nothing bound scans ``so``. A query joins its patterns in greedy order over
+rows of ids, looking each row's triples up through
 ``Graph.match(..., ids=True)``; its filters run once every pattern is joined.
 
 A term's identity is the N-Triples text it exports as, so a literal is its
@@ -33,9 +37,11 @@ id. Decimals are not keyed by value: ``Decimal("100")`` equals
 is formatted and interned by its text.
 
 Iteration order is deterministic for a deterministically built graph,
-regardless of hash randomization: ``spo`` yields subjects in first-insertion
-order, then each subject's predicates and objects in insertion order; ``pos``
-does the same by predicate, object and subject.
+regardless of hash randomization. A full scan is grouped by predicate: the
+predicates in the order their first triple was added, then each one's
+subjects in first-insertion order and each subject's objects in insertion
+order. A scan of one predicate by object yields its objects in
+first-insertion order, each with its subjects in insertion order.
 """
 
 from __future__ import annotations
@@ -130,16 +136,27 @@ def _nt_literal(value) -> str:
 
 _MISSING = -1  # id of a term the graph does not hold; it matches nothing
 
+_Ids = Union[int, list]  # one id, or a list of two or more
+
+
+def _each(ids: _Ids):
+    """The ids an index entry holds."""
+    return (ids,) if ids.__class__ is int else ids
+
 
 class Graph:
-    """Set of triples over interned term ids, indexed as spo and pos."""
+    """Set of triples over interned term ids.
+
+    Each predicate has a subject -> object map and an object -> subject map;
+    an entry is a bare id, or a list once the key has two values.
+    """
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}  # N-Triples text -> id
         self._text: list[str] = []  # id -> N-Triples text
         self._values: list[BindingValue] = []  # id -> Iri or literal value
-        self._spo: dict[int, dict[int, list[int]]] = {}
-        self._pos: dict[int, dict[int, list[int]]] = {}
+        self._so: dict[int, dict[int, _Ids]] = {}  # p -> s -> o
+        self._os: dict[int, dict[int, _Ids]] = {}  # p -> o -> s
         self._size = 0
 
     def __len__(self) -> int:
@@ -219,22 +236,27 @@ class Graph:
             yield Triple(values[s], values[p], term(o))
 
     def _add_ids(self, s: int, p: int, o: int) -> bool:
-        by_p = self._spo.get(s)
-        if by_p is None:
-            by_p = self._spo[s] = {}
-        objects = by_p.get(p)
+        so = self._so.get(p)
+        if so is None:
+            so = self._so[p] = {}
+            self._os[p] = {}
+        objects = so.get(s)
         if objects is None:
-            by_p[p] = [o]
+            so[s] = o
+        elif objects.__class__ is int:
+            if objects == o:
+                return False
+            so[s] = [objects, o]
         elif o in objects:
             return False
         else:
             objects.append(o)
-        by_o = self._pos.get(p)
-        if by_o is None:
-            by_o = self._pos[p] = {}
+        by_o = self._os[p]
         subjects = by_o.get(o)
         if subjects is None:
-            by_o[o] = [s]
+            by_o[o] = s
+        elif subjects.__class__ is int:
+            by_o[o] = [subjects, s]
         else:
             subjects.append(s)
         self._size += 1
@@ -243,32 +265,35 @@ class Graph:
     def _match_ids(self, s, p, o) -> Iterable[tuple[int, int, int]]:
         """(s, p, o) id triples matching the given ids (None = any).
 
-        A list, except for the lazy scan of the whole store when none is given.
+        A bound predicate is one lookup in its map; an unbound one tries every
+        predicate's map in turn. A list, except for the lazy scan of the whole
+        store when none is given.
         """
+        if p is None:
+            if s is None and o is None:
+                return (
+                    (s2, p2, o2)
+                    for p2, so in self._so.items()
+                    for s2, objects in so.items()
+                    for o2 in _each(objects)
+                )
+            return [t for p2 in self._so for t in self._match_ids(s, p2, o)]
         if s is not None:
-            by_p = self._spo.get(s)
-            if not by_p:
+            objects = self._so.get(p, {}).get(s)
+            if objects is None:
                 return []
-            pairs = by_p.items() if p is None else ((p, by_p.get(p, ())),)
             if o is None:
-                return [(s, p2, o2) for p2, objects in pairs for o2 in objects]
-            return [(s, p2, o) for p2, objects in pairs if o in objects]
-        if p is None and o is None:
-            return (
-                (s2, p2, o2)
-                for s2, by_p in self._spo.items()
-                for p2, objects in by_p.items()
-                for o2 in objects
-            )
-        groups = self._pos.items() if p is None else ((p, self._pos.get(p, {})),)
-        if o is None:
-            return [
-                (s2, p2, o2)
-                for p2, by_o in groups
-                for o2, subjects in by_o.items()
-                for s2 in subjects
-            ]
-        return [(s2, p2, o) for p2, by_o in groups for s2 in by_o.get(o, ())]
+                return [(s, p, o2) for o2 in _each(objects)]
+            found = objects == o if objects.__class__ is int else o in objects
+            return [(s, p, o)] if found else []
+        if o is not None:
+            subjects = self._os.get(p, {}).get(o)
+            return [] if subjects is None else [(s2, p, o) for s2 in _each(subjects)]
+        return [
+            (s2, p, o2)
+            for o2, subjects in self._os.get(p, {}).items()
+            for s2 in _each(subjects)
+        ]
 
 
 # --- graph building ----------------------------------------------------------
@@ -742,23 +767,37 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
 def export_ntriples(graph: Graph, path) -> None:
     """One triple per line in lexicographic order; reload round-trips.
 
-    Lines stream out one subject at a time, subjects in text order and each
-    subject's lines sorted, which is the order of the sorted file: no subject
-    text is a prefix of another (``>`` ends an IRI and cannot occur inside
-    it), so the subject decides between lines of different subjects.
+    Lines stream out one subject at a time, subjects in text order, and a
+    subject's lines by predicate text, which is the order of the sorted file:
+    no IRI text is a prefix of another (``>`` ends an IRI and cannot occur
+    inside it), so the subject decides between lines of different subjects
+    and the predicate between lines of one subject. A subject's lines are
+    found by probing each predicate's subject map for it.
     """
     text = graph._text
-    spo = graph._spo
+    maps = sorted(((text[p], so) for p, so in graph._so.items()),
+                  key=lambda pair: pair[0])
+    seen = bytearray(len(text))  # a flag per term id: far smaller than a set
+    subjects = []
+    for so in graph._so.values():
+        for s in so:
+            if not seen[s]:
+                seen[s] = 1
+                subjects.append(s)
+    subjects.sort(key=text.__getitem__)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for s in sorted(spo, key=text.__getitem__):
+        write = handle.write
+        for s in subjects:
             head = text[s]
-            lines = [
-                f"{head} {text[p]} {text[o]} ."
-                for p, objects in spo[s].items()
-                for o in objects
-            ]
-            lines.sort()
-            handle.writelines([f"{line}\n" for line in lines])
+            for predicate, so in maps:
+                objects = so.get(s)
+                if objects is None:
+                    continue
+                if objects.__class__ is int:
+                    write(f"{head} {predicate} {text[objects]} .\n")
+                else:
+                    lines = sorted(f"{head} {predicate} {text[o]} ." for o in objects)
+                    write("".join(f"{line}\n" for line in lines))
 
 
 _NT_LITERAL = re.compile(r'"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*)>)?')

@@ -17,7 +17,8 @@ A strict SPARQL subset, whitespace-insensitive with case-insensitive keywords:
 IRIs are written either in angle brackets or as prefixed names using the
 built-in prefixes (``:name`` for predicates, plus ``cust:``, ``ord:``,
 ``prod:`` and ``class:`` for entities). Filters support comparisons,
-arithmetic, and ``&&`` / ``||`` / ``!``. ``#`` starts a line comment.
+arithmetic, and ``&&`` / ``||`` / ``!``, nested at most ``MAX_EXPR_DEPTH``
+deep. ``#`` starts a line comment.
 """
 
 from __future__ import annotations
@@ -117,6 +118,19 @@ def render_expr(expr: Expr) -> str:
     if isinstance(expr, Not):
         return f"!{render_expr(expr.operand)}"
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def expr_depth(expr: Expr) -> int:
+    """Nodes on the longest root-to-leaf path of an expression."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, (Compare, Arith, BoolOp)):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, (Neg, Not)):
+            stack.append((node.operand, depth + 1))
+    return deepest
 
 
 def expr_variables(expr: Expr) -> set[str]:
@@ -281,11 +295,18 @@ def _tokenize(text: str) -> list[_Token]:
 
 # --- recursive-descent parser ----------------------------------------------
 
+# Filter expressions are parsed, evaluated and rendered by recursion, so a
+# filter may nest parentheses, "!" and unary "-" at most this deep, and its
+# syntax tree may be at most this deep: deeper input is a syntax error.
+MAX_EXPR_DEPTH = 64
+_TOO_DEEP = f"filter expression nests deeper than {MAX_EXPR_DEPTH} levels"
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses, "!" and unary "-" around the cursor
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -320,6 +341,17 @@ class _Parser:
             raise self.error(f"expected {op!r}, found {found!r}")
         return self.next()
 
+    def nested(self, parse):
+        """Consume the token opening one nesting level, then ``parse()`` it."""
+        tok = self.next()
+        if self.depth == MAX_EXPR_DEPTH:
+            raise self.error(_TOO_DEEP, tok)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     # query := SELECT proj+ from? WHERE { patterns filters } tail
     def parse(self) -> QuerySpec:
         self.expect_keyword("SELECT")
@@ -346,8 +378,11 @@ class _Parser:
         filters = []
         while self.at_keyword("FILTER"):
             self.next()
-            self.expect_op("(")
-            filters.append(self.bool_expr())
+            opening = self.expect_op("(")
+            expr = self.bool_expr()
+            if expr_depth(expr) > MAX_EXPR_DEPTH:
+                raise self.error(_TOO_DEEP, opening)
+            filters.append(expr)
             self.expect_op(")")
         self.expect_op("}")
         group_by: tuple[str, ...] = ()
@@ -463,8 +498,7 @@ class _Parser:
 
     def not_expr(self) -> Expr:
         if self.at_op("!"):
-            self.next()
-            return Not(self.not_expr())
+            return Not(self.nested(self.not_expr))
         return self.comparison()
 
     def comparison(self) -> Expr:
@@ -490,8 +524,7 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.at_op("-"):
-            self.next()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         return self.primary()
 
     def primary(self) -> Expr:
@@ -506,8 +539,7 @@ class _Parser:
             self.next()
             return Const(_unescape_string(tok))
         if self.at_op("("):
-            self.next()
-            expr = self.bool_expr()
+            expr = self.nested(self.bool_expr)
             self.expect_op(")")
             return expr
         found = tok.value or "end of input"

@@ -214,6 +214,29 @@ class TestAnalyzeQueryReport:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr, column", [
+        ("(" * 200 + "?q > 1" + ")" * 200, 109),
+        ("-" * 1000 + "?q > 1", 109),
+    ], ids=["parentheses", "negations"])
+    def test_query_nested_too_deep_is_data_error(self, run_dir, tmp_path, capsys,
+                                                 expr, column):
+        q = tmp_path / "deep.rq"
+        q.write_text(f"SELECT ?o WHERE {{ ?o :hasQuantity ?q FILTER({expr}) }}")
+        code = run(["query", "--graph", run_dir / "graph.nt", "--query", q])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line 1, column {column}: filter expression nests deeper" in err
+
+    def test_query_nested_fifty_levels_runs(self, run_dir, tmp_path, capsys):
+        q = tmp_path / "nested.rq"
+        q.write_text(
+            "SELECT (COUNT(?o) AS ?n) WHERE { ?o :hasQuantity ?q FILTER("
+            + "(" * 50 + "-?q < 0" + ")" * 50 + ") }"
+        )
+        code = run(["query", "--graph", run_dir / "graph.nt", "--query", q])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["n", "60"]
+
     def test_query_formats_iris_and_dates(self, run_dir, tmp_path, capsys):
         q = tmp_path / "q.rq"
         q.write_text(

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import tracemalloc
+from collections import Counter
 from datetime import date, timedelta
 from decimal import Decimal
 from urllib.parse import quote
@@ -70,6 +72,74 @@ class TestStore:
         assert list(g.match(None, Iri("urn:p"), None)) == [t1, t2]
         assert list(g.match(None, None, Literal(2))) == [t2]
         assert list(g.match(None, None, None)) == [t1, t2]
+
+
+_S1, _S2, _S3 = Iri("urn:s1"), Iri("urn:s2"), Iri("urn:s3")
+_P, _Q, _R = Iri("urn:p"), Iri("urn:q"), Iri("urn:r")
+_O = Iri("urn:o")
+# A graph no ltbp build makes: (s1, p) holds two objects and (s2, q) three;
+# (q, o) holds three subjects and (p, "a") two; r has one subject; two lines
+# are repeated.
+_FOREIGN = [
+    ('<urn:s3> <urn:q> <urn:o> .', Triple(_S3, _Q, _O)),
+    ('<urn:s1> <urn:p> "a" .', Triple(_S1, _P, Literal("a"))),
+    ('<urn:s1> <urn:q> <urn:o> .', Triple(_S1, _Q, _O)),
+    ('<urn:s1> <urn:p> "b" .', Triple(_S1, _P, Literal("b"))),
+    ('<urn:s2> <urn:q> <urn:o> .', Triple(_S2, _Q, _O)),
+    ('<urn:s2> <urn:p> "a" .', Triple(_S2, _P, Literal("a"))),
+    ('<urn:s2> <urn:q> "c" .', Triple(_S2, _Q, Literal("c"))),
+    ('<urn:s2> <urn:q> <urn:s1> .', Triple(_S2, _Q, _S1)),
+    (f'<urn:s3> <urn:r> "7"^^<{XSD}integer> .', Triple(_S3, _R, Literal(7))),
+    ('<urn:s1> <urn:p> "b" .', Triple(_S1, _P, Literal("b"))),
+    ('<urn:s3> <urn:p> <urn:s1> .', Triple(_S3, _P, _S1)),
+    ('<urn:s2> <urn:q> <urn:o> .', Triple(_S2, _Q, _O)),
+]
+
+
+class TestForeignGraph:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "graph.nt"
+        path.write_text("".join(f"{line}\n" for line, _ in _FOREIGN))
+        return path
+
+    def test_every_match_shape_equals_brute_force(self, path):
+        g = load_ntriples(path)
+        triples = list(dict.fromkeys(triple for _, triple in _FOREIGN))
+        absent = Iri("urn:absent")
+        candidates = [
+            [t.subject for t in triples] + [absent],
+            [t.predicate for t in triples] + [absent],
+            [t.object for t in triples] + [absent, Literal("absent")],
+        ]
+        names = (Variable("s"), Variable("p"), Variable("o"))
+        for shape in itertools.product((False, True), repeat=3):
+            choices = [dict.fromkeys(c) if bound else [None]
+                       for bound, c in zip(shape, candidates)]
+            for terms in itertools.product(*choices):
+                found = []
+                for m in g.match(*terms):
+                    obj = m.object.value if isinstance(m.object, Literal) else m.object
+                    values = (m.subject, m.predicate, obj)
+                    found.append({name.name: value for name, term, value
+                                  in zip(names, terms, values) if term is None})
+                pattern = tuple(
+                    name if term is None else term for name, term in zip(names, terms)
+                )
+                expected = brute_force_match(triples, [pattern])
+                assert Counter(frozenset(r.items()) for r in found) == Counter(
+                    frozenset(r.items()) for r in expected
+                ), (shape, terms)
+
+    def test_counts_repeats_once_and_exports_sorted(self, path, tmp_path):
+        g = load_ntriples(path)
+        lines = sorted({line for line, _ in _FOREIGN})
+        assert len(g) == len(lines) == 10
+        first, second = tmp_path / "first.nt", tmp_path / "second.nt"
+        export_ntriples(g, first)
+        assert first.read_text() == "".join(f"{line}\n" for line in lines)
+        export_ntriples(load_ntriples(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestAssertions:
@@ -218,6 +288,23 @@ class TestBuildGraph:
                                             config):
         g = build_graph(small_dataset, small_pricing, config)
         _check_layout(g, _expected_layout(small_dataset, small_pricing, config))
+
+    def test_retains_at_most_180_bytes_per_triple(self, config):
+        # An ltbp graph holds one object per (subject, predicate) pair. Kept
+        # as a one-element list under a dict per subject, each triple
+        # retained 258 bytes; kept as a bare id per predicate map, 146.
+        dataset = generate_synthetic(
+            GeneratorConfig(seed=42, n_customers=60, n_orders=2_000)
+        )
+        pricing = price_dataset(dataset, config)
+        tracemalloc.start()
+        try:
+            g = build_graph(dataset, pricing, config)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g) >= 12 * len(dataset.orders)
+        assert retained / len(g) <= 180
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -2,7 +2,9 @@ from decimal import Decimal
 
 import pytest
 
+from ltbp.graph import FilterTypeError, evaluate
 from ltbp.query import (
+    MAX_EXPR_DEPTH,
     Aggregate,
     BoolOp,
     Compare,
@@ -13,6 +15,7 @@ from ltbp.query import (
     UnboundProjectionError,
     UnknownAggregateError,
     VarRef,
+    expr_depth,
     parse_query,
 )
 from ltbp.report import TOTALS_QUERY
@@ -150,3 +153,43 @@ class TestErrors:
     def test_limit_requires_integer(self):
         with pytest.raises(QuerySyntaxError, match="integer"):
             parse_query("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1.5")
+
+
+def _quantity_filter(expr):
+    return f"SELECT ?o WHERE {{ ?o :hasQuantity ?q FILTER({expr}) }}"
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize("expr", [
+        "(" * MAX_EXPR_DEPTH + "?q > 0" + ")" * MAX_EXPR_DEPTH,
+        "!" * (MAX_EXPR_DEPTH - 2) + "(?q > 0)",
+        "?q" + " + ?q" * (MAX_EXPR_DEPTH - 2) + " > 0",
+        " || ".join(["?q < 0"] * (MAX_EXPR_DEPTH - 2)) + " || ?q > 0",
+    ], ids=["parentheses", "not", "sum", "or"])
+    def test_deepest_accepted_filter_evaluates(self, small_graph, expr):
+        spec = parse_query(_quantity_filter(expr))
+        assert expr_depth(spec.filters[0]) <= MAX_EXPR_DEPTH
+        table = evaluate(small_graph, spec)
+        expected = evaluate(small_graph, parse_query(_quantity_filter("?q > 0")))
+        assert set(table.rows) == set(expected.rows)
+        assert len(table.rows) == 6
+
+    def test_deepest_accepted_filter_renders_in_errors(self, small_graph):
+        chain = "?q" + " + ?q" * (MAX_EXPR_DEPTH - 3) + ' + "x"'
+        spec = parse_query(_quantity_filter(f"{chain} > 0"))
+        assert expr_depth(spec.filters[0]) == MAX_EXPR_DEPTH
+        with pytest.raises(FilterTypeError, match="arithmetic needs numbers"):
+            evaluate(small_graph, spec)
+
+    @pytest.mark.parametrize("expr, column", [
+        ("(" * 200 + "?q > 1" + ")" * 200, 45 + MAX_EXPR_DEPTH),
+        ("-" * 1000 + "?q > 1", 45 + MAX_EXPR_DEPTH),
+        ("!" * 1000 + "(?q > 1)", 45 + MAX_EXPR_DEPTH),
+        ("?q" + " + ?q" * 2000 + " > 1", 44),
+        (" && ".join(["?q > 1"] * 2000), 44),
+        ("-" * (MAX_EXPR_DEPTH - 1) + "?q > 1", 44),
+    ], ids=["parentheses", "negations", "nots", "sum", "and", "negated-operand"])
+    def test_too_deep_is_a_positioned_syntax_error(self, expr, column):
+        with pytest.raises(QuerySyntaxError, match="nests deeper than") as excinfo:
+            parse_query(_quantity_filter(expr))
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
