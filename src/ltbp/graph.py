@@ -14,9 +14,10 @@ same key; an ltbp graph has one object per (subject, predicate) pair, so its
 ``so`` entries stay bare. A pattern with a bound predicate is answered from
 that predicate's maps: ``so`` when the subject is bound, ``os`` otherwise.
 One with an unbound predicate tries each predicate's maps in turn; one with
-nothing bound scans ``so``. A query joins its patterns in greedy order over
-rows of ids, looking each row's triples up through
-``Graph.match(..., ids=True)``; its filters run once every pattern is joined.
+nothing bound scans ``so``. ``Graph.match`` takes and yields ids only. A
+query joins its patterns in greedy order over rows of ids, looking each
+row's triples up through ``Graph.match``; its filters run once every pattern
+is joined.
 
 A term's identity is the N-Triples text it exports as, so a literal is its
 lexical form plus datatype. ``100`` (integer), ``100.00`` and ``1.00``
@@ -28,15 +29,15 @@ its value's text: ``"007"^^xsd:integer`` loads as ``"7"`` and
 form load as one triple.
 
 ``build_graph`` adds entities through a ``_Builder``, which adds id triples
-directly and makes no ``Literal`` or ``Triple`` object. Per build it interns
-each predicate and class IRI once, quotes each entity id into its IRI once,
-and keys dates by ``date`` and quantities by ``int``. Its duplicate-subject
-and dangling-reference checks read per-build dicts from entity id to subject
-id. Decimals are not keyed by value: ``Decimal("100")`` equals
+directly and makes no ``Literal`` object. Per build it interns each
+predicate and class IRI once, quotes each entity id into its IRI once, and
+keys dates by ``date`` and quantities by ``int``. Its duplicate-subject and
+dangling-reference checks read per-build dicts from entity id to subject id.
+Decimals are not keyed by value: ``Decimal("100")`` equals
 ``Decimal("100.00")``, yet the two are different terms (above), so a decimal
 is formatted and interned by its text.
 
-Iteration order is deterministic for a deterministically built graph,
+Match order is deterministic for a deterministically built graph,
 regardless of hash randomization. A full scan is grouped by predicate: the
 predicates in the order their first triple was added, then each one's
 subjects in first-insertion order and each subject's objects in insertion
@@ -46,11 +47,12 @@ first-insertion order, each with its subjects in insertion order.
 
 from __future__ import annotations
 
+import decimal
 import re
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import terms as T
 from .model import Customer, Order, PricingConfig, Product, adjustment_factor, to_factor
@@ -68,7 +70,7 @@ from .query import (
     expr_variables,
     render_expr,
 )
-from .terms import Iri, Literal, Triple, Variable
+from .terms import Iri, Literal, Variable
 
 BindingValue = Union[Iri, str, int, Decimal, date]
 Binding = dict  # variable name -> BindingValue
@@ -162,40 +164,6 @@ class Graph:
     def __len__(self) -> int:
         return self._size
 
-    def __iter__(self) -> Iterator[Triple]:
-        return self._triples(self._match_ids(None, None, None))
-
-    def __contains__(self, triple: Triple) -> bool:
-        found = self.match(triple.subject, triple.predicate, triple.object)
-        return next(found, None) is not None
-
-    def add(self, triple: Triple) -> bool:
-        """Insert a triple; returns False when it was already present."""
-        return self._add_ids(
-            self._intern(triple.subject),
-            self._intern(triple.predicate),
-            self._intern(triple.object),
-        )
-
-    def match(
-        self,
-        subject: Optional[Union[Iri, int]] = None,
-        predicate: Optional[Union[Iri, int]] = None,
-        object: Optional[Union[Iri, Literal, int]] = None,
-        *,
-        ids: bool = False,
-    ) -> Iterable:
-        """Iterate triples matching the given concrete terms (None = any).
-
-        With ``ids=True`` the arguments and the yielded ``(s, p, o)`` tuples
-        are interned term ids; query joins look triples up this way, so a
-        wrapper on this method (as in ``perfbench/tracer.py``) sees every
-        lookup a query makes.
-        """
-        if ids:
-            return self._match_ids(subject, predicate, object)
-        return self._match_terms(subject, predicate, object)
-
     # -- ids ------------------------------------------------------------------
 
     def _intern(self, term: Union[Iri, Literal]) -> int:
@@ -220,20 +188,6 @@ class Graph:
             return self._ids.get(_nt_term(term), _MISSING)
         except GraphError:  # a value no stored term can have
             return _MISSING
-
-    def _match_terms(self, subject, predicate, object) -> Iterator[Triple]:
-        terms = (subject, predicate, object)
-        ids = [None if term is None else self._id_of(term) for term in terms]
-        yield from self._triples(self._match_ids(*ids))
-
-    def _term(self, tid: int) -> Union[Iri, Literal]:
-        value = self._values[tid]
-        return value if isinstance(value, Iri) else Literal(value)
-
-    def _triples(self, ids) -> Iterator[Triple]:
-        values, term = self._values, self._term
-        for s, p, o in ids:
-            yield Triple(values[s], values[p], term(o))
 
     def _add_ids(self, s: int, p: int, o: int) -> bool:
         so = self._so.get(p)
@@ -262,22 +216,32 @@ class Graph:
         self._size += 1
         return True
 
-    def _match_ids(self, s, p, o) -> Iterable[tuple[int, int, int]]:
-        """(s, p, o) id triples matching the given ids (None = any).
+    def match(
+        self, s: Optional[int] = None, p: Optional[int] = None,
+        o: Optional[int] = None,
+    ) -> Iterable[tuple[int, int, int]]:
+        """(s, p, o) id triples matching the given term ids (None = any).
 
         A bound predicate is one lookup in its map; an unbound one tries every
         predicate's map in turn. A list, except for the lazy scan of the whole
-        store when none is given.
+        store when none is given. Query joins look triples up here, so a
+        wrapper on this method (as in ``perfbench/tracer.py``) sees every
+        lookup a query makes.
         """
-        if p is None:
-            if s is None and o is None:
-                return (
-                    (s2, p2, o2)
-                    for p2, so in self._so.items()
-                    for s2, objects in so.items()
-                    for o2 in _each(objects)
-                )
-            return [t for p2 in self._so for t in self._match_ids(s, p2, o)]
+        if p is not None:
+            return self._lookup(s, p, o)
+        if s is None and o is None:
+            return (
+                (s2, p2, o2)
+                for p2, so in self._so.items()
+                for s2, objects in so.items()
+                for o2 in _each(objects)
+            )
+        return [t for p2 in self._so for t in self._lookup(s, p2, o)]
+
+    def _lookup(self, s, p: int, o) -> list[tuple[int, int, int]]:
+        """``match`` with the predicate bound. An unbound predicate calls this,
+        not ``match``, so a wrapper on ``match`` counts one lookup per call."""
         if s is not None:
             objects = self._so.get(p, {}).get(s)
             if objects is None:
@@ -469,8 +433,6 @@ def _plan(graph: Graph, patterns: Sequence[tuple]):
                     start.append(None)
                 cells.append(slots[term.name])
                 continue
-            if not isinstance(term, (Iri, Literal)):
-                term = Literal(term)
             cells.append(len(start))
             start.append(graph._id_of(term))
         pending.append(tuple(cells))
@@ -493,7 +455,7 @@ def _join(graph: Graph, cells, bound, rows: list[list]) -> list[list]:
     match = graph.match
     out = []
     for row in rows:
-        for triple in match(row[cs], row[cp], row[co], ids=True):
+        for triple in match(row[cs], row[cp], row[co]):
             new = row.copy()
             for k, cell in free:
                 seen = new[cell]
@@ -526,22 +488,6 @@ def _solve(graph: Graph, patterns, filters):
             if _truth(expr, {name: values[row[cell]] for name, cell in cells})
         ]
     return slots, rows
-
-
-def match_patterns(
-    graph: Graph,
-    patterns: Sequence[tuple],
-    filters: Sequence[Expr] = (),
-) -> list[Binding]:
-    """All variable bindings satisfying every pattern and filter.
-
-    Patterns join naturally on shared variables. Row order is deterministic
-    but otherwise unspecified; use evaluate() for ordering.
-    """
-    slots, rows = _solve(graph, patterns, filters)
-    values = graph._values
-    named = list(slots.items())
-    return [{name: values[row[cell]] for name, cell in named} for row in rows]
 
 
 # --- filter evaluation -------------------------------------------------------
@@ -578,15 +524,18 @@ def _eval_expr(expr: Expr, row: Binding):
                 f"arithmetic needs numbers, got {_type_name(left)} and "
                 f"{_type_name(right)} in {render_expr(expr)}"
             )
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if right == 0:
-            raise EvaluationError(f"division by zero in {render_expr(expr)}")
-        return Decimal(left) / Decimal(right)
+        try:
+            if expr.op == "+":
+                return left + right
+            if expr.op == "-":
+                return left - right
+            if expr.op == "*":
+                return left * right
+            if right == 0:
+                raise EvaluationError(f"division by zero in {render_expr(expr)}")
+            return Decimal(left) / Decimal(right)
+        except decimal.Overflow:
+            raise EvaluationError(f"decimal overflow in {render_expr(expr)}") from None
     if isinstance(expr, Neg):
         value = _eval_expr(expr.operand, row)
         if not _is_number(value):
@@ -661,10 +610,6 @@ class ResultTable:
 
     def mappings(self) -> list[dict]:
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
 
 
 _SORT_RANK = {int: 0, Decimal: 0, str: 1, date: 2, Iri: 3}
@@ -860,7 +805,7 @@ def _parse_object(token: str, lineno: int) -> Union[Iri, Literal]:
     if lexical.fullmatch(body):
         try:
             return Literal(convert(body))
-        except ValueError:  # a well-formed but impossible date
+        except ValueError:  # an impossible date, or an integer too long for int()
             pass
     raise GraphParseError(f"line {lineno}: invalid literal {body!r} for <{dtype}>")
 

@@ -170,10 +170,14 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 def _parse_quantity(text: str, line: int, quantities: dict) -> int:
     """Parse an ASCII integer cell and remember it in ``quantities``; ``int``
-    alone would also take ``1_000``, spaces and non-ASCII digits."""
+    alone would also take ``1_000``, spaces and non-ASCII digits, and it
+    refuses more digits than Python's int-from-text limit."""
     if _INTEGER.fullmatch(text) is None:
         raise MalformedRow(line, "quantity", f"not an integer: {text!r}")
-    value = quantities[text] = int(text)
+    try:
+        value = quantities[text] = int(text)
+    except ValueError:
+        raise MalformedRow(line, "quantity", f"too many digits: {len(text)}") from None
     return value
 
 

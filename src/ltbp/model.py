@@ -1,4 +1,4 @@
-"""Typed domain entities, validation, and lead-time derivation.
+"""Typed domain entities, validation, and lead times.
 
 Lead times are whole calendar days between the order-entry date and the
 request / confirmed-delivery / standard-delivery dates. The standard delivery
@@ -181,21 +181,6 @@ class Order:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class LeadTimes:
-    """Whole-day lead times of one order; sdt is strictly positive."""
-
-    olt_requested: int
-    olt_confirmed: int
-    sdt: int
-
-    def __post_init__(self) -> None:
-        if self.olt_requested < 0 or self.olt_confirmed < 0:
-            raise ValueError("lead times must be non-negative")
-        if self.sdt <= 0:
-            raise ValueError("sdt must be > 0")
-
-
 @dataclass(frozen=True)
 class PricingConfig:
     """Weights, bounds, and the per-class adjustment factor table.
@@ -245,11 +230,6 @@ def lead_days(order: Order) -> tuple[int, int, int]:
         (order.customer_delivery_date - base).days,
         (order.standard_delivery_date - base).days,
     )
-
-
-def derive_lead_times(order: Order) -> LeadTimes:
-    """The order's ``lead_days`` as a ``LeadTimes``."""
-    return LeadTimes(*lead_days(order))
 
 
 def rm_eligible(olt_requested: int, sdt: int) -> bool:

@@ -42,7 +42,6 @@ from .model import (
     Order,
     PricingConfig,
     adjustment_factor,
-    derive_lead_times,
     expedited,
     float_to_money,
     lead_days,
@@ -107,20 +106,6 @@ class PricingResult:
     priced_orders: tuple[PricedOrder, ...]
     stats: tuple[CustomerStats, ...]
     issues: tuple[PricingIssue, ...] = ()
-
-
-def behavior_series(orders: Sequence[Order]) -> list[float]:
-    """Per-order ratio olt_requested / sdt of the eligible orders, in
-    order-date order. Orders must all belong to one customer."""
-    codes = {o.customer_code for o in orders}
-    if len(codes) > 1:
-        raise ValueError(f"orders span multiple customers: {sorted(codes)}")
-    ordered = sorted(orders, key=lambda o: (o.order_date, o.order_number))
-    return [
-        lt.olt_requested / lt.sdt
-        for lt in map(derive_lead_times, ordered)
-        if rm_eligible(lt.olt_requested, lt.sdt)
-    ]
 
 
 def compute_rsd(series: Sequence[float]) -> float:
@@ -234,8 +219,6 @@ def _customer_stats(
         olt_requested, _, sdt = lead_days(order)
         if rm_eligible(olt_requested, sdt):
             ratios[order.customer_code].append(olt_requested / sdt)
-    # In dataset order, not behavior_series' date order: RSD and RMD sum with
-    # math.fsum, which is exact in any order, so the stats are equal.
     stats = []
     for customer in customers:
         series = ratios[customer.customer_code]

@@ -408,7 +408,7 @@ class _Parser:
             if tok.kind != "NUMBER" or "." in tok.value:
                 raise self.error("expected an integer after LIMIT")
             self.next()
-            limit = int(tok.value)
+            limit = self.number_value(tok)
         tok = self.peek()
         if tok.kind != "EOF":
             raise self.error(f"unexpected trailing input {tok.value!r}", tok)
@@ -479,7 +479,14 @@ class _Parser:
 
     @staticmethod
     def number_value(tok: _Token) -> Union[int, Decimal]:
-        return Decimal(tok.value) if "." in tok.value else int(tok.value)
+        if "." in tok.value:
+            return Decimal(tok.value)
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than Python's int-from-text limit
+            raise QuerySyntaxError(
+                f"too many digits in integer: {len(tok.value)}", tok.line, tok.column
+            ) from None
 
     # boolexpr := andexpr ("||" andexpr)*
     def bool_expr(self) -> Expr:

@@ -133,18 +133,3 @@ def emit_report(
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-
-
-def load_report(path) -> RevenueComparison:
-    with open(Path(path), "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    totals = payload["totals"]
-    counts = payload["counts"]
-    return RevenueComparison(
-        total_original=Decimal(totals["original"]),
-        total_rm=Decimal(totals["rm"]),
-        total_convex=Decimal(totals["convex"]),
-        n_orders=counts["orders"],
-        n_eligible=counts["eligible"],
-        ordering_holds=payload["ordering_holds"],
-    )

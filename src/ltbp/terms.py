@@ -1,4 +1,4 @@
-"""Graph terms, triples, and the fixed IRI namespace used by the store.
+"""Graph terms, triple patterns, and the fixed IRI namespace used by the store.
 
 Everything lives under ``urn:ltbp:``. Entities get one IRI each
 (``urn:ltbp:customer:C001``), with the id percent-encoded (RFC 3986) so that
@@ -37,13 +37,6 @@ class Variable:
 
 
 Term = Union[Iri, Literal, Variable]
-
-
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: Iri
-    predicate: Iri
-    object: Union[Iri, Literal]
 
 
 TriplePattern = tuple  # (Term, Term, Term) with Variables allowed anywhere

@@ -2,27 +2,40 @@
 
 These deliberately avoid the graph/query machinery: they operate on triples,
 the dataset, and the pricing output with plain dictionaries and loops, so
-agreement with query-engine results is a real two-route check.
+agreement with query-engine results is a real two-route check. Lead times
+come from the dates' ordinals here, not from ``model.lead_days``.
 """
 
 import math
 from collections import defaultdict
 from decimal import Decimal
 
-from ltbp.model import derive_lead_times, rm_eligible, to_money
+from ltbp.model import to_money
 from ltbp.pricing import (
     CustomerStats,
     PricedOrder,
-    behavior_series,
     compute_premium,
     compute_rmd,
     compute_rsd,
 )
-from ltbp.terms import Literal, Variable
+from ltbp.terms import Iri, Literal, Variable
+
+
+def triples(graph, ids=None):
+    """The id triples ``ids`` of ``graph`` (all of them by default) read back
+    as plain ``(s, p, o)`` term tuples."""
+    values = graph._values
+
+    def term(tid):
+        value = values[tid]
+        return value if isinstance(value, Iri) else Literal(value)
+
+    return [tuple(map(term, t)) for t in (graph.match() if ids is None else ids)]
 
 
 def brute_force_match(triples, patterns):
-    """Reference natural join: scan every triple for every pattern."""
+    """Reference natural join: scan every (s, p, o) term triple for every
+    pattern."""
     rows = [{}]
     for pattern in patterns:
         out = []
@@ -37,7 +50,7 @@ def brute_force_match(triples, patterns):
 
 def _unify(row, pattern, triple):
     extended = dict(row)
-    for term, actual in zip(pattern, (triple.subject, triple.predicate, triple.object)):
+    for term, actual in zip(pattern, triple):
         value = actual.value if isinstance(actual, Literal) else actual
         if isinstance(term, Variable):
             if term.name in extended:
@@ -74,22 +87,44 @@ def oracle_cq1(dataset, pricing, n):
     return ranked[:n]
 
 
+def lead_days(order):
+    """(requested, confirmed, standard) days after the order date."""
+    start = order.order_date.toordinal()
+    return tuple(day.toordinal() - start for day in (
+        order.customer_request_date, order.customer_delivery_date,
+        order.standard_delivery_date,
+    ))
+
+
+def eligible_ratios(orders):
+    """Customer code -> the requested / standard lead-time ratio of each of
+    their orders requested before the standard date, in order-date order.
+
+    ``price_dataset`` reads the orders in dataset order instead; RSD and RMD
+    sum with ``math.fsum``, which is exact in any order, so the stats agree.
+    """
+    series = defaultdict(list)
+    for order in sorted(orders, key=lambda o: (o.order_date, o.order_number)):
+        requested, _, standard = lead_days(order)
+        if requested < standard:
+            series[order.customer_code].append(requested / standard)
+    return series
+
+
 def priced_orders_oracle(dataset, config):
     """``(stats, premiums, priced_orders, issue_order_numbers)`` of
     ``price_dataset``, computed customer by customer and order by order.
 
-    Each customer's stats come from ``behavior_series`` of their orders. Each
-    order is priced on its own from ``derive_lead_times`` with the RM and
-    convex formulas written out and rounded by ``to_money``; a same-day
-    confirmed expedited order is an issue, not a price.
+    Each customer's stats come from their ``eligible_ratios``. Each order is
+    priced on its own from its ``lead_days`` with the RM and convex formulas
+    written out and rounded by ``to_money``; a same-day confirmed expedited
+    order is an issue, not a price.
     """
-    orders_of = defaultdict(list)
-    for order in dataset.orders:
-        orders_of[order.customer_code].append(order)
+    ratios = eligible_ratios(dataset.orders)
     stats, premiums = [], {}
     for customer in sorted(dataset.customers, key=lambda c: c.customer_code):
         code = customer.customer_code
-        series = behavior_series(orders_of[code])
+        series = ratios[code]
         stats.append(CustomerStats(
             code, len(series), compute_rsd(series), compute_rmd(series)
         ))
@@ -97,16 +132,16 @@ def priced_orders_oracle(dataset, config):
         premiums[code] = compute_premium(stats[-1], rho, config)
     priced, issues = [], []
     for order in dataset.orders:
-        lt = derive_lead_times(order)
+        _, confirmed, standard = lead_days(order)
         number, original = order.order_number, order.original_price
-        if lt.olt_confirmed >= lt.sdt:
+        if confirmed >= standard:
             priced.append(PricedOrder(number, original, original, original))
-        elif lt.olt_confirmed == 0:
+        elif confirmed == 0:
             issues.append(number)
         else:
             p_o = float(original)
             premium = float(premiums[order.customer_code].premium)
-            ratio = lt.olt_confirmed / lt.sdt
+            ratio = confirmed / standard
             rm = p_o + p_o * (1.0 - ratio) * (premium - 1.0)
             convex = p_o * (1.0 + config.convex_alpha * math.log(ratio))
             priced.append(PricedOrder(
@@ -122,8 +157,8 @@ def oracle_class_fractions(dataset):
     for order in dataset.orders:
         cls = class_of[order.customer_code]
         totals[cls] += 1
-        lt = derive_lead_times(order)
-        if rm_eligible(lt.olt_requested, lt.sdt):
+        requested, _, standard = lead_days(order)
+        if requested < standard:
             eligible[cls] += 1
     present = {c.account_class for c in dataset.customers}
     return {

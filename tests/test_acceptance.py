@@ -32,7 +32,7 @@ from ltbp.model import (
     PricingConfig,
     adjustment_factor,
     class_for_revenue,
-    derive_lead_times,
+    lead_days,
 )
 from ltbp.pricing import (
     CustomerStats,
@@ -96,10 +96,8 @@ def test_c03_rm_price_oracle():
     on the worked example and 1,000 random cases, 1e-9 pre-rounding."""
     started = time.perf_counter()
     order = make_order("O1", "C1", "P1", date(2020, 1, 1), 0, 5, 10, price="100.00")
-    lt = derive_lead_times(order)
-    value = rm_price(
-        float(order.original_price), lt.olt_confirmed, lt.sdt, 1.5
-    )
+    _, confirmed, standard = lead_days(order)
+    value = rm_price(float(order.original_price), confirmed, standard, 1.5)
     assert value == pytest.approx(125.0, abs=1e-9)
 
     rng = random.Random(7)
@@ -111,9 +109,9 @@ def test_c03_rm_price_oracle():
         order = make_order(
             f"R{i}", "C1", "P1", date(2019, 1, 1), 0, conf, sdt, price=str(price)
         )
-        lt = derive_lead_times(order)
+        _, confirmed, standard = lead_days(order)
         value = rm_price(
-            float(order.original_price), lt.olt_confirmed, lt.sdt,
+            float(order.original_price), confirmed, standard,
             float(prem_value),
         )
         p_o = float(price)
@@ -130,9 +128,9 @@ def test_c04_convex_price_oracle():
     expansion on the worked example and 1,000 random cases, 1e-9."""
     started = time.perf_counter()
     order = make_order("O1", "C1", "P1", date(2020, 1, 1), 0, 5, 10, price="100.00")
-    lt = derive_lead_times(order)
+    _, confirmed, standard = lead_days(order)
     value = convex_price(
-        float(order.original_price), lt.olt_confirmed, lt.sdt,
+        float(order.original_price), confirmed, standard,
         DEFAULT_CONFIG.convex_alpha,
     )
     assert value == pytest.approx(100.0 - 50.0 * math.log(0.5), abs=1e-9)
@@ -146,9 +144,9 @@ def test_c04_convex_price_oracle():
         order = make_order(
             f"R{i}", "C1", "P1", date(2019, 1, 1), 0, conf, sdt, price=str(price)
         )
-        lt = derive_lead_times(order)
+        _, confirmed, standard = lead_days(order)
         value = convex_price(
-            float(order.original_price), lt.olt_confirmed, lt.sdt,
+            float(order.original_price), confirmed, standard,
             DEFAULT_CONFIG.convex_alpha,
         )
         p_o = float(price)
@@ -339,11 +337,11 @@ def test_rm_prices_equal_exact_arithmetic(full_scale_run):
     expedited = 0
     disagree = []
     for order in dataset.orders:
-        lt = derive_lead_times(order)
+        _, confirmed, standard = lead_days(order)
         exact = Fraction(order.original_price)
-        if lt.olt_confirmed < lt.sdt:
+        if confirmed < standard:
             expedited += 1
-            fraction = 1 - Fraction(lt.olt_confirmed, lt.sdt)
+            fraction = 1 - Fraction(confirmed, standard)
             exact += exact * fraction * (premium[order.customer_code] - 1)
         if rm[order.order_number] * 100 != round(exact * 100):  # half-even
             disagree.append((order.order_number, rm[order.order_number], exact))

@@ -19,6 +19,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _quantity_filter(expr):
+    return f"SELECT ?o WHERE {{ ?o :hasQuantity ?q FILTER({expr}) }}"
+
+
 def generate(out, seed=5, orders=60, customers=8, products=3):
     code = run([
         "generate", "--seed", seed, "--orders", orders,
@@ -237,6 +241,22 @@ class TestAnalyzeQueryReport:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["n", "60"]
 
+    @pytest.mark.parametrize("query, message", [
+        ("SELECT ?o WHERE { ?o :hasQuantity ?q } LIMIT " + "9" * 5000,
+         "line 1, column 46: too many digits"),
+        (_quantity_filter("?q > " + "9" * 5000), "line 1, column 50: too many digits"),
+        (_quantity_filter("?q" + f" * {'9' * 60_000}.0" * 20 + " > 1"),
+         "decimal overflow in ((((("),
+    ], ids=["limit", "filter", "decimal-overflow"])
+    def test_query_number_out_of_range_is_data_error(self, run_dir, tmp_path, capsys,
+                                                     query, message):
+        q = tmp_path / "big.rq"
+        q.write_text(query)
+        capsys.readouterr()
+        assert run(["query", "--graph", run_dir / "graph.nt", "--query", q]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
     def test_query_formats_iris_and_dates(self, run_dir, tmp_path, capsys):
         q = tmp_path / "q.rq"
         q.write_text(
@@ -329,6 +349,7 @@ def test_same_day_delivery_row_rejected_or_skipped(tmp_path, capsys):
     ("quantity", "1_000"),
     ("quantity", " 12"),
     ("quantity", "١_٢"),  # Arabic-Indic 1_2
+    pytest.param("quantity", "9" * 5000, id="quantity-5000-digits"),
 ])
 def test_out_of_bound_or_loose_cell_rejected_or_skipped(tmp_path, capsys, column,
                                                         value):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
@@ -16,12 +17,12 @@ from ltbp.graph import (
     DuplicateSubjectError,
     FilterTypeError,
     Graph,
+    GraphParseError,
     UnknownOrderError,
     build_graph,
     evaluate,
     export_ntriples,
     load_ntriples,
-    match_patterns,
 )
 from ltbp.ingest import Dataset, GeneratorConfig, generate_synthetic
 from ltbp import terms as T
@@ -29,14 +30,12 @@ from ltbp.model import (
     AccountClass, Customer, PricingConfig, Product, adjustment_factor, to_factor,
 )
 from ltbp.pricing import CustomerPremium, PricedOrder, PricingResult, price_dataset
-from ltbp.query import parse_query
+from ltbp.query import QuerySpec, parse_query
 from ltbp.terms import (
     HAS_ADJUSTMENT_FACTOR,
-    HAS_QUANTITY,
     HAS_RM_PRICE,
     Iri,
     Literal,
-    Triple,
     Variable,
     WAS_PLACED_BY,
     CONTAINS_PRODUCT,
@@ -45,7 +44,26 @@ from ltbp.terms import (
     order_iri,
 )
 from tests.conftest import make_order
-from tests.oracles import brute_force_match
+from tests.oracles import brute_force_match, triples
+
+_INT = f"^^<{XSD}integer>"
+
+
+def _load(tmp_path, *lines):
+    """The graph of the given N-Triples lines, loaded from a file."""
+    path = tmp_path / "lines.nt"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return load_ntriples(path)
+
+
+def _match(g, s=None, p=None, o=None):
+    """``g.match`` looked up by terms; the matches as (s, p, o) terms."""
+    ids = [None if term is None else g._id_of(term) for term in (s, p, o)]
+    return triples(g, g.match(*ids))
+
+
+def _rows(g, query):
+    return evaluate(g, parse_query(query)).rows
 
 
 @pytest.fixture
@@ -54,24 +72,21 @@ def key_customer():
 
 
 class TestStore:
-    def test_set_semantics(self):
-        g = Graph()
-        t = Triple(Iri("urn:a"), Iri("urn:b"), Literal(1))
-        assert g.add(t) is True
-        assert g.add(t) is False
+    def test_set_semantics(self, tmp_path):
+        line = f'<urn:a> <urn:b> "1"{_INT} .'
+        g = _load(tmp_path, line, line)
         assert len(g) == 1
-        assert t in g
+        assert triples(g) == [(Iri("urn:a"), Iri("urn:b"), Literal(1))]
 
-    def test_match_by_each_position(self):
-        g = Graph()
-        t1 = Triple(Iri("urn:s1"), Iri("urn:p"), Literal(1))
-        t2 = Triple(Iri("urn:s2"), Iri("urn:p"), Literal(2))
-        g.add(t1)
-        g.add(t2)
-        assert list(g.match(Iri("urn:s1"), None, None)) == [t1]
-        assert list(g.match(None, Iri("urn:p"), None)) == [t1, t2]
-        assert list(g.match(None, None, Literal(2))) == [t2]
-        assert list(g.match(None, None, None)) == [t1, t2]
+    def test_match_by_each_position(self, tmp_path):
+        g = _load(tmp_path, f'<urn:s1> <urn:p> "1"{_INT} .',
+                  f'<urn:s2> <urn:p> "2"{_INT} .')
+        t1 = (Iri("urn:s1"), Iri("urn:p"), Literal(1))
+        t2 = (Iri("urn:s2"), Iri("urn:p"), Literal(2))
+        assert _match(g, Iri("urn:s1")) == [t1]
+        assert _match(g, p=Iri("urn:p")) == [t1, t2]
+        assert _match(g, o=Literal(2)) == [t2]
+        assert _match(g) == [t1, t2]
 
 
 _S1, _S2, _S3 = Iri("urn:s1"), Iri("urn:s2"), Iri("urn:s3")
@@ -81,18 +96,18 @@ _O = Iri("urn:o")
 # (q, o) holds three subjects and (p, "a") two; r has one subject; two lines
 # are repeated.
 _FOREIGN = [
-    ('<urn:s3> <urn:q> <urn:o> .', Triple(_S3, _Q, _O)),
-    ('<urn:s1> <urn:p> "a" .', Triple(_S1, _P, Literal("a"))),
-    ('<urn:s1> <urn:q> <urn:o> .', Triple(_S1, _Q, _O)),
-    ('<urn:s1> <urn:p> "b" .', Triple(_S1, _P, Literal("b"))),
-    ('<urn:s2> <urn:q> <urn:o> .', Triple(_S2, _Q, _O)),
-    ('<urn:s2> <urn:p> "a" .', Triple(_S2, _P, Literal("a"))),
-    ('<urn:s2> <urn:q> "c" .', Triple(_S2, _Q, Literal("c"))),
-    ('<urn:s2> <urn:q> <urn:s1> .', Triple(_S2, _Q, _S1)),
-    (f'<urn:s3> <urn:r> "7"^^<{XSD}integer> .', Triple(_S3, _R, Literal(7))),
-    ('<urn:s1> <urn:p> "b" .', Triple(_S1, _P, Literal("b"))),
-    ('<urn:s3> <urn:p> <urn:s1> .', Triple(_S3, _P, _S1)),
-    ('<urn:s2> <urn:q> <urn:o> .', Triple(_S2, _Q, _O)),
+    ('<urn:s3> <urn:q> <urn:o> .', (_S3, _Q, _O)),
+    ('<urn:s1> <urn:p> "a" .', (_S1, _P, Literal("a"))),
+    ('<urn:s1> <urn:q> <urn:o> .', (_S1, _Q, _O)),
+    ('<urn:s1> <urn:p> "b" .', (_S1, _P, Literal("b"))),
+    ('<urn:s2> <urn:q> <urn:o> .', (_S2, _Q, _O)),
+    ('<urn:s2> <urn:p> "a" .', (_S2, _P, Literal("a"))),
+    ('<urn:s2> <urn:q> "c" .', (_S2, _Q, Literal("c"))),
+    ('<urn:s2> <urn:q> <urn:s1> .', (_S2, _Q, _S1)),
+    (f'<urn:s3> <urn:r> "7"{_INT} .', (_S3, _R, Literal(7))),
+    ('<urn:s1> <urn:p> "b" .', (_S1, _P, Literal("b"))),
+    ('<urn:s3> <urn:p> <urn:s1> .', (_S3, _P, _S1)),
+    ('<urn:s2> <urn:q> <urn:o> .', (_S2, _Q, _O)),
 ]
 
 
@@ -105,12 +120,12 @@ class TestForeignGraph:
 
     def test_every_match_shape_equals_brute_force(self, path):
         g = load_ntriples(path)
-        triples = list(dict.fromkeys(triple for _, triple in _FOREIGN))
+        held = list(dict.fromkeys(triple for _, triple in _FOREIGN))
         absent = Iri("urn:absent")
         candidates = [
-            [t.subject for t in triples] + [absent],
-            [t.predicate for t in triples] + [absent],
-            [t.object for t in triples] + [absent, Literal("absent")],
+            [s for s, _, _ in held] + [absent],
+            [p for _, p, _ in held] + [absent],
+            [o for _, _, o in held] + [absent, Literal("absent")],
         ]
         names = (Variable("s"), Variable("p"), Variable("o"))
         for shape in itertools.product((False, True), repeat=3):
@@ -118,15 +133,14 @@ class TestForeignGraph:
                        for bound, c in zip(shape, candidates)]
             for terms in itertools.product(*choices):
                 found = []
-                for m in g.match(*terms):
-                    obj = m.object.value if isinstance(m.object, Literal) else m.object
-                    values = (m.subject, m.predicate, obj)
+                for m in _match(g, *terms):
+                    values = [v.value if isinstance(v, Literal) else v for v in m]
                     found.append({name.name: value for name, term, value
                                   in zip(names, terms, values) if term is None})
                 pattern = tuple(
                     name if term is None else term for name, term in zip(names, terms)
                 )
-                expected = brute_force_match(triples, [pattern])
+                expected = brute_force_match(held, [pattern])
                 assert Counter(frozenset(r.items()) for r in found) == Counter(
                     frozenset(r.items()) for r in expected
                 ), (shape, terms)
@@ -146,11 +160,8 @@ class TestAssertions:
     def test_customer_with_region_emits_six(self, key_customer, config):
         g = build_graph(Dataset((key_customer,), (), ()), config=config)
         assert len(g) == 6
-        assert (
-            Triple(customer_iri("C001"), HAS_ADJUSTMENT_FACTOR,
-                   Literal(Decimal("0.100000")))
-            in g
-        )
+        assert _match(g, customer_iri("C001"), HAS_ADJUSTMENT_FACTOR,
+                      Literal(Decimal("0.100000")))
 
     def test_customer_without_region_emits_five(self, config):
         customer = Customer("C009", AccountClass.OTHERS, Decimal("100.00"))
@@ -162,25 +173,22 @@ class TestAssertions:
             Customer(code, AccountClass.KEY, Decimal("1.00")) for code in ("C1", "C2")
         )
         g = build_graph(Dataset(customers, (), ()), config=config)
-        subjects = [t.subject for t in g.match(None, T.HAS_CUSTOMER_CODE, None)]
+        subjects = [s for s, _, _ in _match(g, p=T.HAS_CUSTOMER_CODE)]
         assert subjects == [customer_iri("C1"), customer_iri("C2")]
-        assert {t.subject for t in g} == set(subjects)
+        assert {s for s, _, _ in triples(g)} == set(subjects)
 
     def test_order_emits_exactly_ten(self, small_dataset, config):
         g = build_graph(small_dataset, config=config)
-        triples = list(g.match(order_iri("O1"), None, None))
-        assert len(triples) == 10
-        assert Triple(order_iri("O1"), WAS_PLACED_BY, customer_iri("C001")) in g
-        assert Triple(order_iri("O1"), CONTAINS_PRODUCT, T.product_iri("P01")) in g
+        assert len(_match(g, order_iri("O1"))) == 10
+        assert _match(g, order_iri("O1"), WAS_PLACED_BY, customer_iri("C001"))
+        assert _match(g, order_iri("O1"), CONTAINS_PRODUCT, T.product_iri("P01"))
 
     def test_order_count_scales_by_ten(self, small_dataset, config):
         g = build_graph(small_dataset)
-        order_subjects = {
-            t.subject for t in g if t.subject.value.startswith("urn:ltbp:order:")
-        }
         order_triples = [
-            t for t in g if t.subject.value.startswith("urn:ltbp:order:")
+            t for t in triples(g) if t[0].value.startswith("urn:ltbp:order:")
         ]
+        order_subjects = {s for s, _, _ in order_triples}
         assert len(order_triples) == 10 * len(order_subjects)
 
     def test_priced_emits_two_and_is_idempotent(self, small_dataset, config):
@@ -190,19 +198,14 @@ class TestAssertions:
         g = build_graph(small_dataset, PricingResult((), (priced,), ()), config)
         assert len(g) == len(build_graph(small_dataset, config=config)) + 2
         twice = build_graph(small_dataset, PricingResult((), (priced,) * 2, ()), config)
-        assert list(twice) == list(g)
-        assert Triple(order_iri("O1"), HAS_RM_PRICE, Literal(Decimal("125.00"))) in g
-        assert (
-            Triple(order_iri("O1"), T.HAS_CONVEX_PRICE, Literal(Decimal("134.66")))
-            in g
-        )
+        assert triples(twice) == triples(g)
+        assert _match(g, order_iri("O1"), HAS_RM_PRICE, Literal(Decimal("125.00")))
+        assert _match(g, order_iri("O1"), T.HAS_CONVEX_PRICE,
+                      Literal(Decimal("134.66")))
 
     def test_unpriced_order_has_no_rm_binding(self, small_dataset):
         g = build_graph(small_dataset)
-        rows = match_patterns(
-            g, [(Variable("o"), HAS_RM_PRICE, Variable("p"))]
-        )
-        assert rows == []
+        assert _rows(g, "SELECT ?o WHERE { ?o :hasRMPrice ?p }") == []
 
     def test_total_triple_count_matches_per_entity_expectation(
         self, small_dataset, small_pricing, config
@@ -258,20 +261,20 @@ class TestBuildGraph:
         assert type(raised.value) is error
         assert str(raised.value) == message
 
-    def test_builds_no_triple_objects_and_quotes_each_id_once(
-        self, small_dataset, small_pricing, config, monkeypatch
+    def test_builds_no_literal_objects_and_quotes_each_id_once(
+        self, small_dataset, small_pricing, config, monkeypatch, tmp_path
     ):
         made, quoted = [], []
 
-        def counting_triple(*args):
+        def counting_literal(*args):
             made.append(args)
-            return Triple(*args)
+            return Literal(*args)
 
         def counting_quote(text, safe="/"):
             quoted.append(text)
             return quote(text, safe=safe)
 
-        monkeypatch.setattr(ltbp.graph, "Triple", counting_triple)
+        monkeypatch.setattr(ltbp.graph, "Literal", counting_literal)
         monkeypatch.setattr(ltbp.terms, "quote", counting_quote)
         g = build_graph(small_dataset, small_pricing, config)
         assert made == []
@@ -281,8 +284,9 @@ class TestBuildGraph:
             + [o.order_number for o in small_dataset.orders]
         )
         assert sorted(quoted) == sorted(ids)
-        assert len(list(g)) == len(g)
-        assert len(made) == len(g)  # the counted name is the one graph.py uses
+        export_ntriples(g, tmp_path / "g.nt")
+        load_ntriples(tmp_path / "g.nt")
+        assert made  # the counted name is the one graph.py's loader uses
 
     def test_each_predicate_holds_its_field(self, small_dataset, small_pricing,
                                             config):
@@ -413,7 +417,7 @@ def _expected_layout(dataset, pricing, config):
 def _check_layout(g, layout):
     """Each subject holds exactly its expected pairs, and nothing else is held."""
     for subject, expected in layout.items():
-        found = [(t.predicate, t.object) for t in g.match(subject, None, None)]
+        found = [(p, o) for _, p, o in _match(g, subject)]
         assert len(found) == len(expected)
         assert dict(found) == expected
     assert len(g) == sum(len(expected) for expected in layout.values())
@@ -421,24 +425,19 @@ def _check_layout(g, layout):
 
 class TestMatchPatterns:
     def test_single_pattern_counts_orders_of_customer(self, small_graph):
-        rows = match_patterns(
-            small_graph, [(Variable("o"), WAS_PLACED_BY, customer_iri("C001"))]
-        )
+        rows = _rows(small_graph, "SELECT ?o WHERE { ?o :wasPlacedBy cust:C001 }")
         assert len(rows) == 2
 
     def test_unsatisfiable_pattern(self, small_graph):
-        rows = match_patterns(
-            small_graph, [(Variable("o"), WAS_PLACED_BY, customer_iri("C404"))]
-        )
+        rows = _rows(small_graph, "SELECT ?o WHERE { ?o :wasPlacedBy cust:C404 }")
         assert rows == []
 
     def test_join_matches_brute_force(self, small_graph):
-        patterns = [
-            (Variable("o"), WAS_PLACED_BY, Variable("c")),
-            (Variable("o"), CONTAINS_PRODUCT, Variable("p")),
-        ]
-        rows = match_patterns(small_graph, patterns)
-        expected = brute_force_match(list(small_graph), patterns)
+        spec = parse_query(
+            "SELECT ?o ?c ?p WHERE { ?o :wasPlacedBy ?c . ?o :containsProduct ?p }"
+        )
+        rows = evaluate(small_graph, spec).mappings()
+        expected = brute_force_match(triples(small_graph), spec.patterns)
         key = lambda row: sorted((k, str(v)) for k, v in row.items())
         assert sorted(rows, key=key) == sorted(expected, key=key)
 
@@ -449,17 +448,24 @@ class TestMatchPatterns:
             (Variable("o"), HAS_RM_PRICE, Variable("rm")),
         ]
         key = lambda row: sorted((k, str(v)) for k, v in row.items())
-        baseline = sorted(match_patterns(small_graph, patterns), key=key)
+
+        def solve(patterns):
+            spec = QuerySpec(("o", "c", "p", "rm"), tuple(patterns))
+            return sorted(evaluate(small_graph, spec).mappings(), key=key)
+
+        baseline = solve(patterns)
+        assert baseline
         for permutation in itertools.permutations(patterns):
-            rows = sorted(match_patterns(small_graph, list(permutation)), key=key)
-            assert rows == baseline
+            assert solve(permutation) == baseline
 
     @given(data=st.data())
-    def test_random_joins_match_brute_force(self, data):
+    def test_random_joins_match_brute_force(self, tmp_path_factory, data):
         subjects = [Iri(f"urn:s{i}") for i in range(4)]
         predicates = [Iri(f"urn:p{i}") for i in range(3)]
-        objects = subjects + [Literal(v) for v in (1, 2, "a")]
-        triples = data.draw(
+        literals = {Literal(1): f'"1"{_INT}', Literal(2): f'"2"{_INT}',
+                    Literal("a"): '"a"'}
+        objects = subjects + list(literals)
+        drawn = data.draw(
             st.lists(
                 st.tuples(
                     st.sampled_from(subjects),
@@ -470,9 +476,9 @@ class TestMatchPatterns:
                 max_size=25,
             )
         )
-        g = Graph()
-        for s, p, o in triples:
-            g.add(Triple(s, p, o))
+        text = {**literals, **{iri: f"<{iri.value}>" for iri in subjects + predicates}}
+        g = _load(tmp_path_factory.mktemp("joins"),
+                  *(" ".join(text[term] for term in t) + " ." for t in drawn))
 
         term = st.one_of(
             st.sampled_from([Variable("x"), Variable("y"), Variable("z")]),
@@ -483,17 +489,20 @@ class TestMatchPatterns:
         patterns = data.draw(
             st.lists(st.tuples(term, term, term), min_size=1, max_size=3)
         )
+        names = sorted({t.name for pattern in patterns for t in pattern
+                        if isinstance(t, Variable)})
+        if not names:  # a query projects a variable: add one matching every triple
+            names = ["s", "p", "o"]
+            patterns.append(tuple(map(Variable, names)))
         key = lambda row: sorted((k, str(v)) for k, v in row.items())
-        got = sorted(match_patterns(g, patterns), key=key)
-        want = sorted(brute_force_match(list(g), patterns), key=key)
-        assert got == want
+        got = evaluate(g, QuerySpec(tuple(names), tuple(patterns))).mappings()
+        want = brute_force_match(triples(g), patterns)
+        assert sorted(got, key=key) == sorted(want, key=key)
 
-    def test_repeated_variable_within_pattern(self):
-        g = Graph()
-        g.add(Triple(Iri("urn:a"), Iri("urn:p"), Iri("urn:a")))
-        g.add(Triple(Iri("urn:a"), Iri("urn:p"), Iri("urn:b")))
-        rows = match_patterns(g, [(Variable("x"), Iri("urn:p"), Variable("x"))])
-        assert rows == [{"x": Iri("urn:a")}]
+    def test_repeated_variable_within_pattern(self, tmp_path):
+        g = _load(tmp_path, "<urn:a> <urn:p> <urn:a> .", "<urn:a> <urn:p> <urn:b> .")
+        rows = _rows(g, "SELECT ?x WHERE { ?x <urn:p> ?x }")
+        assert rows == [(Iri("urn:a"),)]
 
     def test_filter_type_mismatch_reported(self, small_graph):
         spec = parse_query(
@@ -503,13 +512,15 @@ class TestMatchPatterns:
             evaluate(small_graph, spec)
 
 
-    def test_filter_sees_only_rows_every_pattern_keeps(self):
+    def test_filter_sees_only_rows_every_pattern_keeps(self, tmp_path):
         # O1 has no RM price, so the second pattern drops it before the
         # filter could divide by its zero quantity.
-        g = Graph()
-        for order, qty in (("O1", 0), ("O2", 2)):
-            g.add(Triple(order_iri(order), HAS_QUANTITY, Literal(qty)))
-        g.add(Triple(order_iri("O2"), HAS_RM_PRICE, Literal(Decimal("10.00"))))
+        g = _load(
+            tmp_path,
+            f'<urn:ltbp:order:O1> <{T.HAS_QUANTITY.value}> "0"{_INT} .',
+            f'<urn:ltbp:order:O2> <{T.HAS_QUANTITY.value}> "2"{_INT} .',
+            f'<urn:ltbp:order:O2> <{HAS_RM_PRICE.value}> "10.00"^^<{XSD}decimal> .',
+        )
         spec = parse_query(
             "SELECT ?o WHERE { ?o :hasQuantity ?q . ?o :hasRMPrice ?rm "
             "FILTER(10 / ?q > 1) }"
@@ -543,14 +554,10 @@ class TestEvaluate:
             "?o :hasOriginalPrice ?price } ORDER BY DESC ?price LIMIT 2"
         )
         table = evaluate(small_graph, spec)
-        all_prices = evaluate(
-            small_graph,
-            parse_query(
-                "SELECT ?price WHERE { ?o :hasOriginalPrice ?price }"
-            ),
-        ).column("price")
+        all_prices = _rows(small_graph,
+                           "SELECT ?price WHERE { ?o :hasOriginalPrice ?price }")
         expected = sorted(all_prices, reverse=True)[:2]
-        assert table.column("price") == expected
+        assert [(price,) for _, price in table.rows] == expected
 
     def test_aggregates_over_empty_match(self, small_graph):
         spec = parse_query(
@@ -566,7 +573,7 @@ class TestEvaluate:
             "SELECT ?cls WHERE { ?c :hasAccountType ?cls } GROUP BY ?cls"
         )
         table = evaluate(small_graph, spec)
-        assert table.column("cls") == ["Key", "Others", "Regular"]
+        assert table.rows == [("Key",), ("Others",), ("Regular",)]
 
     def test_arithmetic_filter(self, small_graph):
         spec = parse_query(
@@ -574,7 +581,7 @@ class TestEvaluate:
             "?o :hasOriginalPrice ?p FILTER(?p * 2 >= 600) }"
         )
         table = evaluate(small_graph, spec)
-        assert sorted(table.column("num")) == ["O3", "O4"]
+        assert sorted(table.rows) == [("O3",), ("O4",)]
 
     def test_date_comparison_filter(self, small_graph):
         spec = parse_query(
@@ -595,7 +602,7 @@ class TestNtriples:
         path = tmp_path / "graph.nt"
         export_ntriples(small_graph, path)
         reloaded = load_ntriples(path)
-        assert set(reloaded) == set(small_graph)
+        assert set(triples(reloaded)) == set(triples(small_graph))
         assert len(reloaded) == len(small_graph)
 
     def test_export_is_sorted_and_deterministic(self, small_graph, tmp_path):
@@ -607,13 +614,10 @@ class TestNtriples:
         assert a.read_bytes() == b.read_bytes()
 
     def test_export_orders_prefix_terms_as_sorted_lines(self, tmp_path):
-        g = Graph()
-        objects = [Iri("urn:ab"), Literal(5), Literal("5"), Iri("urn:a"),
-                   Literal("5 "), Literal("")]
-        for subject in ("urn:s", "urn:r"):
-            for predicate in ("urn:q", "urn:p"):
-                for obj in objects:
-                    g.add(Triple(Iri(subject), Iri(predicate), obj))
+        objects = ["<urn:ab>", f'"5"{_INT}', '"5"', "<urn:a>", '"5 "', '""']
+        g = _load(tmp_path, *(f"<urn:{subject}> <urn:{predicate}> {obj} ."
+                              for subject in "sr" for predicate in "qp"
+                              for obj in objects))
         path = tmp_path / "g.nt"
         export_ntriples(g, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -632,30 +636,31 @@ class TestNtriples:
         )
         g = build_graph(dataset)
         order_triples = [
-            t for t in g if t.subject.value.startswith("urn:ltbp:order:")
+            t for t in triples(g) if t[0].value.startswith("urn:ltbp:order:")
         ]
         assert len(order_triples) == 100
 
     def test_string_escapes_round_trip(self, tmp_path):
-        g = Graph()
+        g = _load(tmp_path,
+                  '<urn:s> <urn:p> "line\\nbreak\\tand \\"quote\\" \\\\ backslash" .',
+                  f'<urn:s> <urn:q> "2020-02-29"^^<{XSD}date> .')
         tricky = 'line\nbreak\tand "quote" \\ backslash'
-        g.add(Triple(Iri("urn:s"), Iri("urn:p"), Literal(tricky)))
-        g.add(Triple(Iri("urn:s"), Iri("urn:q"), Literal(date(2020, 2, 29))))
+        assert [o for _, _, o in triples(g)] == [Literal(tricky),
+                                                 Literal(date(2020, 2, 29))]
         path = tmp_path / "esc.nt"
         export_ntriples(g, path)
-        assert set(load_ntriples(path)) == set(g)
+        assert set(triples(load_ntriples(path))) == set(triples(g))
 
     def test_embedded_dots_in_literals_round_trip(self, tmp_path):
-        g = Graph()
-        g.add(Triple(Iri("urn:s"), Iri("urn:p"), Literal("ends with dot .")))
-        g.add(Triple(Iri("urn:s"), Iri("urn:q"), Literal("v1.2.3")))
+        g = _load(tmp_path, '<urn:s> <urn:p> "ends with dot ." .',
+                  '<urn:s> <urn:q> "v1.2.3" .')
+        assert [o for _, _, o in triples(g)] == [Literal("ends with dot ."),
+                                                 Literal("v1.2.3")]
         path = tmp_path / "dots.nt"
         export_ntriples(g, path)
-        assert set(load_ntriples(path)) == set(g)
+        assert set(triples(load_ntriples(path))) == set(triples(g))
 
     def test_malformed_line_reports_line_number(self, tmp_path):
-        from ltbp.graph import GraphParseError
-
         path = tmp_path / "bad.nt"
         path.write_text('<urn:s> <urn:p> "ok" .\nnot a triple\n')
         with pytest.raises(GraphParseError, match="line 2"):
@@ -667,31 +672,23 @@ class TestNtriples:
     ], ids=["subject", "predicate"])
     def test_stored_literal_rejected_outside_object_position(self, tmp_path,
                                                              second):
-        from ltbp.graph import GraphParseError
-
         path = tmp_path / "bad.nt"
         path.write_text(f'<urn:s> <urn:p> "x" .\n{second}\n')
         with pytest.raises(GraphParseError, match="line 2: expected an IRI"):
             load_ntriples(path)
 
     def test_unknown_datatype_rejected(self, tmp_path):
-        from ltbp.graph import GraphParseError
-
         path = tmp_path / "bad.nt"
         path.write_text('<urn:s> <urn:p> "1"^^<urn:unknown> .\n')
         with pytest.raises(GraphParseError, match="unsupported datatype"):
             load_ntriples(path)
 
     def test_value_equal_literals_keep_their_term_identity(self, tmp_path):
-        objects = [
-            Literal(100),
-            Literal(Decimal("100.00")),
-            Literal(Decimal("1.00")),
-            Literal(Decimal("1.000000")),
+        objects = [f'"100"{_INT}'] + [
+            f'"{text}"^^<{XSD}decimal>' for text in ("100.00", "1.00", "1.000000")
         ]
-        g = Graph()
-        for i, obj in enumerate(objects):
-            g.add(Triple(Iri(f"urn:s{i}"), Iri("urn:p"), obj))
+        g = _load(tmp_path, *(f"<urn:s{i}> <urn:p> {obj} ."
+                              for i, obj in enumerate(objects)))
         first, second = tmp_path / "first.nt", tmp_path / "second.nt"
         export_ntriples(g, first)
         export_ntriples(load_ntriples(first), second)
@@ -700,8 +697,8 @@ class TestNtriples:
         for lexical, dtype in (("100", "integer"), ("100.00", "decimal"),
                                ("1.00", "decimal"), ("1.000000", "decimal")):
             assert f'"{lexical}"^^<{XSD}{dtype}>' in text
-        hits = list(g.match(None, None, Literal(Decimal("1.00"))))
-        assert [t.subject for t in hits] == [Iri("urn:s2")]
+        hits = _match(g, o=Literal(Decimal("1.00")))
+        assert [s for s, _, _ in hits] == [Iri("urn:s2")]
 
     def test_typed_literals_load_as_their_value_text(self, tmp_path):
         path = tmp_path / "forms.nt"
@@ -722,16 +719,14 @@ class TestNtriples:
 
     @given(text=st.text())
     def test_text_literals_round_trip(self, tmp_path_factory, text):
-        g = Graph()
-        g.add(Triple(Iri("urn:s"), Iri("urn:p"), Literal(text)))
+        g = build_graph(Dataset((), (Product("P1", text, "PL-1"),), ()))
         path = tmp_path_factory.mktemp("nt") / "text.nt"
         export_ntriples(g, path)
-        assert list(load_ntriples(path)) == list(g)
+        assert set(triples(load_ntriples(path))) == set(triples(g))
+        assert _match(g, T.product_iri("P1"), T.HAS_BASIC_TYPE, Literal(text))
 
     @pytest.mark.parametrize("char", list(' "{}|^`\\') + ["\x01", "\t"])
     def test_iri_with_forbidden_character_rejected(self, tmp_path, char):
-        from ltbp.graph import GraphParseError
-
         path = tmp_path / "bad.nt"
         path.write_text(
             '<urn:s> <urn:p> "ok" .\n'
@@ -755,8 +750,6 @@ class TestNtriples:
         '"\\uD800"',
     ])
     def test_bad_literal_reports_line_number(self, tmp_path, term):
-        from ltbp.graph import GraphParseError
-
         path = tmp_path / "bad.nt"
         path.write_text(f'<urn:s> <urn:p> "ok" .\n<urn:s> <urn:q> {term} .\n')
         with pytest.raises(GraphParseError, match="line 2"):
@@ -765,8 +758,8 @@ class TestNtriples:
     def test_unicode_escapes_in_literals(self, tmp_path):
         path = tmp_path / "uchar.nt"
         path.write_text('<urn:s> <urn:p> "\\u0041\\U0001F600 \\u00e9" .\n')
-        (triple,) = load_ntriples(path)
-        assert triple.object == Literal("A\U0001F600 é")
+        (triple,) = triples(load_ntriples(path))
+        assert triple[2] == Literal("A\U0001F600 é")
 
     def test_loose_whitespace_loads_like_canonical_layout(self, tmp_path):
         canonical, loose = tmp_path / "canonical.nt", tmp_path / "loose.nt"
@@ -778,4 +771,68 @@ class TestNtriples:
             '  <urn:s>\t<urn:p>   "a b".\n\n'
             f'<urn:s>  <urn:q> "7"^^<{XSD}integer>  . \n'
         )
-        assert list(load_ntriples(loose)) == list(load_ntriples(canonical))
+        assert triples(load_ntriples(loose)) == triples(load_ntriples(canonical))
+
+
+_DEC, _DATE = f"^^<{XSD}decimal>", f"^^<{XSD}date>"
+# Terms to put into a line of an exported graph.nt: escapes good and bad,
+# lexical forms per datatype, unknown or broken datatypes, oversized
+# integers, and terms no position accepts.
+_MUTANT_TERMS = [
+    '"a\\tb\\"c\\\\d\\u00e9\\U0001F600"', '"\\n\\r\\u0085\\u2028"', '"\\u0000"',
+    '"bad \\q"', '"\\uD800"', '"\\u12"', '"\\U00110000"', '"ends in \\"', '"raw " quote"',
+    f'"007"{_INT}', f'"-0"{_INT}', f'"+5"{_INT}', f'"1.5"{_INT}', f'"{"9" * 4300}"{_INT}',
+    f'"{"9" * 5000}"{_INT}', f'"{"0" * 4400}1"{_INT}', f'"+1.0"{_DEC}', f'".5"{_DEC}',
+    f'"1."{_DEC}', f'"-0.0"{_DEC}', f'"1e3"{_DEC}', f'"{"1" * 5000}.5"{_DEC}',
+    f'"2020-02-29"{_DATE}', f'"2021-02-29"{_DATE}', f'"0000-01-01"{_DATE}',
+    '"1"^^<urn:unknown>', f'"1"^^<{XSD}integer', '"x"^^', '"x"@en', '_:b0',
+    "<urn:o>", "<urn:o x>", "<>", "urn:o",
+]
+
+
+@st.composite
+def _mutated_lines(draw, lines):
+    """Lines of an exported graph.nt with a few of their terms replaced and
+    the whitespace around a few of their terms changed."""
+    terms = [[s, p, rest[:-2]] for s, p, rest in (line.split(" ", 2) for line in lines)]
+    gaps = [["", " ", " ", " ", ""] for _ in lines]  # before each term, ".", after
+    blank, space = st.text(" \t", max_size=2), st.text(" \t", min_size=1, max_size=3)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        where = draw(st.sampled_from([2, 2, 2, 3, 3, 0, 1]))  # mostly objects
+        if where == 3:
+            gaps[i] = [draw(blank), draw(space), draw(space), draw(blank), draw(blank)]
+        else:
+            terms[i][where] = draw(st.sampled_from(_MUTANT_TERMS))
+    return ["".join(map("".join, zip(gap, t + ["."]))) + gap[-1]
+            for t, gap in zip(terms, gaps)]
+
+
+class TestGraphFileProperty:
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        dataset = generate_synthetic(
+            GeneratorConfig(seed=5, n_customers=2, n_orders=3, n_products=1))
+        path = tmp_path_factory.mktemp("exported") / "graph.nt"
+        export_ntriples(build_graph(dataset, price_dataset(dataset, PricingConfig())),
+                        path)
+        return path.read_text(encoding="utf-8").splitlines()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_round_trips_or_names_a_line(self, exported, tmp_path_factory,
+                                                      data):
+        lines = data.draw(_mutated_lines(exported))
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        bom = data.draw(st.sampled_from(["", "", "", "\ufeff"]))
+        out = tmp_path_factory.mktemp("mutated")
+        (out / "graph.nt").write_bytes((bom + end.join(lines) + end).encode("utf-8"))
+        try:
+            g = load_ntriples(out / "graph.nt")
+        except GraphParseError as exc:
+            named = re.match(r"line (\d+): ", str(exc))
+            assert named and 1 <= int(named.group(1)) <= len(lines), str(exc)[:200]
+            return
+        export_ntriples(g, out / "first.nt")
+        export_ntriples(load_ntriples(out / "first.nt"), out / "second.nt")
+        assert (out / "second.nt").read_bytes() == (out / "first.nt").read_bytes()

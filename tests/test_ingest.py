@@ -19,7 +19,7 @@ from ltbp.ingest import (
     write_dataset,
     write_manifest,
 )
-from ltbp.model import AccountClass, derive_lead_times, rm_eligible
+from ltbp.model import AccountClass, lead_days, rm_eligible
 
 CUSTOMER_HEADER = "customer_code,account_class,annual_revenue,region\n"
 PRODUCT_HEADER = "product_number,basic_type,product_line\n"
@@ -185,8 +185,7 @@ class TestLoadOrders:
         assert order.quantity == 5
         assert order.original_price == Decimal("123.45")
         assert order.order_date == date(2020, 1, 1)
-        lt = derive_lead_times(order)
-        assert (lt.olt_requested, lt.olt_confirmed, lt.sdt) == (10, 5, 20)
+        assert lead_days(order) == (10, 5, 20)
 
     def test_dangling_customer(self, customer_file, product_file, tmp_path):
         customers = load_customers(customer_file)
@@ -300,8 +299,8 @@ class TestGenerator:
         )
         assert reloaded == dataset
         for order in dataset.orders:
-            lt = derive_lead_times(order)
-            assert lt.sdt > 0 and lt.olt_confirmed >= 1
+            _, confirmed, standard = lead_days(order)
+            assert standard > 0 and confirmed >= 1
 
     def test_class_fractions_ordered(self):
         dataset = generate_synthetic(GeneratorConfig(seed=42, n_orders=6000))
@@ -311,8 +310,8 @@ class TestGenerator:
         for order in dataset.orders:
             cls = class_of[order.customer_code]
             totals[cls] += 1
-            lt = derive_lead_times(order)
-            if rm_eligible(lt.olt_requested, lt.sdt):
+            requested, _, standard = lead_days(order)
+            if rm_eligible(requested, standard):
                 eligible[cls] += 1
         fraction = {cls: eligible[cls] / totals[cls] for cls in AccountClass}
         assert (

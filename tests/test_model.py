@@ -11,13 +11,12 @@ from ltbp.model import (
     AccountClass,
     Customer,
     InvalidField,
-    LeadTimes,
     Order,
     PricingConfig,
     adjustment_factor,
     class_for_revenue,
     class_matches_revenue,
-    derive_lead_times,
+    lead_days,
     rm_eligible,
 )
 from tests.conftest import make_order
@@ -39,28 +38,27 @@ class TestAccountClass:
 class TestDeriveLeadTimes:
     def test_same_day_request(self):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 0, 5, 20)
-        assert derive_lead_times(order).olt_requested == 0
+        assert lead_days(order)[0] == 0
 
     def test_confirmed_ten_days(self):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 3, 10, 20)
-        assert derive_lead_times(order).olt_confirmed == 10
+        assert lead_days(order)[1] == 10
 
     def test_sdt_twenty_days(self):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 3, 10, 20)
-        assert derive_lead_times(order).sdt == 20
+        assert lead_days(order)[2] == 20
 
     def test_crosses_month_boundary(self):
         order = Order(
             "O1", "C1", "P1", 1, Decimal("10.00"),
             date(2020, 1, 25), date(2020, 2, 4), date(2020, 2, 14), date(2020, 2, 24),
         )
-        lt = derive_lead_times(order)
-        assert (lt.olt_requested, lt.olt_confirmed, lt.sdt) == (10, 20, 30)
+        assert lead_days(order) == (10, 20, 30)
 
     @given(req=st.integers(0, 400), conf=st.integers(0, 400), sdt=st.integers(1, 400))
     def test_sdt_always_positive(self, req, conf, sdt):
         order = make_order("O1", "C1", "P1", date(2018, 6, 1), req, conf, sdt)
-        assert derive_lead_times(order).sdt > 0
+        assert lead_days(order)[2] > 0
 
 
 class TestRmEligible:
@@ -136,10 +134,6 @@ class TestValidation:
     def test_standard_date_must_follow_order_date(self):
         with pytest.raises(ValueError):
             make_order("O1", "C1", "P1", date(2020, 1, 1), 1, 1, 0)
-
-    def test_lead_times_reject_zero_sdt(self):
-        with pytest.raises(ValueError):
-            LeadTimes(0, 0, 0)
 
 
 class TestPricingConfig:

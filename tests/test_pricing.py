@@ -16,14 +16,13 @@ from ltbp.model import (
     Customer,
     PricingConfig,
     Product,
-    derive_lead_times,
+    lead_days,
     float_to_money,
     to_money,
 )
 from ltbp.pricing import (
     CustomerStats,
     LogDomainError,
-    behavior_series,
     compute_premium,
     compute_rmd,
     compute_rsd,
@@ -37,14 +36,22 @@ from tests.oracles import oracle_totals, priced_orders_oracle
 ratios = st.floats(min_value=0.01, max_value=2.0, allow_nan=False)
 
 
+def stats_of(orders):
+    """``price_dataset``'s stats of customer C1, who placed ``orders``."""
+    customers = (Customer("C1", AccountClass.KEY, Decimal("20000000.00")),)
+    products = (Product("P1", "BT-A", "PL-1"),)
+    dataset = Dataset(customers, products, tuple(orders))
+    return price_dataset(dataset, PricingConfig()).stats[0]
+
+
 class TestBehaviorSeries:
     def test_no_eligible_orders(self):
         orders = [make_order("O1", "C1", "P1", date(2020, 1, 1), 20, 5, 20)]
-        assert behavior_series(orders) == []
+        assert stats_of(orders) == CustomerStats("C1", 0, 0.0, 0.0)
 
     def test_single_ratio(self):
         orders = [make_order("O1", "C1", "P1", date(2020, 1, 1), 10, 5, 20)]
-        assert behavior_series(orders) == [0.5]
+        assert stats_of(orders) == CustomerStats("C1", 1, 0.0, 0.0)
 
     def test_mixed_eligibility_chronological(self):
         orders = [
@@ -52,15 +59,9 @@ class TestBehaviorSeries:
             make_order("O1", "C1", "P1", date(2020, 1, 1), 10, 5, 20),  # 0.5
             make_order("O3", "C1", "P1", date(2020, 2, 1), 25, 5, 20),  # late
         ]
-        assert behavior_series(orders) == [0.5, 0.25]
-
-    def test_rejects_mixed_customers(self):
-        orders = [
-            make_order("O1", "C1", "P1", date(2020, 1, 1), 10, 5, 20),
-            make_order("O2", "C2", "P1", date(2020, 1, 2), 10, 5, 20),
-        ]
-        with pytest.raises(ValueError, match="multiple customers"):
-            behavior_series(orders)
+        assert stats_of(orders) == CustomerStats(
+            "C1", 2, compute_rsd([0.5, 0.25]), compute_rmd([0.5, 0.25])
+        )
 
 
 class TestStats:
@@ -104,12 +105,7 @@ class TestStats:
             make_order(f"O{i}", "C1", "P1", date(2018, 1, 1), r * k, 1, sdt * k)
             for i, r in enumerate(requested)
         ]
-        assert compute_rsd(behavior_series(base)) == compute_rsd(
-            behavior_series(scaled)
-        )
-        assert compute_rmd(behavior_series(base)) == compute_rmd(
-            behavior_series(scaled)
-        )
+        assert stats_of(base) == stats_of(scaled)
 
 
 class TestComputePremium:
@@ -153,28 +149,28 @@ class TestRmPrice:
 
     def test_premium_one_keeps_original(self):
         order = self.order()
-        lt = derive_lead_times(order)
+        _, confirmed, sdt = lead_days(order)
         p_o = float(order.original_price)
-        assert rm_price(p_o, lt.olt_confirmed, lt.sdt, 1.0) == 100.0
+        assert rm_price(p_o, confirmed, sdt, 1.0) == 100.0
 
     def test_confirmed_at_standard_keeps_original(self):
         order = self.order(confirmed=10, sdt=10)
-        lt = derive_lead_times(order)
+        _, confirmed, sdt = lead_days(order)
         p_o = float(order.original_price)
-        assert rm_price(p_o, lt.olt_confirmed, lt.sdt, 1.5) == 100.0
+        assert rm_price(p_o, confirmed, sdt, 1.5) == 100.0
 
     def test_worked_example(self):
         order = self.order(confirmed=5, sdt=10)
-        lt = derive_lead_times(order)
+        _, confirmed, sdt = lead_days(order)
         p_o = float(order.original_price)
-        value = rm_price(p_o, lt.olt_confirmed, lt.sdt, 1.5)
+        value = rm_price(p_o, confirmed, sdt, 1.5)
         assert value == pytest.approx(125.0, abs=1e-9)
 
     def test_slower_than_standard_never_discounts(self):
         order = self.order(confirmed=15, sdt=10)
-        lt = derive_lead_times(order)
+        _, confirmed, sdt = lead_days(order)
         p_o = float(order.original_price)
-        assert rm_price(p_o, lt.olt_confirmed, lt.sdt, 2.0) == 100.0
+        assert rm_price(p_o, confirmed, sdt, 2.0) == 100.0
 
     @given(
         price=st.decimals(min_value="0.01", max_value="99999.99", places=2),
@@ -185,9 +181,9 @@ class TestRmPrice:
     def test_bounds(self, price, confirmed, sdt, prem):
         order = self.order(price=str(price), requested=0, confirmed=confirmed,
                            sdt=sdt)
-        lt = derive_lead_times(order)
+        _, olt_confirmed, olt_sdt = lead_days(order)
         p_o = float(order.original_price)
-        value = rm_price(p_o, lt.olt_confirmed, lt.sdt, round(prem, 6))
+        value = rm_price(p_o, olt_confirmed, olt_sdt, round(prem, 6))
         assert float(price) <= value <= float(price) * 2.0 + 1e-9
 
     @given(
@@ -195,32 +191,32 @@ class TestRmPrice:
     )
     def test_deeper_expedite_larger_price(self, conf1, conf2, sdt):
         lo, hi = sorted((conf1, conf2))
-        lt = derive_lead_times(self.order(requested=0, confirmed=lo, sdt=sdt))
-        deep = rm_price(100.0, lt.olt_confirmed, lt.sdt, 1.5)
-        lt = derive_lead_times(self.order(requested=0, confirmed=hi, sdt=sdt))
-        shallow = rm_price(100.0, lt.olt_confirmed, lt.sdt, 1.5)
+        _, confirmed, days = lead_days(self.order(requested=0, confirmed=lo, sdt=sdt))
+        deep = rm_price(100.0, confirmed, days, 1.5)
+        _, confirmed, days = lead_days(self.order(requested=0, confirmed=hi, sdt=sdt))
+        shallow = rm_price(100.0, confirmed, days, 1.5)
         assert deep >= shallow
 
 
 class TestConvexPrice:
     def test_confirmed_at_standard_keeps_original(self, config):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 10, 10)
-        lt = derive_lead_times(order)
-        assert convex_price(100.0, lt.olt_confirmed, lt.sdt, config.convex_alpha) == 100.0
+        _, confirmed, sdt = lead_days(order)
+        assert convex_price(100.0, confirmed, sdt, config.convex_alpha) == 100.0
 
     def test_worked_example(self, config):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 5, 10)
-        lt = derive_lead_times(order)
+        _, confirmed, sdt = lead_days(order)
         expected = 100.0 * (1.0 - 0.5 * math.log(0.5))
-        value = convex_price(100.0, lt.olt_confirmed, lt.sdt, config.convex_alpha)
+        value = convex_price(100.0, confirmed, sdt, config.convex_alpha)
         assert value == pytest.approx(expected, abs=1e-9)
         assert round(value, 2) == 134.66
 
     def test_zero_confirmed_lead_time_raises(self, config):
         order = make_order("O1", "C1", "P1", date(2020, 1, 1), 2, 0, 10)
-        lt = derive_lead_times(order)
+        _, confirmed, sdt = lead_days(order)
         with pytest.raises(LogDomainError):
-            convex_price(100.0, lt.olt_confirmed, lt.sdt, config.convex_alpha)
+            convex_price(100.0, confirmed, sdt, config.convex_alpha)
 
 
 class TestPriceDataset:
@@ -344,7 +340,7 @@ class TestOnePass:
 
     def test_peak_above_the_result_per_order(self, config):
         # The result is what price_dataset keeps. A per-order object held
-        # through the pass, such as a LeadTimes per order (83 bytes/order),
+        # through the pass, such as a lead-time object per order (83 bytes),
         # shows as traced peak above it.
         dataset = generate_synthetic(GeneratorConfig(seed=5, n_orders=20_000))
         tracemalloc.start()
@@ -371,8 +367,8 @@ class TestOnePass:
         result = price_dataset(small_dataset, config)
         by_number = {p.order_number: p for p in result.priced_orders}
         for order in small_dataset.orders:
-            lt = derive_lead_times(order)
-            if lt.olt_confirmed < lt.sdt:
+            _, confirmed, sdt = lead_days(order)
+            if confirmed < sdt:
                 continue
             priced = by_number[order.order_number]
             for price in (priced.rm, priced.convex):
@@ -394,9 +390,8 @@ class TestOnePass:
         assert result.premiums[0].premium == Decimal(P_MAX_MAX).quantize(
             Decimal("0.000001"))
         first = result.priced_orders[0]
-        lt = derive_lead_times(orders[0])
+        _, confirmed, sdt = lead_days(orders[0])
         p_o, premium = float(MONEY_MAX), float(result.premiums[0].premium)
-        confirmed, sdt = lt.olt_confirmed, lt.sdt
         assert first.rm == to_money(rm_price(p_o, confirmed, sdt, premium))
         assert first.convex == to_money(
             convex_price(p_o, confirmed, sdt, config.convex_alpha))

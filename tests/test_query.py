@@ -154,6 +154,17 @@ class TestErrors:
         with pytest.raises(QuerySyntaxError, match="integer"):
             parse_query("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1.5")
 
+    @pytest.mark.parametrize("text, column", [
+        ("SELECT ?o WHERE {\n  ?o :hasQuantity BIG }", 19),
+        ("SELECT ?o WHERE {\n  ?o :hasQuantity ?q FILTER(?q > BIG) }", 34),
+        ("SELECT ?o WHERE { ?o :hasQuantity ?q }\nLIMIT BIG", 7),
+    ], ids=["pattern", "filter", "limit"])
+    def test_integer_over_the_digit_limit_is_positioned(self, text, column):
+        # int() refuses text of more than 4,300 digits with a ValueError.
+        with pytest.raises(QuerySyntaxError, match="too many digits") as raised:
+            parse_query(text.replace("BIG", "9" * 5000))
+        assert (raised.value.line, raised.value.column) == (2, column)
+
 
 def _quantity_filter(expr):
     return f"SELECT ?o WHERE {{ ?o :hasQuantity ?q FILTER({expr}) }}"
