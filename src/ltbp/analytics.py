@@ -16,14 +16,13 @@ exports carry each class's CQ2 share alongside its spread.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from .graph import Graph, GraphError, evaluate
-from .ingest import write_csv
+from .graph import Graph, GraphError, evaluate, quantized
+from .ingest import write_csv, write_json
 from .model import AccountClass, to_factor, to_money
 from .query import parse_query
 
@@ -126,7 +125,8 @@ def cq1_top_customers(graph: Graph, n: int = 20) -> list[CustomerRevenue]:
         return []
     table = evaluate(graph, parse_query(_CQ1_QUERY.format(n=n)))
     return [
-        CustomerRevenue(code, to_money(total)) for code, total in table.rows
+        CustomerRevenue(code, quantized(to_money, total, f"RM total of {code}"))
+        for code, total in table.rows
     ]
 
 
@@ -190,7 +190,11 @@ def cq4_initial_selection(graph: Graph, k: int) -> list[PairRevenue]:
         return []
     table = evaluate(graph, parse_query(_CQ4_QUERY))
     pairs = [
-        PairRevenue(code, pnum, to_money(rmsum) - to_money(origsum))
+        PairRevenue(
+            code, pnum,
+            quantized(to_money, rmsum, f"RM total of ({code}, {pnum})")
+            - quantized(to_money, origsum, f"original total of ({code}, {pnum})"),
+        )
         for code, pnum, rmsum, origsum in table.rows
     ]
     pairs.sort(key=lambda p: -p.revenue_delta)  # stable: ties stay id-ascending
@@ -220,73 +224,52 @@ def _fraction_text(fraction: Optional[float]) -> Optional[str]:
     return None if fraction is None else f"{fraction:.6f}"
 
 
+def _cq_tables(report: CqReport) -> dict[str, tuple[list[str], list[list]]]:
+    """Each CQ's header and rows of cells, as both exports write them; the
+    CSVs add a rank to cq1, cq2 and cq4. A fraction of None writes as an
+    empty CSV cell and as JSON null."""
+    fractions = dict(report.occurrence_ranking)
+    return {
+        "cq1": (["customer_code", "total_rm_revenue"], [
+            [row.customer_code, str(row.total_rm)] for row in report.top_customers
+        ]),
+        "cq2": (["account_class", "eligible_fraction"], [
+            [cls.value, _fraction_text(fraction)]
+            for cls, fraction in report.occurrence_ranking
+        ]),
+        "cq3": (["account_class", "max_premium", "min_premium", "avg_premium",
+                 "eligible_fraction"], [
+            [s.account_class.value, *(
+                str(quantized(to_factor, v, f"premium of class {s.account_class}"))
+                for v in (s.max_premium, s.min_premium, s.avg_premium)
+            ), _fraction_text(fractions.get(s.account_class))]
+            for s in report.class_stats
+        ]),
+        "cq4": (["customer_code", "product_number", "revenue_delta"], [
+            [row.customer_code, row.product_number, str(row.revenue_delta)]
+            for row in report.pair_selection
+        ]),
+    }
+
+
+_RANKED = ("cq1", "cq2", "cq4")
+
+
 def write_cq_csvs(report: CqReport, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {name: out / f"{name}.csv" for name in ("cq1", "cq2", "cq3", "cq4")}
-    fractions = dict(report.occurrence_ranking)
-    write_csv(paths["cq1"], ["rank", "customer_code", "total_rm_revenue"], (
-        [rank, row.customer_code, row.total_rm]
-        for rank, row in enumerate(report.top_customers, start=1)
-    ))
-    write_csv(paths["cq2"], ["rank", "account_class", "eligible_fraction"], (
-        [rank, cls.value, _fraction_text(fraction)]
-        for rank, (cls, fraction) in enumerate(report.occurrence_ranking, start=1)
-    ))
-    write_csv(
-        paths["cq3"],
-        ["account_class", "max_premium", "min_premium", "avg_premium",
-         "eligible_fraction"],
-        (
-            [s.account_class.value, to_factor(s.max_premium),
-             to_factor(s.min_premium), to_factor(s.avg_premium),
-             _fraction_text(fractions.get(s.account_class))]
-            for s in report.class_stats
-        ),
-    )
-    write_csv(
-        paths["cq4"],
-        ["rank", "customer_code", "product_number", "revenue_delta"],
-        (
-            [rank, row.customer_code, row.product_number, row.revenue_delta]
-            for rank, row in enumerate(report.pair_selection, start=1)
-        ),
-    )
+    paths = {}
+    for name, (header, rows) in _cq_tables(report).items():
+        if name in _RANKED:
+            header = ["rank", *header]
+            rows = [[rank, *row] for rank, row in enumerate(rows, start=1)]
+        paths[name] = out / f"{name}.csv"
+        write_csv(paths[name], header, rows)
     return paths
 
 
 def write_cq_json(report: CqReport, path) -> None:
-    fractions = dict(report.occurrence_ranking)
-    payload = {
-        "cq1": [
-            {"customer_code": r.customer_code, "total_rm_revenue": str(r.total_rm)}
-            for r in report.top_customers
-        ],
-        "cq2": [
-            {"account_class": cls.value, "eligible_fraction": _fraction_text(f)}
-            for cls, f in report.occurrence_ranking
-        ],
-        "cq3": [
-            {
-                "account_class": s.account_class.value,
-                "max_premium": str(to_factor(s.max_premium)),
-                "min_premium": str(to_factor(s.min_premium)),
-                "avg_premium": str(to_factor(s.avg_premium)),
-                "eligible_fraction": _fraction_text(
-                    fractions.get(s.account_class)
-                ),
-            }
-            for s in report.class_stats
-        ],
-        "cq4": [
-            {
-                "customer_code": r.customer_code,
-                "product_number": r.product_number,
-                "revenue_delta": str(r.revenue_delta),
-            }
-            for r in report.pair_selection
-        ],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_json(path, {
+        name: [dict(zip(header, row)) for row in rows]
+        for name, (header, rows) in _cq_tables(report).items()
+    })

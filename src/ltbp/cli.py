@@ -17,10 +17,11 @@ import gc
 import logging
 import sys
 from datetime import date
+from decimal import Decimal
 from pathlib import Path
 
 from . import analytics, graph as graphmod, ingest, pricing, report as reportmod
-from .model import AccountClass, InvalidField, PricingConfig
+from .model import DEFAULT_RHO, AccountClass, InvalidField, PricingConfig
 from .query import QueryError, parse_query
 
 log = logging.getLogger("ltbp")
@@ -44,6 +45,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The pricing settings a config file or flag may set; rho_<class> is the
+# adjustment factor of one account class.
 _CONFIG_KEYS = ("alpha", "beta", "p_max", "convex_alpha",
                 "rho_key", "rho_regular", "rho_others")
 
@@ -52,8 +55,8 @@ def _read_text(path) -> str:
     """A small input file's text; text that is not UTF-8 is a data error."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ingest.LoadError(f"{path}: not UTF-8 text: {exc}") from None
+    except UnicodeDecodeError:
+        raise ingest.LoadError(ingest.not_utf8(path)) from None
 
 
 def _checked(config_class, **values):
@@ -87,33 +90,17 @@ def read_config_file(path) -> dict[str, float]:
 
 
 def build_pricing_config(args) -> PricingConfig:
-    values: dict[str, float] = {}
-    if args.config:
-        values.update(read_config_file(args.config))
+    """Each setting from its flag, else the ``--config`` file, else
+    ``PricingConfig``'s default."""
+    values = read_config_file(args.config) if args.config else {}
     for key in _CONFIG_KEYS:
-        override = getattr(args, key, None)
-        if override is not None:
-            values[key] = override
-    rho = dict(
-        zip(
-            (AccountClass.KEY, AccountClass.REGULAR, AccountClass.OTHERS),
-            (values.pop("rho_key", None), values.pop("rho_regular", None),
-             values.pop("rho_others", None)),
-        )
-    )
-    defaults = PricingConfig()
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     rho_table = {
-        cls: (value if value is not None else defaults.rho_table[cls])
-        for cls, value in rho.items()
+        cls: values.pop(f"rho_{cls.value.lower()}", DEFAULT_RHO[cls])
+        for cls in AccountClass
     }
-    return _checked(
-        PricingConfig,
-        alpha=values.get("alpha", defaults.alpha),
-        beta=values.get("beta", defaults.beta),
-        p_max=values.get("p_max", defaults.p_max),
-        convex_alpha=values.get("convex_alpha", defaults.convex_alpha),
-        rho_table=rho_table,
-    )
+    return _checked(PricingConfig, **values, rho_table=rho_table)
 
 
 def _parse_iso(text: str) -> date:
@@ -198,6 +185,8 @@ def _format_cell(value) -> str:
         return f"<{value.value}>"
     if isinstance(value, date):
         return value.isoformat()
+    if isinstance(value, int):  # str() refuses an int of over 4,300 digits
+        return str(Decimal(value))
     return str(value)
 
 
@@ -227,13 +216,8 @@ def cmd_report(args) -> int:
 
 def _add_config_flags(parser) -> None:
     parser.add_argument("--config", help="flat key=value pricing config file")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--p-max", dest="p_max", type=float)
-    parser.add_argument("--convex-alpha", dest="convex_alpha", type=float)
-    parser.add_argument("--rho-key", dest="rho_key", type=float)
-    parser.add_argument("--rho-regular", dest="rho_regular", type=float)
-    parser.add_argument("--rho-others", dest="rho_others", type=float)
+    for key in _CONFIG_KEYS:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
 
 
 def make_parser() -> _Parser:

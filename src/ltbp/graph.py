@@ -7,7 +7,10 @@ shared variables; evaluation adds filters, grouping, aggregates, ordering,
 and limits. Monetary aggregation is exact fixed-point decimal.
 
 Store layout (after vertical partitioning and Hexastore): every term is
-interned once to an int id, and the graph keeps two maps per predicate over
+interned once to an int id, counted up from 0 in order of first appearance.
+Two term tables hold them: ``_ids`` maps a term's N-Triples text to its id,
+so its keys, in insertion order, are the texts by id, and ``_values`` holds
+each id's Iri or literal value. The graph keeps two maps per predicate over
 those ids, ``so: p -> {s: o}`` and ``os: p -> {o: s}``. Each entry holds a
 bare id, and becomes a list of ids only when a second value arrives for the
 same key; an ltbp graph has one object per (subject, predicate) pair, so its
@@ -55,6 +58,7 @@ from decimal import Decimal
 from typing import Iterable, Optional, Sequence, Union
 
 from . import terms as T
+from .ingest import not_utf8
 from .model import Customer, Order, PricingConfig, Product, adjustment_factor, to_factor
 from .query import (
     Arith,
@@ -110,8 +114,9 @@ _XSD_INTEGER = f"{T.XSD}integer"
 _XSD_DECIMAL = f"{T.XSD}decimal"
 _XSD_DATE = f"{T.XSD}date"
 
+# Export escapes what a quoted N-Triples string may not hold raw, and tabs.
 _NT_ESCAPES = str.maketrans(
-    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    {char: f"\\{name}" for name, char in T.ECHAR.items() if char in '\\"\n\r\t'}
 )
 
 
@@ -154,8 +159,7 @@ class Graph:
     """
 
     def __init__(self) -> None:
-        self._ids: dict[str, int] = {}  # N-Triples text -> id
-        self._text: list[str] = []  # id -> N-Triples text
+        self._ids: dict[str, int] = {}  # N-Triples text -> id, in id order
         self._values: list[BindingValue] = []  # id -> Iri or literal value
         self._so: dict[int, dict[int, _Ids]] = {}  # p -> s -> o
         self._os: dict[int, dict[int, _Ids]] = {}  # p -> o -> s
@@ -177,8 +181,7 @@ class Graph:
         """
         tid = self._ids.get(text)
         if tid is None:
-            tid = self._ids[text] = len(self._text)
-            self._text.append(text)
+            tid = self._ids[text] = len(self._values)
             self._values.append(value)
         return tid
 
@@ -632,16 +635,19 @@ def _aggregate(func: str, values: list, alias: str):
         return 0 if func == "SUM" else None
     if func in ("SUM", "AVG"):
         total = 0
-        for v in values:
-            if not _is_number(v):
-                raise EvaluationError(
-                    f"{func} needs numeric values, got {_type_name(v)} "
-                    f"for ?{alias}"
-                )
-            total = total + v
-        if func == "SUM":
-            return total
-        return Decimal(total) / Decimal(len(values))
+        try:
+            for v in values:
+                if not _is_number(v):
+                    raise EvaluationError(
+                        f"{func} needs numeric values, got {_type_name(v)} "
+                        f"for ?{alias}"
+                    )
+                total = total + v
+            if func == "SUM":
+                return total
+            return Decimal(total) / Decimal(len(values))
+        except decimal.Overflow:
+            raise EvaluationError(f"decimal overflow in {func} for ?{alias}") from None
     # MIN / MAX over one comparable kind
     first = values[0]
     kinds = {_type_name(v) for v in values}
@@ -650,6 +656,17 @@ def _aggregate(func: str, values: list, alias: str):
             f"{func} needs one ordered value kind, got {sorted(kinds)} for ?{alias}"
         )
     return min(values) if func == "MIN" else max(values)
+
+
+def quantized(convert, value, name: str) -> Decimal:
+    """``convert(value)``, where ``convert`` is ``to_money`` or ``to_factor``
+    and ``value`` a number read from a graph. A number with more digits than
+    the decimal context holds once quantized is a GraphError naming ``name``
+    and the value; no priced graph holds one."""
+    try:
+        return convert(value)
+    except decimal.InvalidOperation:
+        raise GraphError(f"{name}, {Decimal(value):.6e}, has too many digits") from None
 
 
 def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
@@ -719,7 +736,7 @@ def export_ntriples(graph: Graph, path) -> None:
     and the predicate between lines of one subject. A subject's lines are
     found by probing each predicate's subject map for it.
     """
-    text = graph._text
+    text = list(graph._ids)  # ids count up in insertion order
     maps = sorted(((text[p], so) for p, so in graph._so.items()),
                   key=lambda pair: pair[0])
     seen = bytearray(len(text))  # a flag per term id: far smaller than a set
@@ -749,32 +766,12 @@ _NT_LITERAL = re.compile(r'"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*
 # N-Triples IRIREF excludes controls, space and <>"{}|^`\ (W3C, 2014); other
 # whitespace is excluded too, as the loader splits terms on it.
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20\s<>"{}|^`\\]')
-_NT_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
-_NT_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 # Lexical forms per datatype; decimals as xsd:decimal, which has no exponent.
 _LEXICAL = {
     _XSD_INTEGER: (re.compile(r"[+-]?[0-9]+"), int),
     _XSD_DECIMAL: (re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"), Decimal),
     _XSD_DATE: (re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}"), date.fromisoformat),
 }
-
-
-def _nt_unescape(body: str, lineno: int) -> str:
-    if "\\" not in body:
-        return body
-
-    def replace(m: re.Match) -> str:
-        short, long, char = m.groups()
-        if char is None:
-            code = int(short or long, 16)
-            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                raise GraphParseError(f"line {lineno}: invalid code point {m.group()}")
-            return chr(code)
-        if char not in _NT_UNESCAPES:
-            raise GraphParseError(f"line {lineno}: invalid escape \\{char}")
-        return _NT_UNESCAPES[char]
-
-    return _NT_ESCAPE.sub(replace, body)
 
 
 def _parse_iri(token: str, lineno: int) -> Iri:
@@ -795,7 +792,10 @@ def _parse_object(token: str, lineno: int) -> Union[Iri, Literal]:
     m = _NT_LITERAL.fullmatch(token)
     if m is None:
         raise GraphParseError(f"line {lineno}: malformed object term: {token!r}")
-    body = _nt_unescape(m.group("body"), lineno)
+    try:
+        body = T.unescape(m.group("body"))
+    except ValueError as exc:
+        raise GraphParseError(f"line {lineno}: {exc}") from None
     dtype = m.group("dtype")
     if dtype is None:
         return Literal(body)
@@ -850,6 +850,6 @@ def load_ntriples(path) -> Graph:
                 if o is None:
                     o = graph._intern(_parse_object(o_token, lineno))
                 graph._add_ids(s, p, o)
-        except UnicodeDecodeError as exc:
-            raise GraphParseError(f"{path}: not UTF-8 text: {exc}") from None
+        except UnicodeDecodeError:
+            raise GraphParseError(not_utf8(path)) from None
     return graph

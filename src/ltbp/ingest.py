@@ -123,8 +123,28 @@ def _read_rows(path, header: list[str]):
                         line, header[0], f"expected {len(header)} fields, got {len(row)}"
                     )
                 yield line, row
-        except UnicodeDecodeError as exc:
-            raise LoadError(f"{path}: not UTF-8 text: {exc}") from None
+        except UnicodeDecodeError:
+            raise LoadError(not_utf8(path)) from None
+
+
+def not_utf8(path) -> str:
+    """The error text for a file that failed to decode as UTF-8, naming its
+    first bad line and that byte's offset in the file.
+
+    Called only once decoding has failed: it reads the file again as bytes,
+    line by line. A newline byte never occurs inside a UTF-8 sequence, so a
+    line decodes alone exactly as it does within the file.
+    """
+    offset = 0
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return (f"{path}: line {lineno}: not UTF-8 text: byte "
+                        f"{raw[exc.start]:#04x} at offset {offset + exc.start}")
+            offset += len(raw)
+    return f"{path}: not UTF-8 text"
 
 
 # What a row's cells or entity rules raise; _handle makes each a RowError.
@@ -306,6 +326,13 @@ def load_dataset(
 
 
 # --- writing -----------------------------------------------------------------
+
+
+def write_json(path, payload) -> None:
+    """One JSON file: two-space indent, UTF-8, ``\\n`` line ends, final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -508,6 +535,4 @@ def manifest_dict(config: GeneratorConfig) -> dict:
 
 
 def write_manifest(config: GeneratorConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(manifest_dict(config), handle, indent=2)
-        handle.write("\n")
+    write_json(path, manifest_dict(config))

@@ -19,6 +19,12 @@ built-in prefixes (``:name`` for predicates, plus ``cust:``, ``ord:``,
 ``prod:`` and ``class:`` for entities). Filters support comparisons,
 arithmetic, and ``&&`` / ``||`` / ``!``, nested at most ``MAX_EXPR_DEPTH``
 deep. ``#`` starts a line comment.
+
+A string is written in double quotes on one line and takes the escapes
+N-Triples and SPARQL share: ``\\t``, ``\\b``, ``\\n``, ``\\r``, ``\\f``,
+``\\"``, ``\\'`` and ``\\\\``, and ``\\uXXXX`` / ``\\UXXXXXXXX`` for a code
+point. Any other escape, and a surrogate or a code point past U+10FFFF, is
+a syntax error at the string.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
 
-from .terms import Iri, Literal, PREFIXES, Term, TriplePattern, Variable
+from .terms import Iri, Literal, PREFIXES, Term, TriplePattern, Variable, unescape
 
 
 class QueryError(Exception):
@@ -553,27 +559,11 @@ class _Parser:
         raise self.error(f"expected an expression, found {found!r}")
 
 
-_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-
-
 def _unescape_string(tok: _Token) -> str:
-    body = tok.value[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            i += 1
-            esc = body[i] if i < len(body) else ""
-            if esc not in _STRING_ESCAPES:
-                raise QuerySyntaxError(
-                    f"invalid string escape \\{esc}", tok.line, tok.column
-                )
-            out.append(_STRING_ESCAPES[esc])
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
+    try:
+        return unescape(tok.value[1:-1])
+    except ValueError as exc:
+        raise QuerySyntaxError(str(exc), tok.line, tok.column) from None
 
 
 def parse_query(text: str) -> QuerySpec:

@@ -10,13 +10,13 @@ particular magnitudes.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from .graph import Graph, evaluate
+from .graph import Graph, evaluate, quantized
+from .ingest import write_json
 from .model import AccountClass, PricingConfig, to_money
 from .query import parse_query
 
@@ -83,9 +83,10 @@ def revenue_totals(graph: Graph) -> RevenueComparison:
         raise IncompleteDataError(unpriced)
     table = evaluate(graph, parse_query(TOTALS_QUERY))
     row = table.mappings()[0]
-    total_rm = to_money(row["TotalRMPrice"])
-    total_original = to_money(row["TotalOrginalPrice"])
-    total_convex = to_money(row["TotalConvexPrice"])
+    total_rm, total_original, total_convex = (
+        quantized(to_money, row[column], f"?{column}")
+        for column in ("TotalRMPrice", "TotalOrginalPrice", "TotalConvexPrice")
+    )
     return RevenueComparison(
         total_original=total_original,
         total_rm=total_rm,
@@ -130,6 +131,4 @@ def emit_report(
         "config_fingerprint": None if config is None else config_fingerprint(config),
         "dataset_manifest_ref": manifest_ref,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_json(path, payload)

@@ -9,6 +9,7 @@ under ``urn:ltbp:p:`` and carry the ontology's property names
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
@@ -40,6 +41,31 @@ Term = Union[Iri, Literal, Variable]
 
 
 TriplePattern = tuple  # (Term, Term, Term) with Variables allowed anywhere
+
+
+# The string escapes N-Triples and SPARQL share (W3C, 2014; W3C, 2013):
+# ECHAR, a backslash and one character, and UCHAR, ``\uXXXX`` or
+# ``\UXXXXXXXX``.
+ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+         '"': '"', "'": "'", "\\": "\\"}
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
+
+
+def _unescape_one(m: re.Match) -> str:
+    short, long, char = m.groups()
+    if char is None:
+        code = int(short or long, 16)
+        if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:  # a Unicode scalar
+            return chr(code)
+    elif char in ECHAR:
+        return ECHAR[char]
+    raise ValueError(f"invalid string escape {m.group()}")
+
+
+def unescape(body: str) -> str:
+    """A quoted string's body with its escapes resolved; a bad escape raises
+    ValueError."""
+    return _ESCAPE.sub(_unescape_one, body) if "\\" in body else body
 
 
 def predicate(name: str) -> Iri:

@@ -3,6 +3,7 @@ import filecmp
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -383,8 +384,8 @@ def test_setting_over_bound_is_data_error(tmp_path, capsys, settings):
     assert err.startswith("error: ") and "internal error" not in err
 
 
-def _rewrite_graph(tmp_path, predicate, new_object):
-    out = price(generate(tmp_path / "data"), tmp_path / "run")
+def _rewrite_graph(tmp_path, predicate, new_object, orders=60):
+    out = price(generate(tmp_path / "data", orders=orders), tmp_path / "run")
     graph = out / "graph.nt"
     lines = []
     for line in graph.read_text(encoding="utf-8").splitlines():
@@ -505,3 +506,100 @@ def test_run_pipeline_script_runs_from_a_checkout(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["counts"]["orders"] == 2_000
     assert report["ordering_holds"] is True
+
+
+def _with_bad_byte(path, lineno):
+    """Put byte 0xff into line ``lineno`` of ``path``; its offset in the file."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    path.write_bytes(b"\n".join(lines))
+    return sum(len(line) + 1 for line in lines[:lineno - 1])
+
+
+@pytest.mark.parametrize("target, lineno", [
+    ("orders", 50), ("customers", 5), ("graph", 500), ("query", 3), ("config", 2),
+])
+def test_non_utf8_input_is_named_by_line(tmp_path, capsys, target, lineno):
+    data = generate(tmp_path / "data")
+    graph = price(data, tmp_path / "run") / "graph.nt"
+    query, config = tmp_path / "q.rq", tmp_path / "pricing.cfg"
+    query.write_text("SELECT ?o\nWHERE {\n  ?o :hasQuantity ?q\n}\n")
+    config.write_text("alpha = 1\nbeta = 1\np_max = 2\n")
+    path, args = {
+        "orders": (data / "orders.csv", price_args(data, tmp_path / "out")),
+        "customers": (data / "customers.csv", price_args(data, tmp_path / "out")),
+        "graph": (graph, ["--out-dir", tmp_path / "cq", "analyze", "--graph", graph]),
+        "query": (query, ["query", "--graph", graph, "--query", query]),
+        "config": (config, [*price_args(data, tmp_path / "out"), "--config", config]),
+    }[target]
+    offset = _with_bad_byte(path, lineno)
+    capsys.readouterr()
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {lineno}: not UTF-8 text: byte 0xff at offset {offset}\n"
+    )
+
+
+_PRICING_FLAGS = ["--alpha", "--beta", "--p-max", "--convex-alpha", "--rho-key",
+                  "--rho-regular", "--rho-others"]
+
+
+@pytest.mark.parametrize("command", ["price", "report"])
+def test_help_lists_the_seven_pricing_flags_in_order(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        run([command, "--help"])
+    assert done.value.code == 0
+    flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert flags[flags.index("--config") + 1:] == _PRICING_FLAGS
+    from ltbp.cli import make_parser
+
+    required = {"price": ["--orders", "o", "--portfolio", "c", "--products", "p"],
+                "report": ["--graph", "g"]}[command]
+    for value, flag in enumerate(_PRICING_FLAGS):
+        args = make_parser().parse_args([command, *required, flag, str(value)])
+        assert getattr(args, flag[2:].replace("-", "_")) == value
+
+
+_DECIMAL = "^^<http://www.w3.org/2001/XMLSchema#decimal>"
+
+
+@pytest.mark.parametrize("command, predicate, digits, message", [
+    ("report", "hasRMPrice", 31, "error: ?TotalRMPrice, 6.000000e+32, has too many"),
+    ("analyze", "hasRMPrice", 31, "RM total of "),
+    ("analyze", "hasPremium", 25, "premium of class "),
+])
+def test_number_no_priced_graph_holds_is_data_error(tmp_path, capsys, command,
+                                                    predicate, digits, message):
+    graph = _rewrite_graph(tmp_path, predicate, f'"{"9" * digits}"{_DECIMAL}')
+    args = {"report": ["report", "--graph", graph, "--out", tmp_path / "report.json"],
+            "analyze": ["--out-dir", tmp_path / "cq", "analyze", "--graph", graph]}
+    capsys.readouterr()
+    assert run(args[command]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "has too many digits" in err
+    assert not list(tmp_path.glob("cq/*")) and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("func", ["SUM", "AVG"])
+def test_sum_past_the_decimal_range_is_data_error(tmp_path, capsys, func):
+    nines = f'"{"9" * 1_000_001}"{_DECIMAL}'
+    graph = _rewrite_graph(tmp_path, "hasRMPrice", nines, orders=2)
+    query = tmp_path / "q.rq"
+    query.write_text(f"SELECT ({func}(?p) AS ?t) WHERE {{ ?o :hasRMPrice ?p }}")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 2
+    assert run(["report", "--graph", graph, "--out", tmp_path / "report.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: decimal overflow in {func} for ?t",
+                   "error: decimal overflow in SUM for ?TotalRMPrice"]
+
+
+def test_query_prints_a_sum_past_the_int_text_limit(tmp_path, capsys):
+    # Python's str() of an int stops at 4,300 digits; the loader takes that many.
+    quantity = f'"{"9" * 4300}"^^<http://www.w3.org/2001/XMLSchema#integer>'
+    graph = _rewrite_graph(tmp_path, "hasQuantity", quantity, orders=2)
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT (SUM(?q) AS ?t) WHERE { ?o :hasQuantity ?q }")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 0
+    assert capsys.readouterr().out == f"t\n1{'9' * 4299}8\n"  # twice 4,300 nines

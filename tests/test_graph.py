@@ -15,6 +15,7 @@ import ltbp.terms
 from ltbp.graph import (
     DanglingReferenceError,
     DuplicateSubjectError,
+    EvaluationError,
     FilterTypeError,
     Graph,
     GraphParseError,
@@ -591,6 +592,14 @@ class TestEvaluate:
         table = evaluate(small_graph, spec)
         assert table.rows[0][0] == 5  # O6 requested after its standard date
 
+    @pytest.mark.parametrize("func", ["SUM", "AVG"])
+    def test_sum_past_the_decimal_range_is_an_evaluation_error(self, tmp_path, func):
+        nines = "9" * 1_000_001  # each below the largest Decimal, their sum above
+        g = _load(tmp_path, *(f'<urn:o{i}> <urn:rm> "{nines}"^^<{XSD}decimal> .'
+                              for i in (1, 2)))
+        with pytest.raises(EvaluationError, match=rf"overflow in {func} for \?t"):
+            _rows(g, f"SELECT ({func}(?p) AS ?t) WHERE {{ ?o <urn:rm> ?p }}")
+
 
 class TestNtriples:
     def test_empty_graph_empty_file(self, tmp_path):
@@ -754,6 +763,29 @@ class TestNtriples:
         path.write_text(f'<urn:s> <urn:p> "ok" .\n<urn:s> <urn:q> {term} .\n')
         with pytest.raises(GraphParseError, match="line 2"):
             load_ntriples(path)
+
+    def test_non_utf8_byte_is_named_by_line_and_file_offset(self, tmp_path):
+        # Line 5,001 lies far past the first chunk the text decoder reads.
+        lines = [f'<urn:s{i}> <urn:p> "v" .\n'.encode() for i in range(1, 6001)]
+        lines[5000] = lines[5000].replace(b'"v"', b'"\xff"')
+        path = tmp_path / "bad.nt"
+        path.write_bytes(b"".join(lines))
+        offset = sum(map(len, lines[:5000])) + lines[5000].index(b"\xff")
+        with pytest.raises(GraphParseError) as raised:
+            load_ntriples(path)
+        assert str(raised.value) == (
+            f"{path}: line 5001: not UTF-8 text: byte 0xff at offset {offset}"
+        )
+
+    @pytest.mark.parametrize("escape, char", [
+        *((f"\\{name}", char) for name, char in T.ECHAR.items()),
+        ("\\u00e9", "é"), ("\\U0001F600", "\U0001F600"),
+    ])
+    def test_each_string_escape_loads_and_round_trips(self, tmp_path, escape, char):
+        g = _load(tmp_path, f'<urn:s> <urn:p> "<{escape}>" .')
+        assert [o for _, _, o in triples(g)] == [Literal(f"<{char}>")]
+        export_ntriples(g, tmp_path / "out.nt")
+        assert triples(load_ntriples(tmp_path / "out.nt")) == triples(g)
 
     def test_unicode_escapes_in_literals(self, tmp_path):
         path = tmp_path / "uchar.nt"

@@ -1,8 +1,17 @@
+import contextlib
+import io
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ltbp.graph import FilterTypeError, evaluate
+from ltbp.cli import main
+from ltbp.graph import (
+    FilterTypeError, build_graph, evaluate, export_ntriples, load_ntriples,
+)
+from ltbp.ingest import GeneratorConfig, generate_synthetic
+from ltbp.model import PricingConfig
+from ltbp.pricing import price_dataset
 from ltbp.query import (
     MAX_EXPR_DEPTH,
     Aggregate,
@@ -19,7 +28,7 @@ from ltbp.query import (
     parse_query,
 )
 from ltbp.report import TOTALS_QUERY
-from ltbp.terms import Iri, Literal, Variable
+from ltbp.terms import ECHAR, Iri, Literal, Variable
 
 
 class TestTotalsQuery:
@@ -204,3 +213,190 @@ class TestNestingDepth:
         with pytest.raises(QuerySyntaxError, match="nests deeper than") as excinfo:
             parse_query(_quantity_filter(expr))
         assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+
+class TestStringEscapes:
+    @pytest.mark.parametrize("escape, char", [
+        *((f"\\{name}", char) for name, char in ECHAR.items()),
+        ("\\u00e9", "é"), ("\\U0001F600", "\U0001F600"), ("\\u005C", "\\"),
+    ])
+    def test_escape_reads_as_its_character(self, escape, char):
+        spec = parse_query(f'SELECT ?s WHERE {{ ?s ?p "<{escape}>" }}')
+        assert spec.patterns[0][2] == Literal(f"<{char}>")
+
+    @pytest.mark.parametrize("literal", ['"\\u00e9"', '"\\U000000E9"', '"é"'])
+    def test_code_point_escape_matches_the_graph_literal(self, tmp_path, literal):
+        path = tmp_path / "g.nt"
+        path.write_text('<urn:a> <urn:p> "é" .\n<urn:b> <urn:p> "e" .\n',
+                        encoding="utf-8")
+        g = load_ntriples(path)
+        for query in (f"SELECT ?s WHERE {{ ?s <urn:p> {literal} }}",
+                      f"SELECT ?s WHERE {{ ?s <urn:p> ?v FILTER(?v = {literal}) }}"):
+            assert evaluate(g, parse_query(query)).rows == [(Iri("urn:a"),)]
+
+    @pytest.mark.parametrize("body, message", [
+        ("\\q", "invalid string escape \\q"),
+        ("\\u12", "invalid string escape \\u"),
+        ("\\uD800", "invalid string escape \\uD800"),
+        ("\\U00110000", "invalid string escape \\U00110000"),
+    ])
+    @pytest.mark.parametrize("where, column", [
+        ("pattern", 15), ("filter", 30),
+    ])
+    def test_bad_escape_is_a_syntax_error_at_the_string(self, body, message, where,
+                                                       column):
+        tail = {"pattern": f'"{body}" }}', "filter": f'?o FILTER(?o = "{body}") }}'}
+        text = "SELECT ?s\nWHERE { ?s ?p " + tail[where]
+        with pytest.raises(QuerySyntaxError) as raised:
+            parse_query(text)
+        assert (raised.value.line, raised.value.column) == (2, column)
+        assert str(raised.value) == f"line 2, column {column}: {message}"
+
+
+# --- query-file property ---------------------------------------------------
+
+_VARS = ["?o", "?c", "?q", "?p", "?rm", "?code", "?d"]
+_IRIS = [":wasPlacedBy", ":hasQuantity", ":hasRMPrice", ":hasCustomerCode",
+         ":hasPremium", ":hasAccountType", ":hasOrderDate", "<urn:ltbp:p:hasRegion>",
+         "class:Customer", "<urn:ltbp:p:type>"]
+# Strings with escapes good and bad; numbers within and past the digit limits.
+_STRINGS = ['"Key"', '"C0001"', '"\\u00e9"', '"\\U0001F600"', '"a\\tb\\"c\\\\d\\\'"']
+_NUMBERS = ["0", "1", "2.5", "9" * 30]
+_BAD = ['"\\q"', '"\\uD800"', '"\\u12"', '"\\U00110000"', '"\\"', '"open', "nope:x",
+        "<>", "9" * 5000, "1" * 60_000 + ".5", "@"]
+_KEYWORDS = ["SELECT", "WHERE", "FILTER", "GROUP", "ORDER", "BY", "ASC", "DESC",
+             "LIMIT", "AS", "FROM", "SUM", "AVG", "MIN", "MAX", "COUNT", "MEDIAN"]
+_COMPARISONS = ["=", "!=", "<", "<=", ">", ">="]
+_ARITHMETIC = ["+", "-", "*", "/"]
+_VOCABULARY = (_VARS + _IRIS + _STRINGS + _NUMBERS + _BAD + _KEYWORDS + _COMPARISONS
+               + _ARITHMETIC + ["&&", "||", "{", "}", "(", ")", ".", "!", "#"])
+
+
+@st.composite
+def _filter_tokens(draw, names, depth=0):
+    """A boolean filter expression over ``names``, as tokens."""
+    def operand():
+        atom = draw(st.sampled_from(names * 3 + _STRINGS + _NUMBERS))
+        kind = draw(st.sampled_from(["atom", "atom", "arith", "negated"]))
+        if kind == "arith":
+            return [atom, draw(st.sampled_from(_ARITHMETIC)),
+                    draw(st.sampled_from(names + _NUMBERS))]
+        return ["-", atom] if kind == "negated" else [atom]
+
+    kind = draw(st.sampled_from(["compare", "compare", "and", "not", "parens"]))
+    if depth == 2 or kind == "compare":
+        return [*operand(), draw(st.sampled_from(_COMPARISONS)), *operand()]
+    if kind == "and":
+        left, right = draw(_filter_tokens(names, depth + 1)), draw(
+            _filter_tokens(names, depth + 1))
+        return [*left, draw(st.sampled_from(["&&", "||"])), *right]
+    inner = ["(", *draw(_filter_tokens(names, depth + 1)), ")"]
+    return ["!", *inner] if kind == "not" else inner
+
+
+@st.composite
+def _query_tokens(draw):
+    """The tokens of a query drawn from the grammar in ``ltbp.query``."""
+    subjects = st.sampled_from(_VARS + ["cust:C0001", '"Key"'])
+    predicates = st.sampled_from(_VARS[:2] + _IRIS * 2)
+    objects = st.sampled_from(_VARS * 3 + _IRIS + _STRINGS + _NUMBERS)
+    patterns = [[draw(subjects), draw(predicates), draw(objects)]
+                for _ in range(draw(st.integers(1, 3)))]
+    names = sorted({t for p in patterns for t in p if t.startswith("?")}) or ["?o"]
+    name = st.sampled_from(names)
+    bare = draw(st.lists(name, max_size=2, unique=True))
+    aggregates = draw(st.lists(st.tuples(
+        st.sampled_from(["SUM", "AVG", "MIN", "MAX", "COUNT"]), name), max_size=2))
+    if not bare and not aggregates:
+        bare = [draw(name)]
+    tokens = ["SELECT", *bare]
+    for n, (func, var) in enumerate(aggregates):
+        tokens += ["(", func, "(", var, ")", "AS", f"?agg{n}", ")"]
+    if draw(st.integers(0, 9)) == 0:
+        tokens += ["FROM", "<urn:g>"]
+    tokens += ["WHERE", "{"]
+    for pattern in patterns:
+        tokens += [*pattern, "."]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens += ["FILTER", "(", *draw(_filter_tokens(names)), ")"]
+    tokens.append("}")
+    if aggregates and bare or draw(st.integers(0, 3)) == 0:
+        tokens += ["GROUP", "BY", *(bare or [draw(name)])]
+    if draw(st.booleans()):
+        keys = bare + [f"?agg{n}" for n in range(len(aggregates))]
+        tokens += ["ORDER", "BY", *draw(st.sampled_from([[], ["ASC"], ["DESC"]])),
+                   draw(st.sampled_from(keys))]
+    if draw(st.booleans()):
+        tokens += ["LIMIT", draw(st.sampled_from(["0", "3", "9" * 40, "1.5", "-1"]))]
+    return tokens
+
+
+@st.composite
+def _query_texts(draw):
+    """A grammar-built query with a few mutations: tokens dropped, swapped,
+    repeated, inserted or made bad, keywords exchanged, and nesting added."""
+    tokens = draw(_query_tokens())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        kind = draw(st.sampled_from(["drop", "swap", "repeat", "insert", "bad",
+                                     "keyword", "nest"]))
+        if kind == "drop" and len(tokens) > 1:
+            del tokens[i]
+        elif kind == "swap" and i + 1 < len(tokens):
+            tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+        elif kind == "repeat":
+            tokens.insert(i, tokens[i])
+        elif kind == "insert":
+            tokens.insert(i, draw(st.sampled_from(_VOCABULARY)))
+        elif kind == "bad":
+            tokens[i] = draw(st.sampled_from(_BAD))
+        elif kind == "keyword" and tokens[i] in _KEYWORDS:
+            tokens[i] = draw(st.sampled_from(_KEYWORDS))
+        elif kind == "nest":
+            opener = draw(st.sampled_from(["(", "!", "-"]))
+            depth = draw(st.sampled_from([1, 63, 64, 65, 300]))
+            j = draw(st.integers(i, len(tokens)))
+            closers = [")"] * depth if opener == "(" else []
+            tokens[i:j] = [opener] * depth + tokens[i:j] + closers
+    gaps = st.sampled_from([" ", " ", "\n", "\t", "  # note\n"])
+    return "".join(token + draw(gaps) for token in tokens)
+
+
+def _assert_positioned(exc: QuerySyntaxError, text: str) -> None:
+    lines = text.split("\n")
+    assert 1 <= exc.line <= len(lines), str(exc)[:200]
+    assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1, str(exc)[:200]
+    assert str(exc).startswith(f"line {exc.line}, column {exc.column}: ")
+
+
+class TestQueryFileProperty:
+    @pytest.fixture(scope="class")
+    def graph_file(self, tmp_path_factory):
+        dataset = generate_synthetic(
+            GeneratorConfig(seed=5, n_customers=2, n_orders=2, n_products=1))
+        path = tmp_path_factory.mktemp("graph") / "graph.nt"
+        export_ntriples(build_graph(dataset, price_dataset(dataset, PricingConfig())),
+                        path)
+        return path
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_query_texts())
+    @example(text='SELECT ?s WHERE { ?s ?p "\\u00e9" }')
+    @example(text='SELECT ?s WHERE { ?s ?p "\\q" }')
+    def test_text_parses_or_is_a_positioned_syntax_error(self, text):
+        try:
+            parse_query(text)
+        except QuerySyntaxError as exc:
+            _assert_positioned(exc, text)
+        except QueryValidationError:
+            pass  # parsed: validation runs on the parsed query
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_query_texts())
+    def test_query_command_exits_0_or_2(self, graph_file, tmp_path_factory, text):
+        query = tmp_path_factory.mktemp("query") / "q.rq"
+        query.write_bytes(text.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["query", "--graph", str(graph_file), "--query", str(query)])
+        assert code in (0, 2), err.getvalue()[-2000:]
