@@ -18,9 +18,11 @@ same key; an ltbp graph has one object per (subject, predicate) pair, so its
 that predicate's maps: ``so`` when the subject is bound, ``os`` otherwise.
 One with an unbound predicate tries each predicate's maps in turn; one with
 nothing bound scans ``so``. ``Graph.match`` takes and yields ids only. A
-query joins its patterns in greedy order over rows of ids, looking each
-row's triples up through ``Graph.match``; its filters run once every pattern
-is joined.
+query joins its patterns in greedy order over rows of ids. A step with its
+subject or object bound probes the predicate's ``so`` or ``os`` map once
+per row, with no ``Graph.match`` call; a step with neither bound scans the
+predicate through one ``Graph.match`` call per row. Its filters run once
+every pattern is joined.
 
 A term's identity is the N-Triples text it exports as, so a literal is its
 lexical form plus datatype. ``100`` (integer), ``100.00`` and ``1.00``
@@ -145,6 +147,8 @@ _MISSING = -1  # id of a term the graph does not hold; it matches nothing
 
 _Ids = Union[int, list]  # one id, or a list of two or more
 
+_NO_ENTRIES: dict = {}  # the map of a predicate the graph does not hold
+
 
 def _each(ids: _Ids):
     """The ids an index entry holds."""
@@ -227,9 +231,10 @@ class Graph:
 
         A bound predicate is one lookup in its map; an unbound one tries every
         predicate's map in turn. A list, except for the lazy scan of the whole
-        store when none is given. Query joins look triples up here, so a
-        wrapper on this method (as in ``perfbench/tracer.py``) sees every
-        lookup a query makes.
+        store when none is given. A query's join calls this only for a step
+        with neither subject nor object bound, once per row; its other steps
+        read the maps directly. So a wrapper on this method (as in
+        ``perfbench/tracer.py``) counts a query's scan steps, not its lookups.
         """
         if p is not None:
             return self._lookup(s, p, o)
@@ -452,22 +457,58 @@ def _plan(graph: Graph, patterns: Sequence[tuple]):
 
 
 def _join(graph: Graph, cells, bound, rows: list[list]) -> list[list]:
-    """Extend every row by each triple matching the step's pattern."""
+    """Extend every row by each triple matching the step's pattern.
+
+    A step with its subject or object bound probes a predicate's maps for the
+    whole row list: ``so`` by subject, or ``os`` by object, and a membership
+    test when both are bound. A predicate that is a variable runs the same
+    probe per row over its candidates: the row's own predicate once an earlier
+    step binds it, every predicate in turn while it is unbound. A step with
+    neither bound scans through ``Graph.match``; in every ltbp query its only
+    row is the start row. Rows come out in row order, each row's extensions in
+    the order ``Graph.match`` yields their triples. A row that gains one value
+    is extended in place, as no other row shares it.
+    """
     cs, cp, co = cells
-    free = [(k, cell) for k, (cell, b) in enumerate(zip(cells, bound)) if not b]
-    match = graph.match
+    bs, bp, bo = bound
     out = []
-    for row in rows:
-        for triple in match(row[cs], row[cp], row[co]):
-            new = row.copy()
-            for k, cell in free:
-                seen = new[cell]
-                if seen is None:
-                    new[cell] = triple[k]
-                elif seen != triple[k]:  # same variable twice within one pattern
-                    break
-            else:
+    if not (bs or bo):
+        # same variable twice within one pattern: its positions must agree
+        same = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if cells[i] == cells[j]]
+        for row in rows:
+            for triple in graph.match(None, row[cp] if bp else None, None):
+                if same and any(triple[i] != triple[j] for i, j in same):
+                    continue
+                new = row.copy()
+                new[cs], new[cp], new[co] = triple
                 out.append(new)
+        return out
+    index = graph._so if bs else graph._os
+    key_cell, cell = (cs, co) if bs else (co, cs)  # cell: what a probe yields
+    member = bs and bo  # both bound: a membership test
+    clash = not bp and cp == cell  # ?s ?x ?x: the predicate must equal the value
+    append = out.append
+    for row in rows:
+        key = row[key_cell]
+        for p in (row[cp],) if bp else graph._so:
+            ids = index.get(p, _NO_ENTRIES).get(key)
+            if ids is None:
+                continue
+            if member:
+                value = row[cell]
+                if ids != value if ids.__class__ is int else value not in ids:
+                    continue
+                ids = value
+            if bp and ids.__class__ is int:
+                row[cell] = ids
+                append(row)
+                continue
+            for value in _each(ids):
+                if clash and value != p:
+                    continue
+                new = row.copy()
+                new[cell], new[cp] = value, p
+                append(new)
     return out
 
 
@@ -628,24 +669,35 @@ def _group_key(values: tuple):
     return tuple(_sort_key(v) for v in values)
 
 
+def _sum_digits(values: list) -> int:
+    """Significant digits that hold the exact sum of the numbers ``values``."""
+    high = low = 0
+    for v in values:
+        d = Decimal(v)  # exact for an int or a Decimal
+        high = max(high, d.adjusted())
+        low = min(low, d.as_tuple().exponent)
+    return high - low + 1 + len(str(len(values)))
+
+
 def _aggregate(func: str, values: list, alias: str):
     if func == "COUNT":
         return len(values)
     if not values:
         return 0 if func == "SUM" else None
     if func in ("SUM", "AVG"):
-        total = 0
+        for v in values:
+            if not _is_number(v):
+                raise EvaluationError(
+                    f"{func} needs numeric values, got {_type_name(v)} for ?{alias}"
+                )
         try:
-            for v in values:
-                if not _is_number(v):
-                    raise EvaluationError(
-                        f"{func} needs numeric values, got {_type_name(v)} "
-                        f"for ?{alias}"
-                    )
-                total = total + v
             if func == "SUM":
-                return total
-            return Decimal(total) / Decimal(len(values))
+                return sum(values)
+            with decimal.localcontext() as context:
+                # An exact sum rounded once: as rounding is monotone and MIN
+                # and MAX fit in the precision, the mean stays between them.
+                context.prec = max(context.prec, _sum_digits(values))
+                return Decimal(sum(values)) / Decimal(len(values))
         except decimal.Overflow:
             raise EvaluationError(f"decimal overflow in {func} for ?{alias}") from None
     # MIN / MAX over one comparable kind
@@ -822,11 +874,16 @@ def load_ntriples(path) -> Graph:
     looked up in the store's own text -> id table, so a token already in the
     store costs one dict lookup; any other token is parsed, checked and
     interned. A subject or predicate found there must still be an IRI. A
-    non-canonical literal such as ``"007"^^xsd:integer`` is not a key in the
-    table, so it is parsed each time it occurs.
+    line whose subject token is the previous line's reuses its id, which in
+    an exported file, grouped by subject, is most lines. A new object is
+    interned under its canonical text: an IRI under its token, a literal
+    under its value's text. A non-canonical literal such as
+    ``"007"^^xsd:integer`` is not a key in the table, so it is parsed each
+    time it occurs.
     """
     graph = Graph()
-    ids = graph._ids
+    ids, intern, add = graph._ids, graph._intern_text, graph._add_ids
+    last_token, s = None, None
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for lineno, raw in enumerate(handle, start=1):
@@ -840,16 +897,22 @@ def load_ntriples(path) -> Graph:
                 except ValueError:  # fewer than three terms
                     raise _malformed(lineno, line) from None
                 o_token = o_token.rstrip()
-                s = ids.get(s_token)
-                if s is None or s_token[0] != "<":
-                    s = graph._intern_text(s_token, _parse_iri(s_token, lineno))
+                if s_token != last_token:
+                    s = ids.get(s_token)
+                    if s is None or s_token[0] != "<":
+                        s = intern(s_token, _parse_iri(s_token, lineno))
+                    last_token = s_token
                 p = ids.get(p_token)
                 if p is None or p_token[0] != "<":
-                    p = graph._intern_text(p_token, _parse_iri(p_token, lineno))
+                    p = intern(p_token, _parse_iri(p_token, lineno))
                 o = ids.get(o_token)
                 if o is None:
-                    o = graph._intern(_parse_object(o_token, lineno))
-                graph._add_ids(s, p, o)
+                    term = _parse_object(o_token, lineno)
+                    if term.__class__ is Iri:
+                        o = intern(o_token, term)
+                    else:
+                        o = intern(_nt_literal(term.value), term.value)
+                add(s, p, o)
         except UnicodeDecodeError:
             raise GraphParseError(not_utf8(path)) from None
     return graph

@@ -115,14 +115,18 @@ def _read_rows(path, header: list[str]):
                 raise HeaderMismatch(f"{path}: empty file, expected header {header}")
             if found != header:
                 raise HeaderMismatch(f"{path}: header {found} does not match {header}")
-            for line, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise MalformedRow(
-                        line, header[0], f"expected {len(header)} fields, got {len(row)}"
-                    )
-                yield line, row
+            # A quoted cell may hold line breaks, so a record is named by the
+            # file line it starts on, one past the last line read before it.
+            line = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != len(header):
+                        raise MalformedRow(
+                            line, header[0],
+                            f"expected {len(header)} fields, got {len(row)}",
+                        )
+                    yield line, row
+                line = reader.line_num + 1
         except UnicodeDecodeError:
             raise LoadError(not_utf8(path)) from None
 

@@ -3,13 +3,16 @@
 These deliberately avoid the graph/query machinery: they operate on triples,
 the dataset, and the pricing output with plain dictionaries and loops, so
 agreement with query-engine results is a real two-route check. Lead times
-come from the dates' ordinals here, not from ``model.lead_days``.
+come from the dates' ordinals here, not from ``model.lead_days``. The one
+exception is ``nested_loop_rows``, the engine's former row-at-a-time join: it
+checks the order of the engine's rows, which no other route defines.
 """
 
 import math
 from collections import defaultdict
 from decimal import Decimal
 
+from ltbp.graph import _plan
 from ltbp.model import to_money
 from ltbp.pricing import (
     CustomerStats,
@@ -46,6 +49,35 @@ def brute_force_match(triples, patterns):
                     out.append(extended)
         rows = out
     return rows
+
+
+def nested_loop_rows(graph, patterns, names):
+    """Reference join in the engine's own step order: ``_plan``'s steps, each
+    extending one row at a time by the triples of one ``Graph.match`` call.
+
+    The engine's join must yield these rows in this order. Each row is read
+    back as the tuple of the values of the variables ``names``.
+    """
+    slots, start, steps = _plan(graph, patterns)
+    rows = [start]
+    for cells, bound in steps:
+        cs, cp, co = cells
+        free = [(k, cell) for k, (cell, b) in enumerate(zip(cells, bound)) if not b]
+        out = []
+        for row in rows:
+            for triple in graph.match(row[cs], row[cp], row[co]):
+                new = row.copy()
+                for k, cell in free:
+                    seen = new[cell]
+                    if seen is None:
+                        new[cell] = triple[k]
+                    elif seen != triple[k]:  # same variable twice within one pattern
+                        break
+                else:
+                    out.append(new)
+        rows = out
+    values = graph._values
+    return [tuple(values[row[slots[name]]] for name in names) for row in rows]
 
 
 def _unify(row, pattern, triple):

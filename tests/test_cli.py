@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -603,3 +604,21 @@ def test_query_prints_a_sum_past_the_int_text_limit(tmp_path, capsys):
     capsys.readouterr()
     assert run(["query", "--graph", graph, "--query", query]) == 0
     assert capsys.readouterr().out == f"t\n1{'9' * 4299}8\n"  # twice 4,300 nines
+
+
+def test_premiums_past_the_decimal_precision_keep_their_stats_ordered(tmp_path, capsys):
+    # 30 significant digits: summed in the 28-digit context, the mean fell below MIN.
+    premium = "1.00000000000000000000000000009"
+    graph = _rewrite_graph(tmp_path, "hasPremium", f'"{premium}"{_DECIMAL}')
+    assert run(["--out-dir", tmp_path / "cq", "analyze", "--graph", graph]) == 0
+    with open(tmp_path / "cq" / "cq3.csv", newline="", encoding="utf-8") as handle:
+        stats = list(csv.DictReader(handle))
+    assert stats
+    for row in stats:
+        low, mean, high = (Decimal(row[f"{name}_premium"]) for name in ("min", "avg", "max"))
+        assert low <= mean <= high
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT (AVG(?p) AS ?a) WHERE { ?c :hasPremium ?p }")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 0
+    assert capsys.readouterr().out == f"a\n{premium}\n"

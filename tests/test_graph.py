@@ -45,7 +45,7 @@ from ltbp.terms import (
     order_iri,
 )
 from tests.conftest import make_order
-from tests.oracles import brute_force_match, triples
+from tests.oracles import brute_force_match, nested_loop_rows, triples
 
 _INT = f"^^<{XSD}integer>"
 
@@ -499,6 +499,58 @@ class TestMatchPatterns:
         got = evaluate(g, QuerySpec(tuple(names), tuple(patterns))).mappings()
         want = brute_force_match(triples(g), patterns)
         assert sorted(got, key=key) == sorted(want, key=key)
+
+    @pytest.mark.parametrize("where", [
+        "?s <urn:q> ?o . ?s <urn:p> ?v",  # (s1, p) holds two objects
+        "?s <urn:p> ?v . ?t <urn:p> ?v",  # (p, "a") holds two subjects
+        "?x <urn:q> ?x",
+        "?s ?x ?x",
+        "<urn:s3> ?x ?x",
+        "?s ?p <urn:o> . ?t ?p ?u",  # ?p bound by an earlier step
+        "?s ?p ?o . ?s ?p ?v",
+        "?s ?p ?o . ?o ?p ?v",
+        "<urn:s2> ?p ?o",  # an unbound predicate
+        "?s ?p <urn:s1> . <urn:s1> ?p ?s",
+        "?s <urn:absent> ?o",  # constants the graph does not hold
+        "<urn:absent> ?p ?o",
+        '?s ?p "absent"',
+        '?s <urn:p> "absent" . ?s ?p ?o',
+    ])
+    def test_join_yields_the_nested_loop_rows_in_order(self, tmp_path, where):
+        loops = ["<urn:s1> <urn:q> <urn:s1> .", "<urn:s3> <urn:p> <urn:p> ."]
+        g = _load(tmp_path, *(line for line, _ in _FOREIGN), *loops)
+        names = tuple(dict.fromkeys(re.findall(r"\?(\w+)", where)))
+        spec = parse_query(f"SELECT {' '.join('?' + n for n in names)} WHERE {{ {where} }}")
+        assert evaluate(g, spec).rows == nested_loop_rows(g, spec.patterns, names)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_joins_yield_the_nested_loop_rows_in_order(self, tmp_path_factory,
+                                                              data):
+        iris = [Iri(f"urn:t{i}") for i in range(4)]  # each may sit in any position
+        literals = {Literal(1): f'"1"{_INT}', Literal("a"): '"a"'}
+        text = {**literals, **{iri: f"<{iri.value}>" for iri in iris}}
+        drawn = data.draw(st.lists(
+            st.tuples(st.sampled_from(iris), st.sampled_from(iris),
+                      st.sampled_from(iris + list(literals))),
+            min_size=1, max_size=30,
+        ))
+        g = _load(tmp_path_factory.mktemp("order"),
+                  *(" ".join(text[term] for term in t) + " ." for t in drawn))
+        absent = [Iri("urn:absent"), Literal("absent")]
+        term = st.one_of(
+            st.sampled_from([Variable("x"), Variable("y"), Variable("z")]),
+            st.sampled_from(iris + list(literals) + absent),
+        )
+        patterns = data.draw(
+            st.lists(st.tuples(term, term, term), min_size=1, max_size=4)
+        )
+        names = tuple(sorted({t.name for pattern in patterns for t in pattern
+                              if isinstance(t, Variable)})) or ("s", "p", "o")
+        if names == ("s", "p", "o"):
+            patterns.append(tuple(map(Variable, names)))
+        got = evaluate(g, QuerySpec(names, tuple(patterns))).rows
+        assert got == nested_loop_rows(g, patterns, names)
 
     def test_repeated_variable_within_pattern(self, tmp_path):
         g = _load(tmp_path, "<urn:a> <urn:p> <urn:a> .", "<urn:a> <urn:p> <urn:b> .")

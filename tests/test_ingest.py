@@ -80,6 +80,19 @@ class TestLoadCustomers:
         assert excinfo.value.line == 2
         assert excinfo.value.column == "account_class"
 
+    def test_rows_after_a_quoted_line_break_name_their_file_line(self, tmp_path):
+        text = CUSTOMER_HEADER + 'C001,Key,50000000,"EM\nEA"\nC002,Platinum,1000,\n'
+        path = write(tmp_path / "c.csv", text)
+        with pytest.raises(UnknownClassLabel) as excinfo:
+            load_customers(path)
+        assert excinfo.value.line == 4
+        write(path, text + "\nC003,Key\n")  # a blank line 5, then a short row
+        issues = []
+        with pytest.raises(MalformedRow) as excinfo:
+            load_customers(path, issues=issues)
+        assert excinfo.value.line == 6
+        assert [(i.line, i.column) for i in issues] == [(4, "account_class")]
+
     def test_header_only_file(self, tmp_path):
         path = write(tmp_path / "c.csv", CUSTOMER_HEADER)
         assert load_customers(path) == []
