@@ -21,6 +21,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from . import analytics, graph as graphmod, ingest, pricing, report as reportmod
+from . import terms
 from .model import DEFAULT_RHO, AccountClass, InvalidField, PricingConfig
 from .query import QueryError, parse_query
 
@@ -104,10 +105,12 @@ def build_pricing_config(args) -> PricingConfig:
 
 
 def _parse_iso(text: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise UsageError(f"not an ISO date: {text!r}") from None
+    if terms.DATE.fullmatch(text):
+        try:
+            return date.fromisoformat(text)
+        except ValueError:  # an impossible date
+            pass
+    raise UsageError(f"not an ISO date: {text!r}")
 
 
 def cmd_generate(args) -> int:
@@ -179,9 +182,14 @@ def cmd_analyze(args) -> int:
 
 
 def _format_cell(value) -> str:
+    """A result cell as ``ltbp query`` prints it. A string is escaped as in an
+    N-Triples file, so a tab or line break cannot split the TSV row and
+    ``terms.unescape`` gives the value back."""
     if value is None:
         return ""
-    if isinstance(value, graphmod.Iri):
+    if isinstance(value, str):
+        return value.translate(graphmod._NT_ESCAPES)
+    if isinstance(value, terms.Iri):
         return f"<{value.value}>"
     if isinstance(value, date):
         return value.isoformat()

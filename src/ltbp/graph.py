@@ -10,11 +10,12 @@ Store layout (after vertical partitioning and Hexastore): every term is
 interned once to an int id, counted up from 0 in order of first appearance.
 Two term tables hold them: ``_ids`` maps a term's N-Triples text to its id,
 so its keys, in insertion order, are the texts by id, and ``_values`` holds
-each id's Iri or literal value. The graph keeps two maps per predicate over
-those ids, ``so: p -> {s: o}`` and ``os: p -> {o: s}``. Each entry holds a
-bare id, and becomes a list of ids only when a second value arrives for the
-same key; an ltbp graph has one object per (subject, predicate) pair, so its
-``so`` entries stay bare. A pattern with a bound predicate is answered from
+each id's term, an ``Iri`` or a literal's value, as patterns, bindings and
+result rows hold it (see ``terms``). The graph keeps two maps per predicate
+over those ids, ``so: p -> {s: o}`` and ``os: p -> {o: s}``. Each entry
+holds a bare id, and becomes a list of ids only when a second value arrives
+for the same key; an ltbp graph has one object per (subject, predicate)
+pair, so its ``so`` entries stay bare. A pattern with a bound predicate is answered from
 that predicate's maps: ``so`` when the subject is bound, ``os`` otherwise.
 One with an unbound predicate tries each predicate's maps in turn; one with
 nothing bound scans ``so``. ``Graph.match`` takes and yields ids only. A
@@ -24,23 +25,23 @@ per row, with no ``Graph.match`` call; a step with neither bound scans the
 predicate through one ``Graph.match`` call per row. Its filters run once
 every pattern is joined.
 
-A term's identity is the N-Triples text it exports as, so a literal is its
-lexical form plus datatype. ``100`` (integer), ``100.00`` and ``1.00``
-(decimal) are equal as Python values but are three terms, and each exports
-as it was built. The loader keys each token by the store's own term text, so
-a token already in the store is one dict lookup. A typed literal loads as
-its value's text: ``"007"^^xsd:integer`` loads as ``"7"`` and
-``"+1.0"^^xsd:decimal`` as ``"1.0"``, so lines that differ only in such a
-form load as one triple.
+A term's identity is the N-Triples text it exports as (``_nt_term``), so a
+literal is its lexical form plus datatype. ``100`` (integer), ``100.00`` and
+``1.00`` (decimal) are equal as Python values but are three terms, and each
+exports as it was built. Joins match by term id, and GROUP BY groups by term
+id too, so those three fall into three groups. The loader keys each token by
+the store's own term text, so a token already in the store is one dict
+lookup. A typed literal loads as its value's text: ``"007"^^xsd:integer``
+loads as ``"7"`` and ``"+1.0"^^xsd:decimal`` as ``"1.0"``, so lines that
+differ only in such a form load as one triple.
 
 ``build_graph`` adds entities through a ``_Builder``, which adds id triples
-directly and makes no ``Literal`` object. Per build it interns each
-predicate and class IRI once, quotes each entity id into its IRI once, and
-keys dates by ``date`` and quantities by ``int``. Its duplicate-subject and
-dangling-reference checks read per-build dicts from entity id to subject id.
-Decimals are not keyed by value: ``Decimal("100")`` equals
-``Decimal("100.00")``, yet the two are different terms (above), so a decimal
-is formatted and interned by its text.
+directly. Per build it interns each predicate and class IRI once, quotes
+each entity id into its IRI once, and keys dates by ``date`` and quantities
+by ``int``. Its duplicate-subject and dangling-reference checks read
+per-build dicts from entity id to subject id. Decimals are not keyed by
+value: ``Decimal("100")`` equals ``Decimal("100.00")``, yet the two are
+different terms (above), so a decimal is formatted and interned by its text.
 
 Match order is deterministic for a deterministically built graph,
 regardless of hash randomization. A full scan is grouped by predicate: the
@@ -66,20 +67,17 @@ from .query import (
     Arith,
     BoolOp,
     Compare,
-    Const,
     Expr,
     Neg,
     Not,
     QueryError,
     QuerySpec,
-    VarRef,
     expr_variables,
     render_expr,
 )
-from .terms import Iri, Literal, Variable
+from .terms import Iri, Value, Variable
 
-BindingValue = Union[Iri, str, int, Decimal, date]
-Binding = dict  # variable name -> BindingValue
+Binding = dict  # variable name -> Value
 
 
 class GraphError(Exception):
@@ -122,25 +120,21 @@ _NT_ESCAPES = str.maketrans(
 )
 
 
-def _nt_term(term: Union[Iri, Literal]) -> str:
+def _nt_term(term: Value) -> str:
     """A term's N-Triples text, which is also its identity in the store."""
+    if isinstance(term, str):
+        return f'"{term.translate(_NT_ESCAPES)}"'
     if isinstance(term, Iri):
         return f"<{term.value}>"
-    return _nt_literal(term.value)
-
-
-def _nt_literal(value) -> str:
-    if isinstance(value, str):
-        return f'"{value.translate(_NT_ESCAPES)}"'
-    if isinstance(value, bool):
+    if isinstance(term, bool):
         raise GraphError("boolean literals are not supported")
-    if isinstance(value, int):
-        return f'"{value}"^^<{_XSD_INTEGER}>'
-    if isinstance(value, Decimal):  # plain notation: xsd:decimal has no exponent
-        return f'"{value:f}"^^<{_XSD_DECIMAL}>'
-    if isinstance(value, date):
-        return f'"{value.isoformat()}"^^<{_XSD_DATE}>'
-    raise GraphError(f"unsupported literal value {value!r}")
+    if isinstance(term, int):
+        return f'"{term}"^^<{_XSD_INTEGER}>'
+    if isinstance(term, Decimal):  # plain notation: xsd:decimal has no exponent
+        return f'"{term:f}"^^<{_XSD_DECIMAL}>'
+    if isinstance(term, date):
+        return f'"{term.isoformat()}"^^<{_XSD_DATE}>'
+    raise GraphError(f"unsupported literal value {term!r}")
 
 
 _MISSING = -1  # id of a term the graph does not hold; it matches nothing
@@ -164,7 +158,7 @@ class Graph:
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}  # N-Triples text -> id, in id order
-        self._values: list[BindingValue] = []  # id -> Iri or literal value
+        self._values: list[Value] = []  # id -> term
         self._so: dict[int, dict[int, _Ids]] = {}  # p -> s -> o
         self._os: dict[int, dict[int, _Ids]] = {}  # p -> o -> s
         self._size = 0
@@ -174,22 +168,16 @@ class Graph:
 
     # -- ids ------------------------------------------------------------------
 
-    def _intern(self, term: Union[Iri, Literal]) -> int:
-        value = term if isinstance(term, Iri) else term.value
-        return self._intern_text(_nt_term(term), value)
-
-    def _intern_text(self, text: str, value: BindingValue) -> int:
-        """The id of the term whose N-Triples text is ``text``.
-
-        ``value``, the term's Iri or literal value, is stored when it is new.
-        """
+    def _intern(self, term: Value) -> int:
+        """The term's id, given on first sight."""
+        text = _nt_term(term)
         tid = self._ids.get(text)
         if tid is None:
             tid = self._ids[text] = len(self._values)
-            self._values.append(value)
+            self._values.append(term)
         return tid
 
-    def _id_of(self, term: Union[Iri, Literal]) -> int:
+    def _id_of(self, term: Value) -> int:
         """The term's id, or ``_MISSING`` when the graph does not hold it."""
         try:
             return self._ids.get(_nt_term(term), _MISSING)
@@ -298,26 +286,24 @@ class _Builder:
         self.orders: dict[str, int] = {}
         self.p = _TermIds(graph)  # predicate and class IRIs
         self._attach = graph._add_ids
+        self._intern = graph._intern
         self._dates: dict[date, int] = {}
         self._ints: dict[int, int] = {}
 
     # -- terms ----------------------------------------------------------------
 
-    def _literal(self, value) -> int:
-        return self.graph._intern_text(_nt_literal(value), value)
-
     def _int(self, value) -> int:
         if type(value) is not int:  # a bool or Decimal would hit an int's entry
-            return self._literal(value)
+            return self._intern(value)
         tid = self._ints.get(value)
         if tid is None:
-            tid = self._ints[value] = self._literal(value)
+            tid = self._ints[value] = self._intern(value)
         return tid
 
     def _date(self, value) -> int:
         tid = self._dates.get(value)
         if tid is None:
-            tid = self._dates[value] = self._literal(value)
+            tid = self._dates[value] = self._intern(value)
         return tid
 
     # -- entities -------------------------------------------------------------
@@ -328,8 +314,8 @@ class _Builder:
             raise DuplicateSubjectError(
                 f"product already asserted: {T.product_iri(number).value}"
             )
-        s = self.products[number] = self.graph._intern(T.product_iri(number))
-        p, attach, literal = self.p, self._attach, self._literal
+        s = self.products[number] = self._intern(T.product_iri(number))
+        p, attach, literal = self.p, self._attach, self._intern
         attach(s, p[T.TYPE], p[T.PRODUCT_CLASS])
         attach(s, p[T.HAS_PRODUCT_NUMBER], literal(number))
         attach(s, p[T.HAS_BASIC_TYPE], literal(product.basic_type))
@@ -342,8 +328,8 @@ class _Builder:
                 f"customer already asserted: {T.customer_iri(code).value}"
             )
         rho = adjustment_factor(customer.account_class, self.config)
-        s = self.customers[code] = self.graph._intern(T.customer_iri(code))
-        p, attach, literal = self.p, self._attach, self._literal
+        s = self.customers[code] = self._intern(T.customer_iri(code))
+        p, attach, literal = self.p, self._attach, self._intern
         attach(s, p[T.TYPE], p[T.CUSTOMER_CLASS])
         attach(s, p[T.HAS_CUSTOMER_CODE], literal(code))
         attach(s, p[T.HAS_ACCOUNT_TYPE], literal(customer.account_class.value))
@@ -368,8 +354,8 @@ class _Builder:
             raise DanglingReferenceError(
                 f"order {number} references unknown product {order.product_number}"
             )
-        s = self.orders[number] = self.graph._intern(T.order_iri(number))
-        p, attach, literal, day = self.p, self._attach, self._literal, self._date
+        s = self.orders[number] = self._intern(T.order_iri(number))
+        p, attach, literal, day = self.p, self._attach, self._intern, self._date
         attach(s, p[T.TYPE], p[T.ORDER_CLASS])
         attach(s, p[T.HAS_ORDER_NUMBER], literal(number))
         attach(s, p[T.HAS_QUANTITY], self._int(order.quantity))
@@ -386,15 +372,15 @@ class _Builder:
         s = self.customers.get(code)
         if s is None:
             raise DanglingReferenceError(f"premium references unknown customer {code}")
-        self._attach(s, self.p[T.HAS_PREMIUM], self._literal(to_factor(premium.premium)))
+        self._attach(s, self.p[T.HAS_PREMIUM], self._intern(to_factor(premium.premium)))
 
     def priced(self, priced) -> None:
         number = priced.order_number
         s = self.orders.get(number)
         if s is None:
             raise UnknownOrderError(f"priced order references unknown order {number}")
-        self._attach(s, self.p[T.HAS_RM_PRICE], self._literal(priced.rm))
-        self._attach(s, self.p[T.HAS_CONVEX_PRICE], self._literal(priced.convex))
+        self._attach(s, self.p[T.HAS_RM_PRICE], self._intern(priced.rm))
+        self._attach(s, self.p[T.HAS_CONVEX_PRICE], self._intern(priced.convex))
 
 
 def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> Graph:
@@ -552,12 +538,10 @@ def _type_name(value) -> str:
 
 
 def _eval_expr(expr: Expr, row: Binding):
-    if isinstance(expr, VarRef):
+    if isinstance(expr, Variable):
         if expr.name not in row:
             raise EvaluationError(f"unbound variable ?{expr.name} in filter")
         return row[expr.name]
-    if isinstance(expr, Const):
-        return expr.value
     if isinstance(expr, Compare):
         return _compare(expr, row)
     if isinstance(expr, Arith):
@@ -595,7 +579,7 @@ def _eval_expr(expr: Expr, row: Binding):
         return left or _require_bool(_eval_expr(expr.right, row), expr)
     if isinstance(expr, Not):
         return not _require_bool(_eval_expr(expr.operand, row), expr)
-    raise EvaluationError(f"cannot evaluate {expr!r}")
+    return expr  # a constant: a literal's value
 
 
 def _is_number(value) -> bool:
@@ -665,10 +649,6 @@ def _sort_key(value):
     return (_SORT_RANK[type(value)], value)
 
 
-def _group_key(values: tuple):
-    return tuple(_sort_key(v) for v in values)
-
-
 def _sum_digits(values: list) -> int:
     """Significant digits that hold the exact sum of the numbers ``values``."""
     high = low = 0
@@ -730,16 +710,19 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
     columns = [p if isinstance(p, str) else p.alias for p in spec.projections]
 
     if aggregates or spec.group_by:
+        # Grouped by term, as joins match: value-equal terms such as 1 and
+        # 1.0 are two groups, kept in first-appearance order on a tie.
         key_cells = [slots[name] for name in spec.group_by]
         groups: dict[tuple, list[list]] = {}
         for row in rows:
-            key = tuple(values[row[cell]] for cell in key_cells)
-            groups.setdefault(key, []).append(row)
+            groups.setdefault(tuple([row[cell] for cell in key_cells]), []).append(row)
         if not spec.group_by and not groups:
             groups[()] = []  # global aggregates over no rows still yield one row
+        keyed = [(tuple([values[tid] for tid in ids]), members)
+                 for ids, members in groups.items()]
+        keyed.sort(key=lambda group: tuple(map(_sort_key, group[0])))
         out_rows = []
-        for key in sorted(groups, key=_group_key):
-            members = groups[key]
+        for key, members in keyed:
             named = dict(zip(spec.group_by, key))
             record = []
             for proj in spec.projections:
@@ -818,11 +801,11 @@ _NT_LITERAL = re.compile(r'"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*
 # N-Triples IRIREF excludes controls, space and <>"{}|^`\ (W3C, 2014); other
 # whitespace is excluded too, as the loader splits terms on it.
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20\s<>"{}|^`\\]')
-# Lexical forms per datatype; decimals as xsd:decimal, which has no exponent.
+# Each datatype's lexical form and the reader of its value.
 _LEXICAL = {
-    _XSD_INTEGER: (re.compile(r"[+-]?[0-9]+"), int),
-    _XSD_DECIMAL: (re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"), Decimal),
-    _XSD_DATE: (re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}"), date.fromisoformat),
+    _XSD_INTEGER: (T.INTEGER, int),
+    _XSD_DECIMAL: (T.DECIMAL, Decimal),
+    _XSD_DATE: (T.DATE, date.fromisoformat),
 }
 
 
@@ -838,7 +821,7 @@ def _parse_iri(token: str, lineno: int) -> Iri:
     return Iri(body)
 
 
-def _parse_object(token: str, lineno: int) -> Union[Iri, Literal]:
+def _parse_object(token: str, lineno: int) -> Value:
     if token.startswith("<") and token.endswith(">"):
         return _parse_iri(token, lineno)
     m = _NT_LITERAL.fullmatch(token)
@@ -850,13 +833,13 @@ def _parse_object(token: str, lineno: int) -> Union[Iri, Literal]:
         raise GraphParseError(f"line {lineno}: {exc}") from None
     dtype = m.group("dtype")
     if dtype is None:
-        return Literal(body)
+        return body
     if dtype not in _LEXICAL:
         raise GraphParseError(f"line {lineno}: unsupported datatype <{dtype}>")
     lexical, convert = _LEXICAL[dtype]
     if lexical.fullmatch(body):
         try:
-            return Literal(convert(body))
+            return convert(body)
         except ValueError:  # an impossible date, or an integer too long for int()
             pass
     raise GraphParseError(f"line {lineno}: invalid literal {body!r} for <{dtype}>")
@@ -875,14 +858,14 @@ def load_ntriples(path) -> Graph:
     store costs one dict lookup; any other token is parsed, checked and
     interned. A subject or predicate found there must still be an IRI. A
     line whose subject token is the previous line's reuses its id, which in
-    an exported file, grouped by subject, is most lines. A new object is
-    interned under its canonical text: an IRI under its token, a literal
-    under its value's text. A non-canonical literal such as
+    an exported file, grouped by subject, is most lines. A new term is
+    interned under its canonical text, ``_nt_term`` of its value, which for
+    an IRI is its token. A non-canonical literal such as
     ``"007"^^xsd:integer`` is not a key in the table, so it is parsed each
     time it occurs.
     """
     graph = Graph()
-    ids, intern, add = graph._ids, graph._intern_text, graph._add_ids
+    ids, intern, add = graph._ids, graph._intern, graph._add_ids
     last_token, s = None, None
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -900,18 +883,14 @@ def load_ntriples(path) -> Graph:
                 if s_token != last_token:
                     s = ids.get(s_token)
                     if s is None or s_token[0] != "<":
-                        s = intern(s_token, _parse_iri(s_token, lineno))
+                        s = intern(_parse_iri(s_token, lineno))
                     last_token = s_token
                 p = ids.get(p_token)
                 if p is None or p_token[0] != "<":
-                    p = intern(p_token, _parse_iri(p_token, lineno))
+                    p = intern(_parse_iri(p_token, lineno))
                 o = ids.get(o_token)
                 if o is None:
-                    term = _parse_object(o_token, lineno)
-                    if term.__class__ is Iri:
-                        o = intern(o_token, term)
-                    else:
-                        o = intern(_nt_literal(term.value), term.value)
+                    o = intern(_parse_object(o_token, lineno))
                 add(s, p, o)
         except UnicodeDecodeError:
             raise GraphParseError(not_utf8(path)) from None

@@ -22,13 +22,13 @@ import csv
 import json
 import logging
 import random
-import re
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import terms
 from .model import (
     AccountClass,
     Customer,
@@ -174,29 +174,29 @@ def _parse_class(label: str, line: int) -> AccountClass:
 
 
 def _parse_money(text: str, line: int, column: str) -> Decimal:
-    try:
-        return to_money(text)
-    except InvalidOperation:
-        raise MalformedRow(line, column, f"not a number: {text!r}") from None
+    if terms.DECIMAL.fullmatch(text) is not None:
+        try:
+            return to_money(text)
+        except InvalidOperation:  # more digits than the decimal context holds
+            pass
+    raise MalformedRow(line, column, f"not a number: {text!r}")
 
 
 def _parse_date(text: str, line: int, column: str, dates: dict) -> date:
-    """Parse an ISO date cell and remember it in ``dates``, text -> date."""
-    try:
-        value = dates[text] = date.fromisoformat(text)
-    except ValueError:
-        raise MalformedRow(line, column, f"not an ISO date: {text!r}") from None
-    return value
-
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+    """Parse a YYYY-MM-DD cell and remember it in ``dates``, text -> date."""
+    if terms.DATE.fullmatch(text) is not None:
+        try:
+            value = dates[text] = date.fromisoformat(text)
+            return value
+        except ValueError:  # an impossible date
+            pass
+    raise MalformedRow(line, column, f"not an ISO date: {text!r}")
 
 
 def _parse_quantity(text: str, line: int, quantities: dict) -> int:
-    """Parse an ASCII integer cell and remember it in ``quantities``; ``int``
-    alone would also take ``1_000``, spaces and non-ASCII digits, and it
+    """Parse an integer cell and remember it in ``quantities``; ``int``
     refuses more digits than Python's int-from-text limit."""
-    if _INTEGER.fullmatch(text) is None:
+    if terms.INTEGER.fullmatch(text) is None:
         raise MalformedRow(line, "quantity", f"not an integer: {text!r}")
     try:
         value = quantities[text] = int(text)

@@ -18,7 +18,9 @@ IRIs are written either in angle brackets or as prefixed names using the
 built-in prefixes (``:name`` for predicates, plus ``cust:``, ``ord:``,
 ``prod:`` and ``class:`` for entities). Filters support comparisons,
 arithmetic, and ``&&`` / ``||`` / ``!``, nested at most ``MAX_EXPR_DEPTH``
-deep. ``#`` starts a line comment.
+deep. ``#`` starts a line comment. A number is ASCII digits with an
+optional fraction, an ``xsd:integer`` without a point and an ``xsd:decimal``
+with one (``terms.INTEGER`` and ``terms.DECIMAL``).
 
 A string is written in double quotes on one line and takes the escapes
 N-Triples and SPARQL share: ``\\t``, ``\\b``, ``\\n``, ``\\r``, ``\\f``,
@@ -34,7 +36,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
 
-from .terms import Iri, Literal, PREFIXES, Term, TriplePattern, Variable, unescape
+from . import terms as T
+from .terms import Iri, PREFIXES, Term, TriplePattern, Variable, unescape
 
 
 class QueryError(Exception):
@@ -61,16 +64,8 @@ class UnboundProjectionError(QueryValidationError):
 
 
 # --- filter expression AST -------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class VarRef:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: Union[str, int, Decimal]
+# A leaf is a term as a pattern holds it: a Variable, or a constant that is
+# its own value (a str, int or Decimal).
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,15 +99,13 @@ class Not:
     operand: "Expr"
 
 
-Expr = Union[VarRef, Const, Compare, Arith, Neg, BoolOp, Not]
+Expr = Union[Variable, str, int, Decimal, Compare, Arith, Neg, BoolOp, Not]
 
 
 def render_expr(expr: Expr) -> str:
     """Source-like rendering of a filter expression, for error messages."""
-    if isinstance(expr, VarRef):
+    if isinstance(expr, Variable):
         return f"?{expr.name}"
-    if isinstance(expr, Const):
-        return f'"{expr.value}"' if isinstance(expr.value, str) else str(expr.value)
     if isinstance(expr, Compare):
         return f"{render_expr(expr.left)} {expr.op} {render_expr(expr.right)}"
     if isinstance(expr, Arith):
@@ -123,7 +116,7 @@ def render_expr(expr: Expr) -> str:
         return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
     if isinstance(expr, Not):
         return f"!{render_expr(expr.operand)}"
-    raise TypeError(f"not an expression: {expr!r}")
+    return f'"{expr}"' if isinstance(expr, str) else str(expr)
 
 
 def expr_depth(expr: Expr) -> int:
@@ -140,15 +133,13 @@ def expr_depth(expr: Expr) -> int:
 
 
 def expr_variables(expr: Expr) -> set[str]:
-    if isinstance(expr, VarRef):
+    if isinstance(expr, Variable):
         return {expr.name}
-    if isinstance(expr, Const):
-        return set()
     if isinstance(expr, (Compare, Arith, BoolOp)):
         return expr_variables(expr.left) | expr_variables(expr.right)
     if isinstance(expr, (Neg, Not)):
         return expr_variables(expr.operand)
-    raise TypeError(f"not an expression: {expr!r}")
+    return set()
 
 
 # --- query spec ------------------------------------------------------------
@@ -251,7 +242,7 @@ _TOKEN_RE = re.compile(
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<IRIREF><[^<>\s]*>)
     | (?P<QNAME>(?:[A-Za-z_][A-Za-z0-9_]*)?:[A-Za-z0-9_][A-Za-z0-9_.\-]*)
-    | (?P<NUMBER>\d+(?:\.\d+)?)
+    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
     | (?P<STRING>"(?:[^"\\\n]|\\.)*")
     | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<OP>&&|\|\||<=|>=|!=|[{}().=<>!+\-*/])
@@ -411,10 +402,9 @@ class _Parser:
         if self.at_keyword("LIMIT"):
             self.next()
             tok = self.peek()
-            if tok.kind != "NUMBER" or "." in tok.value:
+            if tok.kind != "NUMBER" or T.INTEGER.fullmatch(tok.value) is None:
                 raise self.error("expected an integer after LIMIT")
-            self.next()
-            limit = self.number_value(tok)
+            limit = self.constant()
         tok = self.peek()
         if tok.kind != "EOF":
             raise self.error(f"unexpected trailing input {tok.value!r}", tok)
@@ -474,18 +464,20 @@ class _Parser:
             if base is None:
                 raise self.error(f"unknown prefix {prefix!r}", tok)
             return Iri(base + local)
-        if tok.kind == "NUMBER":
-            self.next()
-            return Literal(self.number_value(tok))
-        if tok.kind == "STRING":
-            self.next()
-            return Literal(_unescape_string(tok))
+        if tok.kind in ("NUMBER", "STRING"):
+            return self.constant()
         found = tok.value or "end of input"
         raise self.error(f"expected a term, found {found!r}")
 
-    @staticmethod
-    def number_value(tok: _Token) -> Union[int, Decimal]:
-        if "." in tok.value:
+    def constant(self) -> Union[str, int, Decimal]:
+        """The value of the NUMBER or STRING token at the cursor."""
+        tok = self.next()
+        if tok.kind == "STRING":
+            try:
+                return unescape(tok.value[1:-1])
+            except ValueError as exc:
+                raise QuerySyntaxError(str(exc), tok.line, tok.column) from None
+        if T.INTEGER.fullmatch(tok.value) is None:
             return Decimal(tok.value)
         try:
             return int(tok.value)
@@ -544,26 +536,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "VAR":
             self.next()
-            return VarRef(tok.value[1:])
-        if tok.kind == "NUMBER":
-            self.next()
-            return Const(self.number_value(tok))
-        if tok.kind == "STRING":
-            self.next()
-            return Const(_unescape_string(tok))
+            return Variable(tok.value[1:])
+        if tok.kind in ("NUMBER", "STRING"):
+            return self.constant()
         if self.at_op("("):
             expr = self.nested(self.bool_expr)
             self.expect_op(")")
             return expr
         found = tok.value or "end of input"
         raise self.error(f"expected an expression, found {found!r}")
-
-
-def _unescape_string(tok: _Token) -> str:
-    try:
-        return unescape(tok.value[1:-1])
-    except ValueError as exc:
-        raise QuerySyntaxError(str(exc), tok.line, tok.column) from None
 
 
 def parse_query(text: str) -> QuerySpec:

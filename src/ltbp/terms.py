@@ -1,5 +1,16 @@
 """Graph terms, triple patterns, and the fixed IRI namespace used by the store.
 
+Each term has one representation, the same in a pattern, a filter, the
+store, a binding and a result row: an IRI is an ``Iri``, a literal is its
+Python value (``str``, ``int``, ``Decimal`` or ``date``), and a variable is a
+``Variable``. An RDF literal is a lexical form plus a datatype that maps to
+one value (W3C RDF 1.1 Concepts, 2014); the value's type names the datatype,
+and the store keeps the literal's lexical form (see ``graph``).
+
+A number or a date is read from text in one lexical form per datatype,
+``INTEGER``, ``DECIMAL`` and ``DATE`` below, by every reader: the N-Triples
+loader, the CSV loader, the CLI's date flags and the query parser.
+
 Everything lives under ``urn:ltbp:``. Entities get one IRI each
 (``urn:ltbp:customer:C001``), with the id percent-encoded (RFC 3986) so that
 any id yields a valid IRI; the raw id travels as a literal. Predicates sit
@@ -19,8 +30,6 @@ from urllib.parse import quote
 NAMESPACE = "urn:ltbp:"
 XSD = "http://www.w3.org/2001/XMLSchema#"
 
-LiteralValue = Union[str, int, Decimal, date]
-
 
 @dataclass(frozen=True, slots=True)
 class Iri:
@@ -28,19 +37,25 @@ class Iri:
 
 
 @dataclass(frozen=True, slots=True)
-class Literal:
-    value: LiteralValue
-
-
-@dataclass(frozen=True, slots=True)
 class Variable:
     name: str
 
 
-Term = Union[Iri, Literal, Variable]
+Value = Union[Iri, str, int, Decimal, date]  # an IRI, or a literal's value
+Term = Union[Value, Variable]
 
 
 TriplePattern = tuple  # (Term, Term, Term) with Variables allowed anywhere
+
+
+# The lexical forms of the literal datatypes (XML Schema 1.1 Part 2), in
+# ASCII digits: xsd:integer, xsd:decimal, which has no exponent, and
+# xsd:date without a time zone. Python's own readers take more: ``int`` and
+# ``Decimal`` take spaces, ``_`` and other scripts' digits, ``Decimal`` an
+# exponent, and ``date.fromisoformat`` ``20190716`` and ``2030-W01-1``.
+INTEGER = re.compile(r"[+-]?[0-9]+")
+DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
+DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 # The string escapes N-Triples and SPARQL share (W3C, 2014; W3C, 2013):

@@ -21,19 +21,15 @@ from ltbp.pricing import (
     compute_rmd,
     compute_rsd,
 )
-from ltbp.terms import Iri, Literal, Variable
+from ltbp.terms import Variable
 
 
 def triples(graph, ids=None):
     """The id triples ``ids`` of ``graph`` (all of them by default) read back
     as plain ``(s, p, o)`` term tuples."""
     values = graph._values
-
-    def term(tid):
-        value = values[tid]
-        return value if isinstance(value, Iri) else Literal(value)
-
-    return [tuple(map(term, t)) for t in (graph.match() if ids is None else ids)]
+    return [tuple(map(values.__getitem__, t))
+            for t in (graph.match() if ids is None else ids)]
 
 
 def brute_force_match(triples, patterns):
@@ -83,13 +79,12 @@ def nested_loop_rows(graph, patterns, names):
 def _unify(row, pattern, triple):
     extended = dict(row)
     for term, actual in zip(pattern, triple):
-        value = actual.value if isinstance(actual, Literal) else actual
         if isinstance(term, Variable):
             if term.name in extended:
-                if extended[term.name] != value:
+                if extended[term.name] != actual:
                     return None
             else:
-                extended[term.name] = value
+                extended[term.name] = actual
         elif term != actual:
             return None
     return extended

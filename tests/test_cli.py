@@ -1,17 +1,31 @@
+import contextlib
 import csv
 import filecmp
 import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltbp.cli import main
+from ltbp.ingest import CUSTOMERS_HEADER, ORDERS_HEADER, PRODUCTS_HEADER, Dataset
+from ltbp.model import (
+    MONEY_MAX, AccountClass, Customer, Order, PricingConfig, Product, to_factor,
+)
+from ltbp.pricing import PricingResult
+from ltbp.terms import unescape
+from tests.oracles import (
+    oracle_cq1, oracle_cq2, oracle_cq3, oracle_cq4, oracle_totals,
+    priced_orders_oracle,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 TOTALS_RQ = ROOT / "src" / "ltbp" / "totals.rq"
@@ -72,6 +86,15 @@ class TestGenerate:
         rows = (tmp_path / "d" / "orders.csv").read_text().splitlines()[1:]
         dates = [row.split(",")[5] for row in rows]
         assert min(dates) >= "2021-03-01" and max(dates) <= "2021-04-01"
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--start", "20190716"), ("--end", "2030-W01-1"), ("--start", "2021-02-29"),
+    ])
+    def test_date_flag_takes_only_the_dashed_form(self, tmp_path, capsys, flag, text):
+        code = run(["generate", flag, text, "--out", tmp_path / "d",
+                    "--orders", 5, "--customers", 2])
+        assert code == 1
+        assert f"usage error: not an ISO date: {text!r}" in capsys.readouterr().err
 
     def test_bad_date_flag_is_usage_error(self, tmp_path, capsys):
         code = run([
@@ -606,6 +629,22 @@ def test_query_prints_a_sum_past_the_int_text_limit(tmp_path, capsys):
     assert capsys.readouterr().out == f"t\n1{'9' * 4299}8\n"  # twice 4,300 nines
 
 
+def test_query_prints_one_row_per_line_and_escapes_strings(tmp_path, capsys):
+    region = 'tab\tbreak\nreturn\r"quote" \\ é'
+    escaped = region.translate({9: "\\t", 10: "\\n", 13: "\\r", 34: '\\"', 92: "\\\\"})
+    graph = _rewrite_graph(tmp_path, "hasRegion", f'"{escaped}"')
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?r ?n WHERE { ?c :hasRegion ?r . ?c :hasCustomerCode ?n }"
+                     " ORDER BY ?n LIMIT 2")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert len(lines) == 4 and lines[-1] == ""
+    cells = [line.split("\t") for line in lines[1:3]]
+    assert [len(row) for row in cells] == [2, 2]
+    assert [unescape(row[0]) for row in cells] == [region, region]
+
+
 def test_premiums_past_the_decimal_precision_keep_their_stats_ordered(tmp_path, capsys):
     # 30 significant digits: summed in the 28-digit context, the mean fell below MIN.
     premium = "1.00000000000000000000000000009"
@@ -622,3 +661,165 @@ def test_premiums_past_the_decimal_precision_keep_their_stats_ordered(tmp_path, 
     capsys.readouterr()
     assert run(["query", "--graph", graph, "--query", query]) == 0
     assert capsys.readouterr().out == f"a\n{premium}\n"
+
+
+# --- CSV loader contract, end to end ---------------------------------------
+
+_ID_CHARS = st.one_of(
+    st.sampled_from(' ,"\'%/\\#<>é€'),
+    st.characters(blacklist_categories=("Cs", "Cc")),
+)
+_IDS = st.text(_ID_CHARS, min_size=1, max_size=5)
+_DAY0 = date(1, 1, 1)
+_LAST_DAY = date(9999, 12, 31) - timedelta(days=80)
+_MONEY_MAX_CENTS = int(MONEY_MAX * 100)
+# Cells no loader may accept, by the kind of cell they stand in for.
+_BAD_CELLS = {
+    "money": [" 12.5 ", "1_000.50", "1e3", "١٢", "NaN", "Infinity", "", "12,5",
+              "-1.00", "10000000000.00", "0x10"],
+    "price": ["0.00", "0.004"],  # round to no price at all
+    "date": ["20190716", "2030-W01-1", "2020-02-30", "2020-1-01", " 2020-01-01",
+             "2020-01-01T00:00", "", "٢٠٢٠-٠١-٠١"],
+    "quantity": ["0", "-1", "1_000", " 12", "١٢", "1.0", "", "9" * 5000],
+}
+
+
+def _money_text(draw, cents):
+    """One of the texts that denote ``cents`` as money: signs, zero padding,
+    a bare point, a leading point."""
+    value = Decimal(cents).scaleb(-2)
+    forms = [f"{value:.2f}", f"+{value:.2f}", f"0{value:.2f}", f"{value:.2f}0"]
+    if cents % 100 == 0:
+        forms += [str(cents // 100), f"{cents // 100}."]
+    if cents < 100:
+        forms.append(f"{value:.2f}"[1:])  # ".05"
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _csv_dataset(draw):
+    """CSV rows for 3-8 customers, 1-3 products and 10-40 orders, with
+    boundary cells, and the dataset they denote; at times one cell is
+    replaced by a form the loader must reject, and then also ``(file, line,
+    column)`` of that cell."""
+    codes = draw(st.lists(_IDS, min_size=3, max_size=8, unique=True))
+    numbers = draw(st.lists(_IDS, min_size=1, max_size=3, unique=True))
+    order_ids = draw(st.lists(_IDS, min_size=10, max_size=40, unique=True))
+    boundary_cents = st.sampled_from([1, 99, 100, _MONEY_MAX_CENTS])
+    rows = {"customers": [], "products": [], "orders": []}
+    customers, products, orders = [], [], []
+    for code in codes:
+        cls = draw(st.sampled_from(AccountClass))
+        cents = draw(st.one_of(st.just(0), boundary_cents,
+                               st.integers(0, _MONEY_MAX_CENTS)))
+        region = draw(st.one_of(st.just(""), _IDS))
+        rows["customers"].append([code, cls.value, _money_text(draw, cents), region])
+        customers.append(Customer(code, cls, Decimal(cents).scaleb(-2), region or None))
+    for number in numbers:
+        basic_type, line = draw(_IDS), draw(_IDS)
+        rows["products"].append([number, basic_type, line])
+        products.append(Product(number, basic_type, line))
+    for number in order_ids:
+        code, product = draw(st.sampled_from(codes)), draw(st.sampled_from(numbers))
+        quantity = draw(st.integers(1, 500))
+        cents = draw(st.one_of(boundary_cents, st.integers(1, 500_000)))
+        start = draw(st.one_of(st.sampled_from([_DAY0, _LAST_DAY]),
+                               st.dates(_DAY0, _LAST_DAY)))
+        standard = draw(st.integers(1, 56))
+        requested = draw(st.one_of(st.just(0), st.integers(0, 70)))  # same day too
+        confirmed = draw(st.one_of(st.just(standard), st.integers(1, 70)))
+        days = [start + timedelta(days=d) for d in (0, requested, confirmed, standard)]
+        rows["orders"].append([
+            number, code, product,
+            draw(st.sampled_from([str(quantity), f"+{quantity}", f"00{quantity}"])),
+            _money_text(draw, cents), *(day.isoformat() for day in days),
+        ])
+        orders.append(Order(number, code, product, quantity,
+                            Decimal(cents).scaleb(-2), *days))
+    dataset = Dataset(tuple(customers), tuple(products), tuple(orders))
+    if not draw(st.booleans()):
+        return rows, dataset, None
+    bad = draw(st.sampled_from([
+        ("customers", 2, "money"), ("customers", 1, "class"), ("customers", 0, "id"),
+        ("products", 0, "id"), ("orders", 0, "id"), ("orders", 1, "customer"),
+        ("orders", 3, "quantity"), ("orders", 4, "money"), ("orders", 4, "price"),
+        *(("orders", column, "date") for column in (5, 6, 7, 8)),
+        ("orders", 7, "same-day"),
+    ]))
+    name, column, kind = bad
+    table = rows[name]
+    index = draw(st.integers(0, len(table) - 1))
+    if kind == "id":  # empty, or a duplicate of the row before
+        cell = draw(st.sampled_from(["", *(row[0] for row in table[index - 1:index])]))
+    elif kind == "class":
+        cell = "Platinum"
+    elif kind == "customer":
+        cell = draw(_IDS.filter(lambda code: code not in codes))
+    elif kind == "same-day":
+        cell = table[index][5]
+    else:
+        cell = draw(st.sampled_from(
+            _BAD_CELLS[kind] + (_BAD_CELLS["money"] if kind == "price" else [])))
+    table[index][column] = cell
+    header = {"customers": CUSTOMERS_HEADER, "products": PRODUCTS_HEADER,
+              "orders": ORDERS_HEADER}[name]
+    return rows, dataset, (name, index + 2, header[column])
+
+
+class TestLoaderContractProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_csv_dataset(), p_max=st.sampled_from([None, "1000"]),
+           convex_alpha=st.sampled_from([None, "-100"]))
+    def test_csvs_run_to_the_oracles_or_stop_at_the_loader(
+        self, tmp_path_factory, case, p_max, convex_alpha
+    ):
+        rows, dataset, bad = case
+        data = tmp_path_factory.mktemp("csv")
+        for name, header in (("customers", CUSTOMERS_HEADER),
+                             ("products", PRODUCTS_HEADER), ("orders", ORDERS_HEADER)):
+            path = data / f"{name}.csv"
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows[name])
+        flags = {"--p-max": p_max, "--convex-alpha": convex_alpha}
+        args = price_args(data, data / "run") + [
+            a for flag, value in flags.items() if value for a in (flag, value)]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(args)
+        if bad is not None:
+            name, line, column = bad
+            assert code == 2, err.getvalue()
+            assert f"line {line}, column {column}: " in err.getvalue(), bad
+            return
+        assert code == 0, err.getvalue()
+        assert run(["--out-dir", data / "run", "analyze",
+                    "--graph", data / "run" / "graph.nt"]) == 0
+        assert run(["report", "--graph", data / "run" / "graph.nt",
+                    "--out", data / "run" / "report.json"]) == 0
+
+        config = PricingConfig(p_max=float(p_max or 2.0),
+                               convex_alpha=float(convex_alpha or -0.5))
+        stats, premiums, priced, issues = priced_orders_oracle(dataset, config)
+        assert issues == []
+        pricing = PricingResult(premiums, priced, stats)
+        cq = json.loads((data / "run" / "cq_report.json").read_text(encoding="utf-8"))
+        assert [[r["customer_code"], r["total_rm_revenue"]] for r in cq["cq1"]] == [
+            [code, str(total)] for code, total in oracle_cq1(dataset, pricing, 20)]
+        fractions = oracle_cq2(dataset)
+        text = {cls: None if f is None else f"{f:.6f}" for cls, f in fractions}
+        assert [[r["account_class"], r["eligible_fraction"]] for r in cq["cq2"]] == [
+            [cls.value, text[cls]] for cls, _ in fractions]
+        assert [list(r.values()) for r in cq["cq3"]] == [
+            [cls.value, *(str(to_factor(v)) for v in spread), text[cls]]
+            for cls, spread in oracle_cq3(dataset, pricing).items()]
+        assert [list(r.values()) for r in cq["cq4"]] == [
+            [*pair, str(delta)] for pair, delta in oracle_cq4(dataset, pricing, 20)]
+        report = json.loads((data / "run" / "report.json").read_text(encoding="utf-8"))
+        original, rm, convex = oracle_totals(pricing)
+        assert report["totals"] == {"original": str(original), "rm": str(rm),
+                                    "convex": str(convex)}
+        eligible = sum(o.customer_request_date < o.standard_delivery_date
+                       for o in dataset.orders)
+        assert report["counts"] == {"orders": len(dataset.orders), "eligible": eligible}
+        assert report["ordering_holds"] == (original < rm < convex)

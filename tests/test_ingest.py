@@ -130,6 +130,8 @@ class TestLoadCustomers:
         ("C009,Key,Infinity,EMEA", "annual_revenue"),
         ("C009,Key,-1,EMEA", "annual_revenue"),
         (",Key,50000000,EMEA", "customer_code"),
+        ("C009,Key,5e7,EMEA", "annual_revenue"),
+        ("C009,Key, 50000000,EMEA", "annual_revenue"),
     ])
     def test_bad_row_names_its_column_and_is_skippable(self, tmp_path, row, column):
         check_bad_customer_row(tmp_path, row, column)
@@ -251,6 +253,12 @@ class TestLoadOrders:
         ("quantity", "1_000"),
         ("quantity", " 12"),
         ("quantity", "١_٢"),  # Arabic-Indic 1_2
+        ("original_price", " 12.5 "),
+        ("original_price", "1_000.50"),
+        ("original_price", "1e3"),
+        ("original_price", "١٢"),  # Arabic-Indic 12
+        ("order_date", "20190716"),
+        ("standard_delivery_date", "2030-W01-1"),
     ])
     def test_over_bound_or_loose_cell_is_skippable(
         self, customer_file, product_file, tmp_path, column, value
