@@ -17,7 +17,6 @@ import gc
 import logging
 import sys
 from datetime import date
-from decimal import Decimal
 from pathlib import Path
 
 from . import analytics, graph as graphmod, ingest, pricing, report as reportmod
@@ -105,12 +104,10 @@ def build_pricing_config(args) -> PricingConfig:
 
 
 def _parse_iso(text: str) -> date:
-    if terms.DATE.fullmatch(text):
-        try:
-            return date.fromisoformat(text)
-        except ValueError:  # an impossible date
-            pass
-    raise UsageError(f"not an ISO date: {text!r}")
+    try:
+        return terms.read(date, text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_generate(args) -> int:
@@ -182,20 +179,18 @@ def cmd_analyze(args) -> int:
 
 
 def _format_cell(value) -> str:
-    """A result cell as ``ltbp query`` prints it. A string is escaped as in an
-    N-Triples file, so a tab or line break cannot split the TSV row and
-    ``terms.unescape`` gives the value back."""
+    """A result cell as ``ltbp query`` prints it, in the text that reads back
+    to it. A string is quoted and escaped as in an N-Triples file, so a tab
+    or line break cannot split the TSV row and the empty string is not an
+    empty cell, which means unbound. A number or a date is in its lexical
+    form, as in ``graph.nt``."""
     if value is None:
         return ""
     if isinstance(value, str):
-        return value.translate(graphmod._NT_ESCAPES)
+        return f'"{terms.escape(value)}"'
     if isinstance(value, terms.Iri):
         return f"<{value.value}>"
-    if isinstance(value, date):
-        return value.isoformat()
-    if isinstance(value, int):  # str() refuses an int of over 4,300 digits
-        return str(Decimal(value))
-    return str(value)
+    return terms.lexical(value)
 
 
 def cmd_query(args) -> int:

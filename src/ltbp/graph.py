@@ -26,14 +26,17 @@ predicate through one ``Graph.match`` call per row. Its filters run once
 every pattern is joined.
 
 A term's identity is the N-Triples text it exports as (``_nt_term``), so a
-literal is its lexical form plus datatype. ``100`` (integer), ``100.00`` and
-``1.00`` (decimal) are equal as Python values but are three terms, and each
-exports as it was built. Joins match by term id, and GROUP BY groups by term
-id too, so those three fall into three groups. The loader keys each token by
-the store's own term text, so a token already in the store is one dict
-lookup. A typed literal loads as its value's text: ``"007"^^xsd:integer``
+literal is its lexical form plus datatype. ``100`` (integer), ``100.00``
+and ``1.00`` (decimal) are equal as Python values but are three terms, and
+each exports as it was built. Joins match by term id, and GROUP BY groups by
+term id too, so those three fall into three groups. The loader keys each
+token by the store's own term text, so a token already in the store is one
+dict lookup. A typed literal loads as its value's text: ``"007"^^xsd:integer``
 loads as ``"7"`` and ``"+1.0"^^xsd:decimal`` as ``"1.0"``, so lines that
-differ only in such a form load as one triple.
+differ only in such a form load as one triple. A literal's text comes from
+``terms`` both ways: ``_nt_term`` writes it with ``terms.lexical`` or
+``terms.escape``, and the loader reads it with ``terms.read`` or
+``terms.unescape``.
 
 ``build_graph`` adds entities through a ``_Builder``, which adds id triples
 directly. Per build it interns each predicate and class IRI once, quotes
@@ -110,31 +113,17 @@ class FilterTypeError(EvaluationError):
 
 # --- N-Triples term text -----------------------------------------------------
 
-_XSD_INTEGER = f"{T.XSD}integer"
-_XSD_DECIMAL = f"{T.XSD}decimal"
-_XSD_DATE = f"{T.XSD}date"
-
-# Export escapes what a quoted N-Triples string may not hold raw, and tabs.
-_NT_ESCAPES = str.maketrans(
-    {char: f"\\{name}" for name, char in T.ECHAR.items() if char in '\\"\n\r\t'}
-)
-
 
 def _nt_term(term: Value) -> str:
     """A term's N-Triples text, which is also its identity in the store."""
     if isinstance(term, str):
-        return f'"{term.translate(_NT_ESCAPES)}"'
+        return f'"{T.escape(term)}"'
     if isinstance(term, Iri):
         return f"<{term.value}>"
-    if isinstance(term, bool):
-        raise GraphError("boolean literals are not supported")
-    if isinstance(term, int):
-        return f'"{term}"^^<{_XSD_INTEGER}>'
-    if isinstance(term, Decimal):  # plain notation: xsd:decimal has no exponent
-        return f'"{term:f}"^^<{_XSD_DECIMAL}>'
-    if isinstance(term, date):
-        return f'"{term.isoformat()}"^^<{_XSD_DATE}>'
-    raise GraphError(f"unsupported literal value {term!r}")
+    datatype = T.DATATYPES.get(type(term))  # a bool or a datetime has none
+    if datatype is None:
+        raise GraphError(f"unsupported literal value {term!r}")
+    return f'"{T.lexical(term)}"^^<{datatype}>'
 
 
 _MISSING = -1  # id of a term the graph does not hold; it matches nothing
@@ -512,7 +501,7 @@ def _solve(graph: Graph, patterns, filters):
         rows = _join(graph, cells, bound, rows)
     values = graph._values
     for expr in filters:
-        cells = [(name, slots[name]) for name in expr_variables(expr) if name in slots]
+        cells = [(name, slots[name]) for name in expr_variables(expr)]
         rows = [
             row for row in rows
             if _truth(expr, {name: values[row[cell]] for name, cell in cells})
@@ -538,9 +527,7 @@ def _type_name(value) -> str:
 
 
 def _eval_expr(expr: Expr, row: Binding):
-    if isinstance(expr, Variable):
-        if expr.name not in row:
-            raise EvaluationError(f"unbound variable ?{expr.name} in filter")
+    if isinstance(expr, Variable):  # validate() found it in a pattern
         return row[expr.name]
     if isinstance(expr, Compare):
         return _compare(expr, row)
@@ -801,12 +788,8 @@ _NT_LITERAL = re.compile(r'"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*
 # N-Triples IRIREF excludes controls, space and <>"{}|^`\ (W3C, 2014); other
 # whitespace is excluded too, as the loader splits terms on it.
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20\s<>"{}|^`\\]')
-# Each datatype's lexical form and the reader of its value.
-_LEXICAL = {
-    _XSD_INTEGER: (T.INTEGER, int),
-    _XSD_DECIMAL: (T.DECIMAL, Decimal),
-    _XSD_DATE: (T.DATE, date.fromisoformat),
-}
+# Each datatype IRI's value type, the ``kind`` that ``terms.read`` takes.
+_KINDS = {datatype: kind for kind, datatype in T.DATATYPES.items()}
 
 
 def _parse_iri(token: str, lineno: int) -> Iri:
@@ -834,15 +817,15 @@ def _parse_object(token: str, lineno: int) -> Value:
     dtype = m.group("dtype")
     if dtype is None:
         return body
-    if dtype not in _LEXICAL:
+    kind = _KINDS.get(dtype)
+    if kind is None:
         raise GraphParseError(f"line {lineno}: unsupported datatype <{dtype}>")
-    lexical, convert = _LEXICAL[dtype]
-    if lexical.fullmatch(body):
-        try:
-            return convert(body)
-        except ValueError:  # an impossible date, or an integer too long for int()
-            pass
-    raise GraphParseError(f"line {lineno}: invalid literal {body!r} for <{dtype}>")
+    try:
+        return T.read(kind, body)
+    except ValueError:
+        raise GraphParseError(
+            f"line {lineno}: invalid literal {body!r} for <{dtype}>"
+        ) from None
 
 
 def _malformed(lineno: int, line: str) -> GraphParseError:

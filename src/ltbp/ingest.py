@@ -8,12 +8,15 @@ Input files are plain CSVs with fixed headers and ISO-8601 dates:
                    original_price,order_date,customer_request_date,
                    customer_delivery_date,standard_delivery_date
 
-The loader converts each cell and builds the entity; the entity rules live
-in ``model``, and a rule broken there comes back as a ``RowError`` naming the
-row's line and column. A bad row aborts the load by default; given an
-``issues`` list, the loader appends the row's error to it and continues. The
-generator is fully deterministic for a fixed seed and writes the three CSVs
-plus a ``manifest.json`` recording the seed and configuration.
+The three files share one row loop. A row whose id repeats an accepted
+row's is a duplicate, whatever else it holds; any other row has its cells
+converted, numbers and dates by ``terms.read``, and its entity built. The
+entity rules live in ``model``, and a rule broken there comes back as a
+``RowError`` naming the row's line and column. A bad row aborts the load by
+default; given an ``issues`` list, the loader appends the row's error to it
+and continues. The generator is fully deterministic for a fixed seed and
+writes the three CSVs plus a ``manifest.json`` recording the seed and
+configuration.
 """
 
 from __future__ import annotations
@@ -174,82 +177,67 @@ def _parse_class(label: str, line: int) -> AccountClass:
 
 
 def _parse_money(text: str, line: int, column: str) -> Decimal:
-    if terms.DECIMAL.fullmatch(text) is not None:
-        try:
-            return to_money(text)
-        except InvalidOperation:  # more digits than the decimal context holds
-            pass
-    raise MalformedRow(line, column, f"not a number: {text!r}")
-
-
-def _parse_date(text: str, line: int, column: str, dates: dict) -> date:
-    """Parse a YYYY-MM-DD cell and remember it in ``dates``, text -> date."""
-    if terms.DATE.fullmatch(text) is not None:
-        try:
-            value = dates[text] = date.fromisoformat(text)
-            return value
-        except ValueError:  # an impossible date
-            pass
-    raise MalformedRow(line, column, f"not an ISO date: {text!r}")
-
-
-def _parse_quantity(text: str, line: int, quantities: dict) -> int:
-    """Parse an integer cell and remember it in ``quantities``; ``int``
-    refuses more digits than Python's int-from-text limit."""
-    if terms.INTEGER.fullmatch(text) is None:
-        raise MalformedRow(line, "quantity", f"not an integer: {text!r}")
     try:
-        value = quantities[text] = int(text)
-    except ValueError:
-        raise MalformedRow(line, "quantity", f"too many digits: {len(text)}") from None
+        return to_money(terms.read(Decimal, text))
+    except (ValueError, InvalidOperation):  # InvalidOperation: over 28 digits
+        raise MalformedRow(line, column, f"not a number: {text!r}") from None
+
+
+def _parse_cached(kind: type, text: str, line: int, column: str, cache: dict):
+    """Read a date or an integer cell and remember it in ``cache``, text ->
+    value."""
+    try:
+        value = cache[text] = terms.read(kind, text)
+    except ValueError as exc:
+        raise MalformedRow(line, column, str(exc)) from None
     return value
 
 
-def load_customers(path, *, issues: Optional[list] = None) -> list[Customer]:
-    customers = []
+def _load(path, header: list[str], build, issues: Optional[list]) -> list:
+    """The entity ``build(line, row)`` makes of each row, in file order.
+
+    A row whose first cell, the entity's id, repeats an earlier accepted
+    row's is a DuplicateIdentifier before anything else in it is read.
+    """
+    entities = []
     seen = set()
-    for line, row in _read_rows(path, CUSTOMERS_HEADER):
-        code, label, revenue_text, region = row
+    for line, row in _read_rows(path, header):
+        key = row[0]
         try:
-            customer = Customer(
-                code,
-                _parse_class(label, line),
-                _parse_money(revenue_text, line, "annual_revenue"),
-                region or None,
-            )
-            if code in seen:
-                raise DuplicateIdentifier(line, "customer_code", f"duplicate {code!r}")
+            if key in seen:
+                raise DuplicateIdentifier(line, header[0], f"duplicate {key!r}")
+            entity = build(line, row)
         except _ROW_FAILURES as exc:
             _handle(line, exc, issues)
             continue
-        if not class_matches_revenue(customer):
-            log.warning(
-                "customer %s: declared class %s does not match revenue %s; "
-                "keeping declared class",
-                code, customer.account_class.value, customer.annual_revenue,
-            )
-        seen.add(code)
-        customers.append(customer)
-    return customers
+        seen.add(key)
+        entities.append(entity)
+    return entities
+
+
+def _customer(line: int, row: list[str]) -> Customer:
+    code, label, revenue_text, region = row
+    customer = Customer(
+        code,
+        _parse_class(label, line),
+        _parse_money(revenue_text, line, "annual_revenue"),
+        region or None,
+    )
+    if not class_matches_revenue(customer):
+        log.warning(
+            "customer %s: declared class %s does not match revenue %s; "
+            "keeping declared class",
+            code, customer.account_class.value, customer.annual_revenue,
+        )
+    return customer
+
+
+def load_customers(path, *, issues: Optional[list] = None) -> list[Customer]:
+    return _load(path, CUSTOMERS_HEADER, _customer, issues)
 
 
 def load_products(path, *, issues: Optional[list] = None) -> list[Product]:
-    products = []
-    seen = set()
-    for line, row in _read_rows(path, PRODUCTS_HEADER):
-        number, basic_type, product_line = row
-        try:
-            if number in seen:
-                raise DuplicateIdentifier(
-                    line, "product_number", f"duplicate {number!r}"
-                )
-            product = Product(number, basic_type, product_line)
-        except _ROW_FAILURES as exc:
-            _handle(line, exc, issues)
-            continue
-        seen.add(number)
-        products.append(product)
-    return products
+    return _load(path, PRODUCTS_HEADER, lambda line, row: Product(*row), issues)
 
 
 def load_orders(
@@ -265,59 +253,46 @@ def load_orders(
     numbers = {p.product_number: p.product_number for p in products}
     dates: dict[str, date] = {}
     quantities: dict[str, int] = {}
-    orders = []
-    seen = set()
-    for line, row in _read_rows(path, ORDERS_HEADER):
-        try:
-            order = _parse_order_row(
-                line, row, codes, numbers, seen, dates, quantities
+
+    def build(line: int, row: list[str]) -> Order:
+        (number, code_text, product_text, quantity_text, price_text,
+         od_text, rd_text, dd_text, sd_text) = row
+        code = codes.get(code_text)
+        if code is None:
+            raise DanglingReference(
+                line, "customer_code", f"unknown customer {code_text!r}"
             )
-        except _ROW_FAILURES as exc:
-            _handle(line, exc, issues)
-            continue
-        seen.add(order.order_number)
-        orders.append(order)
-    return orders
+        product = numbers.get(product_text)
+        if product is None:
+            raise DanglingReference(
+                line, "product_number", f"unknown product {product_text!r}"
+            )
+        # A cached date is truthy; a cached quantity 0 just parses again.
+        order = Order(
+            number,
+            code,
+            product,
+            quantities.get(quantity_text)
+            or _parse_cached(int, quantity_text, line, "quantity", quantities),
+            _parse_money(price_text, line, "original_price"),
+            dates.get(od_text)
+            or _parse_cached(date, od_text, line, "order_date", dates),
+            dates.get(rd_text)
+            or _parse_cached(date, rd_text, line, "customer_request_date", dates),
+            dates.get(dd_text)
+            or _parse_cached(date, dd_text, line, "customer_delivery_date", dates),
+            dates.get(sd_text)
+            or _parse_cached(date, sd_text, line, "standard_delivery_date", dates),
+        )
+        if order.customer_delivery_date == order.order_date:
+            raise MalformedRow(
+                line, "customer_delivery_date",
+                "same day as order_date: the convex price of a same-day "
+                "delivery is undefined",
+            )
+        return order
 
-
-def _parse_order_row(line, row, codes, numbers, seen, dates, quantities) -> Order:
-    (number, code_text, product_text, quantity_text, price_text,
-     od_text, rd_text, dd_text, sd_text) = row
-    if number in seen:
-        raise DuplicateIdentifier(line, "order_number", f"duplicate {number!r}")
-    code = codes.get(code_text)
-    if code is None:
-        raise DanglingReference(
-            line, "customer_code", f"unknown customer {code_text!r}"
-        )
-    product = numbers.get(product_text)
-    if product is None:
-        raise DanglingReference(
-            line, "product_number", f"unknown product {product_text!r}"
-        )
-    # A cached date is truthy; a cached quantity 0 just parses again.
-    order = Order(
-        number,
-        code,
-        product,
-        quantities.get(quantity_text)
-        or _parse_quantity(quantity_text, line, quantities),
-        _parse_money(price_text, line, "original_price"),
-        dates.get(od_text) or _parse_date(od_text, line, "order_date", dates),
-        dates.get(rd_text)
-        or _parse_date(rd_text, line, "customer_request_date", dates),
-        dates.get(dd_text)
-        or _parse_date(dd_text, line, "customer_delivery_date", dates),
-        dates.get(sd_text)
-        or _parse_date(sd_text, line, "standard_delivery_date", dates),
-    )
-    if order.customer_delivery_date == order.order_date:
-        raise MalformedRow(
-            line, "customer_delivery_date",
-            "same day as order_date: the convex price of a same-day delivery "
-            "is undefined",
-        )
-    return order
+    return _load(path, ORDERS_HEADER, build, issues)
 
 
 def load_dataset(

@@ -20,7 +20,9 @@ built-in prefixes (``:name`` for predicates, plus ``cust:``, ``ord:``,
 arithmetic, and ``&&`` / ``||`` / ``!``, nested at most ``MAX_EXPR_DEPTH``
 deep. ``#`` starts a line comment. A number is ASCII digits with an
 optional fraction, an ``xsd:integer`` without a point and an ``xsd:decimal``
-with one (``terms.INTEGER`` and ``terms.DECIMAL``).
+with one, read by ``terms.read``. An error message shows a constant as the
+query would write it: a string quoted and escaped, and a number in plain
+notation (``terms.lexical``).
 
 A string is written in double quotes on one line and takes the escapes
 N-Triples and SPARQL share: ``\\t``, ``\\b``, ``\\n``, ``\\r``, ``\\f``,
@@ -116,7 +118,7 @@ def render_expr(expr: Expr) -> str:
         return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
     if isinstance(expr, Not):
         return f"!{render_expr(expr.operand)}"
-    return f'"{expr}"' if isinstance(expr, str) else str(expr)
+    return f'"{T.escape(expr)}"' if isinstance(expr, str) else T.lexical(expr)
 
 
 def expr_depth(expr: Expr) -> int:
@@ -402,7 +404,7 @@ class _Parser:
         if self.at_keyword("LIMIT"):
             self.next()
             tok = self.peek()
-            if tok.kind != "NUMBER" or T.INTEGER.fullmatch(tok.value) is None:
+            if tok.kind != "NUMBER" or "." in tok.value:
                 raise self.error("expected an integer after LIMIT")
             limit = self.constant()
         tok = self.peek()
@@ -477,10 +479,9 @@ class _Parser:
                 return unescape(tok.value[1:-1])
             except ValueError as exc:
                 raise QuerySyntaxError(str(exc), tok.line, tok.column) from None
-        if T.INTEGER.fullmatch(tok.value) is None:
-            return Decimal(tok.value)
+        kind = Decimal if "." in tok.value else int
         try:
-            return int(tok.value)
+            return T.read(kind, tok.value)
         except ValueError:  # more digits than Python's int-from-text limit
             raise QuerySyntaxError(
                 f"too many digits in integer: {len(tok.value)}", tok.line, tok.column

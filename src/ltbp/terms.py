@@ -7,9 +7,17 @@ Python value (``str``, ``int``, ``Decimal`` or ``date``), and a variable is a
 one value (W3C RDF 1.1 Concepts, 2014); the value's type names the datatype,
 and the store keeps the literal's lexical form (see ``graph``).
 
-A number or a date is read from text in one lexical form per datatype,
-``INTEGER``, ``DECIMAL`` and ``DATE`` below, by every reader: the N-Triples
-loader, the CSV loader, the CLI's date flags and the query parser.
+A literal's text form is defined here once, and every edge of the program
+reads and writes through it:
+
+- ``read(kind, text)`` reads an ``int``, ``Decimal`` or ``date`` from its
+  datatype's one lexical form. The N-Triples loader, the CSV cells, the CLI's
+  date flags and the query parser's numbers call it.
+- ``lexical(value)`` writes a number or a date in that form, in plain
+  notation, so ``read`` reads it back. ``graph.nt``, ``ltbp query``'s cells
+  and filter error messages call it.
+- ``escape(text)`` and ``unescape(body)`` are a quoted string's escapes,
+  shared by N-Triples and the query language.
 
 Everything lives under ``urn:ltbp:``. Entities get one IRI each
 (``urn:ltbp:customer:C001``), with the id percent-encoded (RFC 3986) so that
@@ -48,14 +56,48 @@ Term = Union[Value, Variable]
 TriplePattern = tuple  # (Term, Term, Term) with Variables allowed anywhere
 
 
-# The lexical forms of the literal datatypes (XML Schema 1.1 Part 2), in
-# ASCII digits: xsd:integer, xsd:decimal, which has no exponent, and
-# xsd:date without a time zone. Python's own readers take more: ``int`` and
-# ``Decimal`` take spaces, ``_`` and other scripts' digits, ``Decimal`` an
-# exponent, and ``date.fromisoformat`` ``20190716`` and ``2030-W01-1``.
-INTEGER = re.compile(r"[+-]?[0-9]+")
-DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
-DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# The literal datatypes (XML Schema 1.1 Part 2), each named by its value's
+# type.
+DATATYPES = {int: f"{XSD}integer", Decimal: f"{XSD}decimal", date: f"{XSD}date"}
+
+# Each datatype's lexical form in ASCII digits (its ``fullmatch``), the
+# reader of a text in that form, and what a text not in it is not.
+# xsd:decimal has no exponent, and xsd:date is read without a time zone.
+# Python's own readers take more: ``int`` and ``Decimal`` take spaces, ``_``
+# and other scripts' digits, ``Decimal`` an exponent, and
+# ``date.fromisoformat`` ``20190716`` and ``2030-W01-1``.
+_READERS = {
+    int: (re.compile(r"[+-]?[0-9]+").fullmatch, int, "not an integer"),
+    Decimal: (re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)").fullmatch,
+              Decimal, "not a number"),
+    date: (re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch,
+           date.fromisoformat, "not an ISO date"),
+}
+
+
+def read(kind: type, text: str) -> Union[int, Decimal, date]:
+    """The ``kind`` value (``int``, ``Decimal`` or ``date``) written as
+    ``text`` in its datatype's lexical form. Any other text, an impossible
+    date and an integer past Python's int-from-text limit raise ValueError."""
+    matches, convert, what = _READERS[kind]
+    if matches(text) is not None:
+        try:
+            return convert(text)
+        except ValueError:
+            if kind is int:  # more digits than the int-from-text limit
+                raise ValueError(f"too many digits: {len(text)}") from None
+    raise ValueError(f"{what}: {text!r}")
+
+
+def lexical(value: Union[int, Decimal, date]) -> str:
+    """A number's or a date's text in its datatype's lexical form, which
+    ``read`` reads back: a decimal in plain notation, with its fraction
+    digits as held (``0.00000010``, not ``1.0E-7``)."""
+    if isinstance(value, Decimal):
+        return f"{value:f}"
+    if isinstance(value, date):
+        return value.isoformat()
+    return str(Decimal(value))  # str() refuses an int of over 4,300 digits
 
 
 # The string escapes N-Triples and SPARQL share (W3C, 2014; W3C, 2013):
@@ -75,6 +117,17 @@ def _unescape_one(m: re.Match) -> str:
     elif char in ECHAR:
         return ECHAR[char]
     raise ValueError(f"invalid string escape {m.group()}")
+
+
+# What a quoted string may not hold raw in N-Triples, and tabs, as ECHARs.
+_ESCAPES = str.maketrans(
+    {char: f"\\{name}" for name, char in ECHAR.items() if char in '\\"\n\r\t'}
+)
+
+
+def escape(text: str) -> str:
+    """A string's body as written between quotes; ``unescape`` reverses it."""
+    return text.translate(_ESCAPES)
 
 
 def unescape(body: str) -> str:

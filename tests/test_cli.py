@@ -642,7 +642,22 @@ def test_query_prints_one_row_per_line_and_escapes_strings(tmp_path, capsys):
     assert len(lines) == 4 and lines[-1] == ""
     cells = [line.split("\t") for line in lines[1:3]]
     assert [len(row) for row in cells] == [2, 2]
-    assert [unescape(row[0]) for row in cells] == [region, region]
+    assert [row[0] for row in cells] == [f'"{escaped}"', f'"{escaped}"']
+    assert [unescape(row[0][1:-1]) for row in cells] == [region, region]
+
+
+def test_query_prints_decimals_in_plain_notation(tmp_path, capsys):
+    # str() of these two decimals is 1E-7 and 1.0E-7, which no reader accepts.
+    graph = tmp_path / "graph.nt"
+    graph.write_text(
+        f'<urn:s1> <urn:p> "0.0000001"{_DECIMAL} .\n'
+        f'<urn:s2> <urn:p> "0.00000010"{_DECIMAL} .\n', encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?v (AVG(?v) AS ?a) WHERE { ?s <urn:p> ?v } GROUP BY ?v")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 0
+    assert capsys.readouterr().out == (
+        "v\ta\n0.0000001\t0.0000001\n0.00000010\t0.00000010\n")
 
 
 def test_premiums_past_the_decimal_precision_keep_their_stats_ordered(tmp_path, capsys):

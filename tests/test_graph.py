@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import re
 import tracemalloc
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ltbp.terms
+from ltbp.cli import main
 from ltbp.graph import (
     DanglingReferenceError,
     DuplicateSubjectError,
@@ -19,6 +22,7 @@ from ltbp.graph import (
     Graph,
     GraphParseError,
     UnknownOrderError,
+    _nt_term,
     build_graph,
     evaluate,
     export_ntriples,
@@ -550,6 +554,17 @@ class TestMatchPatterns:
         with pytest.raises(FilterTypeError, match="date"):
             evaluate(small_graph, spec)
 
+    @pytest.mark.parametrize("constant, kind", [
+        ('"a\\"b\\tc"', "string"), ("0.0000001", "number"), ("0.00000010", "number"),
+    ])
+    def test_filter_error_shows_a_constant_as_the_query_writes_it(self, tmp_path,
+                                                                  constant, kind):
+        g = _load(tmp_path, "<urn:s> <urn:p> <urn:o> .")
+        spec = parse_query(f"SELECT ?s WHERE {{ ?s <urn:p> ?o FILTER(?o < {constant}) }}")
+        with pytest.raises(FilterTypeError) as raised:
+            evaluate(g, spec)
+        assert str(raised.value) == (
+            f"type mismatch: cannot compare iri to {kind} in ?o < {constant}")
 
     def test_filter_sees_only_rows_every_pattern_keeps(self, tmp_path):
         # O1 has no RM price, so the second pattern drops it before the
@@ -872,21 +887,69 @@ _MUTANT_TERMS = [
 
 
 @st.composite
-def _mutated_lines(draw, lines):
-    """Lines of an exported graph.nt with a few of their terms replaced and
-    the whitespace around a few of their terms changed."""
+def _mutated_lines(draw, lines, pool=tuple(_MUTANT_TERMS),
+                   places=(2, 2, 2, 3, 3, 0, 1)):
+    """Lines of an exported graph.nt with a few of their terms replaced by
+    terms from ``pool`` and the whitespace around a few of their terms
+    changed. ``places`` are the subject (0), predicate (1) and object (2)
+    positions to replace, and whitespace (3), to draw from."""
     terms = [[s, p, rest[:-2]] for s, p, rest in (line.split(" ", 2) for line in lines)]
     gaps = [["", " ", " ", " ", ""] for _ in lines]  # before each term, ".", after
     blank, space = st.text(" \t", max_size=2), st.text(" \t", min_size=1, max_size=3)
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(lines) - 1))
-        where = draw(st.sampled_from([2, 2, 2, 3, 3, 0, 1]))  # mostly objects
+        where = draw(st.sampled_from(places))
         if where == 3:
             gaps[i] = [draw(blank), draw(space), draw(space), draw(blank), draw(blank)]
         else:
-            terms[i][where] = draw(st.sampled_from(_MUTANT_TERMS))
+            terms[i][where] = draw(st.sampled_from(pool))
     return ["".join(map("".join, zip(gap, t + ["."]))) + gap[-1]
             for t, gap in zip(terms, gaps)]
+
+
+# Object terms for the query-cell property: each kind's edge forms, strings
+# that need escapes or look like another kind, and the empty string. No
+# integer past Python's 4,300-digit int-from-text limit: every reader refuses
+# one by design, and test_query_prints_a_sum_past_the_int_text_limit covers
+# how a SUM past it prints.
+_NUMBERS = [
+    f'"007"{_INT}', f'"-0"{_INT}', f'"3"{_INT}', f'"0.0000001"{_DEC}',
+    f'"0.00000010"{_DEC}', f'"1."{_DEC}', f'"-0.0"{_DEC}', f'".5"{_DEC}',
+    f'"+1.0"{_DEC}', f'"{"1" * 40}.5"{_DEC}',
+]
+_CELL_TERMS = (*_NUMBERS, '""', '"a\\tb\\"c\\\\d\\u00e9"', '"\\n\\r"', '"5"',
+               '"<urn:o>"', f'"2020-02-29"{_DATE}', f'"0001-01-01"{_DATE}', "<urn:o>")
+# Variables over every term, and aggregates over the numbers on <urn:n>;
+# the last query aggregates no rows, so its MIN, MAX and AVG are unbound.
+_CELL_QUERIES = [
+    "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+    "SELECT ?o (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?o",
+    "SELECT ?v (SUM(?v) AS ?sum) (AVG(?v) AS ?avg) WHERE { ?s <urn:n> ?v }"
+    " GROUP BY ?v",
+    "SELECT (SUM(?v) AS ?sum) (AVG(?v) AS ?avg) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi)"
+    " (COUNT(?v) AS ?n) WHERE { ?s <urn:n> ?v }",
+    "SELECT (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (AVG(?v) AS ?avg)"
+    " WHERE { ?s <urn:none> ?v }",
+]
+
+
+def _read_cell(cell: str, kind: type):
+    """The value an ``ltbp query`` cell of a ``kind`` value reads back to."""
+    if cell == "":
+        return None
+    if kind is Iri:
+        assert cell[0] == "<" and cell[-1] == ">", cell
+        return Iri(cell[1:-1])
+    if kind is str:
+        assert len(cell) >= 2 and cell[0] == cell[-1] == '"', cell
+        return T.unescape(cell[1:-1])
+    return T.read(kind, cell)
+
+
+def _term_key(value):
+    """A value's identity as a term, its N-Triples text, in which ``1.0`` and
+    ``1.00`` differ; None for an unbound value."""
+    return None if value is None else _nt_term(value)
 
 
 class TestGraphFileProperty:
@@ -917,3 +980,35 @@ class TestGraphFileProperty:
         export_ntriples(g, out / "first.nt")
         export_ntriples(load_ntriples(out / "first.nt"), out / "second.nt")
         assert (out / "second.nt").read_bytes() == (out / "first.nt").read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_query_cells_read_back_as_the_result_values(self, exported,
+                                                         tmp_path_factory, data):
+        lines = data.draw(_mutated_lines(exported, _CELL_TERMS, places=(2, 3)))
+        numbers = data.draw(st.lists(st.sampled_from(_NUMBERS), max_size=6))
+        lines += [f"<urn:s{i}> <urn:n> {term} ." for i, term in enumerate(numbers)]
+        out = tmp_path_factory.mktemp("cells")
+        (out / "graph.nt").write_text("".join(f"{line}\n" for line in lines),
+                                      encoding="utf-8")
+        g = load_ntriples(out / "graph.nt")
+        for query in _CELL_QUERIES:
+            (out / "q.rq").write_text(query, encoding="utf-8")
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                assert main(["query", "--graph", str(out / "graph.nt"),
+                             "--query", str(out / "q.rq")]) == 0
+            header, *rows = printed.getvalue().split("\n")[:-1]
+            table = evaluate(g, parse_query(query))
+            assert header.split("\t") == table.columns
+            cells = [row.split("\t") for row in rows]
+            assert [len(row) for row in cells] == [len(row) for row in table.rows]
+            for column, values in zip(zip(*cells), zip(*table.rows)):
+                values_by_cell = {}  # distinct terms must print distinctly
+                for cell, value in zip(column, values):
+                    term = _term_key(value)
+                    assert _term_key(_read_cell(cell, type(value))) == term, cell
+                    other = values_by_cell.setdefault(cell, value)
+                    # but an integer and a decimal without a point print alike
+                    assert (_term_key(other) == term
+                            or {type(other), type(value)} == {int, Decimal}), cell

@@ -267,6 +267,32 @@ class TestLoadOrders:
                              MalformedRow)
 
 
+@pytest.mark.parametrize("header, first, repeat, column", [
+    (CUSTOMER_HEADER, "C001,Key,50000000,", "C001,Platinum,abc,", "customer_code"),
+    (PRODUCT_HEADER, "P01,BT-A,PL-1", "P01,BT-B,PL-2", "product_number"),
+    (ORDER_HEADER, GOOD_ORDER, "O1,NOPE,P404,0,abc,x,x,x,x", "order_number"),
+], ids=["customers", "products", "orders"])
+def test_a_repeated_id_is_a_duplicate_whatever_else_is_wrong(
+    customer_file, product_file, tmp_path, header, first, repeat, column
+):
+    def load(path, **kwargs):
+        if header == CUSTOMER_HEADER:
+            return load_customers(path, **kwargs)
+        if header == PRODUCT_HEADER:
+            return load_products(path, **kwargs)
+        customers, products = load_customers(customer_file), load_products(product_file)
+        return load_orders(path, customers, products, **kwargs)
+
+    path = write(tmp_path / "rows.csv", header + first + "\n" + repeat + "\n")
+    with pytest.raises(DuplicateIdentifier) as excinfo:
+        load(path)
+    assert (excinfo.value.line, excinfo.value.column) == (3, column)
+    issues = []
+    assert len(load(path, issues=issues)) == 1
+    assert [(type(i), i.line, i.column) for i in issues] == [
+        (DuplicateIdentifier, 3, column)]
+
+
 class TestRoundTrip:
     def test_write_then_load_is_identity(self, small_dataset, tmp_path):
         write_dataset(small_dataset, tmp_path)
