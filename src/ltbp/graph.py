@@ -57,6 +57,7 @@ first-insertion order, each with its subjects in insertion order.
 from __future__ import annotations
 
 import decimal
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -67,12 +68,9 @@ from . import terms as T
 from .ingest import not_utf8
 from .model import Customer, Order, PricingConfig, Product, adjustment_factor, to_factor
 from .query import (
-    Arith,
-    BoolOp,
-    Compare,
+    COMPARISONS,
     Expr,
-    Neg,
-    Not,
+    Op,
     QueryError,
     QuerySpec,
     expr_variables,
@@ -512,103 +510,73 @@ def _solve(graph: Graph, patterns, filters):
 # --- filter evaluation -------------------------------------------------------
 
 
-def _type_name(value) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, Decimal)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, date):
-        return "date"
-    if isinstance(value, Iri):
-        return "iri"
-    return type(value).__name__
+# Each value type's kind. Filter type checks and their error texts, the
+# aggregates' checks and the sort order of mixed kinds all go by it.
+_KIND = {bool: "boolean", int: "number", Decimal: "number", str: "string",
+         date: "date", Iri: "iri"}
+_SORT_ORDER = ("number", "string", "date", "iri")
+
+# What each binary operator but "&&" and "||" computes, once its operands'
+# kinds are checked.
+_APPLY = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda left, right: Decimal(left) / Decimal(right),
+}
 
 
 def _eval_expr(expr: Expr, row: Binding):
     if isinstance(expr, Variable):  # validate() found it in a pattern
         return row[expr.name]
-    if isinstance(expr, Compare):
-        return _compare(expr, row)
-    if isinstance(expr, Arith):
-        left = _eval_expr(expr.left, row)
-        right = _eval_expr(expr.right, row)
-        if not (_is_number(left) and _is_number(right)):
+    if not isinstance(expr, Op):
+        return expr  # a constant: a literal's value
+    op, args = expr.op, expr.args
+    left = _eval_expr(args[0], row)
+    if op in ("!", "&&", "||"):
+        left = _require_bool(left, expr)
+        if op == "!":
+            return not left
+        if left is (op == "||"):  # false && ..., true || ...
+            return left
+        return _require_bool(_eval_expr(args[1], row), expr)
+    kind = _KIND[type(left)]
+    if len(args) == 1:
+        if kind != "number":
             raise FilterTypeError(
-                f"arithmetic needs numbers, got {_type_name(left)} and "
-                f"{_type_name(right)} in {render_expr(expr)}"
+                f"negation needs a number, got {kind} in {render_expr(expr)}"
             )
-        try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if right == 0:
-                raise EvaluationError(f"division by zero in {render_expr(expr)}")
-            return Decimal(left) / Decimal(right)
-        except decimal.Overflow:
-            raise EvaluationError(f"decimal overflow in {render_expr(expr)}") from None
-    if isinstance(expr, Neg):
-        value = _eval_expr(expr.operand, row)
-        if not _is_number(value):
+        return -left
+    right = _eval_expr(args[1], row)
+    right_kind = _KIND[type(right)]
+    if op in COMPARISONS:
+        if kind != right_kind or kind == "boolean":
             raise FilterTypeError(
-                f"negation needs a number, got {_type_name(value)} "
+                f"type mismatch: cannot compare {kind} to {right_kind} "
                 f"in {render_expr(expr)}"
             )
-        return -value
-    if isinstance(expr, BoolOp):
-        left = _require_bool(_eval_expr(expr.left, row), expr)
-        if expr.op == "&&":
-            return left and _require_bool(_eval_expr(expr.right, row), expr)
-        return left or _require_bool(_eval_expr(expr.right, row), expr)
-    if isinstance(expr, Not):
-        return not _require_bool(_eval_expr(expr.operand, row), expr)
-    return expr  # a constant: a literal's value
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, Decimal)) and not isinstance(value, bool)
+        if kind == "iri" and op not in ("=", "!="):
+            raise FilterTypeError(f"IRIs are not ordered in {render_expr(expr)}")
+        return _APPLY[op](left, right)
+    if kind != "number" or right_kind != "number":
+        raise FilterTypeError(
+            f"arithmetic needs numbers, got {kind} and {right_kind} "
+            f"in {render_expr(expr)}"
+        )
+    if op == "/" and right == 0:
+        raise EvaluationError(f"division by zero in {render_expr(expr)}")
+    try:
+        return _APPLY[op](left, right)
+    except decimal.Overflow:
+        raise EvaluationError(f"decimal overflow in {render_expr(expr)}") from None
 
 
 def _require_bool(value, expr: Expr) -> bool:
     if not isinstance(value, bool):
         raise FilterTypeError(
-            f"expected a boolean, got {_type_name(value)} in {render_expr(expr)}"
+            f"expected a boolean, got {_KIND[type(value)]} in {render_expr(expr)}"
         )
     return value
-
-
-def _compare(expr: Compare, row: Binding) -> bool:
-    left = _eval_expr(expr.left, row)
-    right = _eval_expr(expr.right, row)
-    numeric = _is_number(left) and _is_number(right)
-    same_kind = (
-        numeric
-        or (isinstance(left, str) and isinstance(right, str))
-        or (isinstance(left, date) and isinstance(right, date))
-        or (isinstance(left, Iri) and isinstance(right, Iri))
-    )
-    if not same_kind:
-        raise FilterTypeError(
-            f"type mismatch: cannot compare {_type_name(left)} to "
-            f"{_type_name(right)} in {render_expr(expr)}"
-        )
-    if expr.op == "=":
-        return left == right
-    if expr.op == "!=":
-        return left != right
-    if isinstance(left, Iri):
-        raise FilterTypeError(f"IRIs are not ordered in {render_expr(expr)}")
-    if expr.op == "<":
-        return left < right
-    if expr.op == "<=":
-        return left <= right
-    if expr.op == ">":
-        return left > right
-    return left >= right
 
 
 def _truth(expr: Expr, row: Binding) -> bool:
@@ -627,13 +595,9 @@ class ResultTable:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
-_SORT_RANK = {int: 0, Decimal: 0, str: 1, date: 2, Iri: 3}
-
-
 def _sort_key(value):
-    if isinstance(value, Iri):
-        return (3, value.value)
-    return (_SORT_RANK[type(value)], value)
+    kind = _KIND[type(value)]
+    return (_SORT_ORDER.index(kind), value.value if kind == "iri" else value)
 
 
 def _sum_digits(values: list) -> int:
@@ -653,24 +617,29 @@ def _aggregate(func: str, values: list, alias: str):
         return 0 if func == "SUM" else None
     if func in ("SUM", "AVG"):
         for v in values:
-            if not _is_number(v):
+            kind = _KIND[type(v)]
+            if kind != "number":
                 raise EvaluationError(
-                    f"{func} needs numeric values, got {_type_name(v)} for ?{alias}"
+                    f"{func} needs numeric values, got {kind} for ?{alias}"
                 )
         try:
-            if func == "SUM":
-                return sum(values)
             with decimal.localcontext() as context:
-                # An exact sum rounded once: as rounding is monotone and MIN
-                # and MAX fit in the precision, the mean stays between them.
+                if func == "SUM":
+                    context.clear_flags()
+                    total = sum(values)
+                    if not context.flags[decimal.Rounded]:
+                        return total
+                # The exact sum, and for AVG its mean rounded once: as
+                # rounding is monotone and MIN and MAX fit in the precision,
+                # the mean stays between them.
                 context.prec = max(context.prec, _sum_digits(values))
-                return Decimal(sum(values)) / Decimal(len(values))
+                total = sum(values)
+                return total if func == "SUM" else Decimal(total) / Decimal(len(values))
         except decimal.Overflow:
             raise EvaluationError(f"decimal overflow in {func} for ?{alias}") from None
-    # MIN / MAX over one comparable kind
-    first = values[0]
-    kinds = {_type_name(v) for v in values}
-    if len(kinds) > 1 or isinstance(first, Iri):
+    # MIN / MAX over one ordered kind
+    kinds = {_KIND[type(v)] for v in values}
+    if len(kinds) > 1 or "iri" in kinds:
         raise EvaluationError(
             f"{func} needs one ordered value kind, got {sorted(kinds)} for ?{alias}"
         )

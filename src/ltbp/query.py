@@ -9,15 +9,18 @@ A strict SPARQL subset, whitespace-insensitive with case-insensitive keywords:
     from    := "FROM" iriref                # parsed and ignored
     pattern := term term term
     term    := var | iri | literal
-    filter  := "FILTER" "(" boolexpr ")"
+    filter  := "FILTER" "(" expr ")"
+    expr    := expr binop expr | ("!" | "-") expr | "(" expr ")" | var | constant
     groupby := "GROUP" "BY" var+
     orderby := "ORDER" "BY" ("ASC" | "DESC")? var
     limit   := "LIMIT" integer
 
 IRIs are written either in angle brackets or as prefixed names using the
 built-in prefixes (``:name`` for predicates, plus ``cust:``, ``ord:``,
-``prod:`` and ``class:`` for entities). Filters support comparisons,
-arithmetic, and ``&&`` / ``||`` / ``!``, nested at most ``MAX_EXPR_DEPTH``
+``prod:`` and ``class:`` for entities). A filter's operators bind in
+these levels, loosest first: ``||``, ``&&``, ``!``, the comparisons
+``= != < <= > >=``, which do not chain, ``+ -``, ``* /``, and unary ``-``.
+Binary operators associate left. A filter nests at most ``MAX_EXPR_DEPTH``
 deep. ``#`` starts a line comment. A number is ASCII digits with an
 optional fraction, an ``xsd:integer`` without a point and an ``xsd:decimal``
 with one, read by ``terms.read``. An error message shows a constant as the
@@ -67,57 +70,36 @@ class UnboundProjectionError(QueryValidationError):
 
 # --- filter expression AST -------------------------------------------------
 # A leaf is a term as a pattern holds it: a Variable, or a constant that is
-# its own value (a str, int or Decimal).
+# its own value (a str, int or Decimal). Every other node is an ``Op``.
+
+COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+
+# The binary operators' levels, loosest first (SPARQL 1.1, W3C 2013, §19.8).
+# "!" prefixes an operand of "&&", unary "-" an operand of "*" and "/", and
+# a comparison does not chain.
+_LEVELS = (("||",), ("&&",), COMPARISONS, ("+", "-"), ("*", "/"))
+_COMPARISON_LEVEL = _LEVELS.index(COMPARISONS)
 
 
 @dataclass(frozen=True, slots=True)
-class Compare:
-    op: str  # = != < <= > >=
-    left: "Expr"
-    right: "Expr"
+class Op:
+    op: str  # "!" and unary "-" take one operand; every _LEVELS operator two
+    args: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Arith:
-    op: str  # + - * /
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class BoolOp:
-    op: str  # && ||
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class Not:
-    operand: "Expr"
-
-
-Expr = Union[Variable, str, int, Decimal, Compare, Arith, Neg, BoolOp, Not]
+Expr = Union[Variable, str, int, Decimal, Op]
 
 
 def render_expr(expr: Expr) -> str:
     """Source-like rendering of a filter expression, for error messages."""
     if isinstance(expr, Variable):
         return f"?{expr.name}"
-    if isinstance(expr, Compare):
-        return f"{render_expr(expr.left)} {expr.op} {render_expr(expr.right)}"
-    if isinstance(expr, Arith):
-        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
-    if isinstance(expr, Neg):
-        return f"-{render_expr(expr.operand)}"
-    if isinstance(expr, BoolOp):
-        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
-    if isinstance(expr, Not):
-        return f"!{render_expr(expr.operand)}"
+    if isinstance(expr, Op):
+        if len(expr.args) == 1:
+            return expr.op + render_expr(expr.args[0])
+        left, right = map(render_expr, expr.args)
+        text = f"{left} {expr.op} {right}"
+        return text if expr.op in COMPARISONS else f"({text})"
     return f'"{T.escape(expr)}"' if isinstance(expr, str) else T.lexical(expr)
 
 
@@ -127,20 +109,16 @@ def expr_depth(expr: Expr) -> int:
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        if isinstance(node, (Compare, Arith, BoolOp)):
-            stack += ((node.left, depth + 1), (node.right, depth + 1))
-        elif isinstance(node, (Neg, Not)):
-            stack.append((node.operand, depth + 1))
+        if isinstance(node, Op):
+            stack += [(arg, depth + 1) for arg in node.args]
     return deepest
 
 
 def expr_variables(expr: Expr) -> set[str]:
     if isinstance(expr, Variable):
         return {expr.name}
-    if isinstance(expr, (Compare, Arith, BoolOp)):
-        return expr_variables(expr.left) | expr_variables(expr.right)
-    if isinstance(expr, (Neg, Not)):
-        return expr_variables(expr.operand)
+    if isinstance(expr, Op):
+        return set().union(*map(expr_variables, expr.args))
     return set()
 
 
@@ -340,14 +318,14 @@ class _Parser:
             raise self.error(f"expected {op!r}, found {found!r}")
         return self.next()
 
-    def nested(self, parse):
-        """Consume the token opening one nesting level, then ``parse()`` it."""
+    def nested(self, parse, *args):
+        """Consume the token opening one nesting level, then ``parse(*args)``."""
         tok = self.next()
         if self.depth == MAX_EXPR_DEPTH:
             raise self.error(_TOO_DEEP, tok)
         self.depth += 1
         try:
-            return parse()
+            return parse(*args)
         finally:
             self.depth -= 1
 
@@ -487,50 +465,23 @@ class _Parser:
                 f"too many digits in integer: {len(tok.value)}", tok.line, tok.column
             ) from None
 
-    # boolexpr := andexpr ("||" andexpr)*
-    def bool_expr(self) -> Expr:
-        expr = self.and_expr()
-        while self.at_op("||"):
-            self.next()
-            expr = BoolOp("||", expr, self.and_expr())
-        return expr
-
-    def and_expr(self) -> Expr:
-        expr = self.not_expr()
-        while self.at_op("&&"):
-            self.next()
-            expr = BoolOp("&&", expr, self.not_expr())
-        return expr
-
-    def not_expr(self) -> Expr:
-        if self.at_op("!"):
-            return Not(self.nested(self.not_expr))
-        return self.comparison()
-
-    def comparison(self) -> Expr:
-        expr = self.additive()
-        if self.at_op("=", "!=", "<", "<=", ">", ">="):
-            op = self.next().value
-            return Compare(op, expr, self.additive())
-        return expr
-
-    def additive(self) -> Expr:
-        expr = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = self.next().value
-            expr = Arith(op, expr, self.multiplicative())
-        return expr
-
-    def multiplicative(self) -> Expr:
-        expr = self.unary()
-        while self.at_op("*", "/"):
-            op = self.next().value
-            expr = Arith(op, expr, self.unary())
+    def bool_expr(self, level: int = 0) -> Expr:
+        """An expression whose loosest binary operator is of ``_LEVELS[level]``
+        or tighter."""
+        if level == len(_LEVELS):
+            return self.unary()
+        if level == _COMPARISON_LEVEL and self.at_op("!"):  # an operand of "&&"
+            return Op("!", (self.nested(self.bool_expr, level),))
+        expr = self.bool_expr(level + 1)
+        while self.at_op(*_LEVELS[level]):
+            expr = Op(self.next().value, (expr, self.bool_expr(level + 1)))
+            if level == _COMPARISON_LEVEL:  # a comparison does not chain
+                break
         return expr
 
     def unary(self) -> Expr:
         if self.at_op("-"):
-            return Neg(self.nested(self.unary))
+            return Op("-", (self.nested(self.unary),))
         return self.primary()
 
     def primary(self) -> Expr:

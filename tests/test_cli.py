@@ -660,6 +660,25 @@ def test_query_prints_decimals_in_plain_notation(tmp_path, capsys):
         "v\ta\n0.0000001\t0.0000001\n0.00000010\t0.00000010\n")
 
 
+@pytest.mark.parametrize("value, total", [
+    ("1111111111111111111111111111111111111111.5",
+     "2222222222222222222222222222222222222223.0"),
+    ("100000000000000000000000000000000.0", "200000000000000000000000000000000.0"),
+], ids=["inexact-at-28-digits", "rounded-at-28-digits"])
+def test_query_sums_decimals_past_the_context_precision_exactly(tmp_path, capsys,
+                                                                value, total):
+    # Each sum has more digits than the 28-digit decimal context holds.
+    graph = tmp_path / "graph.nt"
+    graph.write_text(f'<urn:x1> <urn:ltbp:p:v> "{value}"{_DECIMAL} .\n'
+                     f'<urn:x2> <urn:ltbp:p:v> "{value}"{_DECIMAL} .\n',
+                     encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT (SUM(?v) AS ?s) (AVG(?v) AS ?a) WHERE { ?x :v ?v . }")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 0
+    assert capsys.readouterr().out == f"s\ta\n{total}\t{value}\n"
+
+
 def test_premiums_past_the_decimal_precision_keep_their_stats_ordered(tmp_path, capsys):
     # 30 significant digits: summed in the 28-digit context, the mean fell below MIN.
     premium = "1.00000000000000000000000000009"

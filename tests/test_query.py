@@ -15,8 +15,7 @@ from ltbp.pricing import price_dataset
 from ltbp.query import (
     MAX_EXPR_DEPTH,
     Aggregate,
-    BoolOp,
-    Compare,
+    Op,
     OrderBy,
     QuerySyntaxError,
     QueryValidationError,
@@ -27,6 +26,8 @@ from ltbp.query import (
 )
 from ltbp.report import TOTALS_QUERY
 from ltbp.terms import ECHAR, Iri, Variable
+
+A, B, C = Variable("a"), Variable("b"), Variable("c")
 
 
 class TestTotalsQuery:
@@ -92,13 +93,31 @@ class TestBasics:
         spec = parse_query("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s")
         assert spec.order_by == OrderBy("s", descending=False)
 
-    def test_filter_expression_tree(self):
-        spec = parse_query(
-            "SELECT ?x WHERE { ?s :p ?x . ?s :q ?y FILTER(?x > 1 && ?y * 2 <= 10) }"
-        )
-        (expr,) = spec.filters
-        assert isinstance(expr, BoolOp) and expr.op == "&&"
-        assert expr.left == Compare(">", Variable("x"), 1)
+    # Each case is a filter and its tree, or the column of the syntax error
+    # that a chained comparison is.
+    @pytest.mark.parametrize("text, tree", [
+        ("?a > 1 && ?b * 2 <= 10",
+         Op("&&", (Op(">", (A, 1)), Op("<=", (Op("*", (B, 2)), 10))))),
+        ("!?a < 1 && ?b", Op("&&", (Op("!", (Op("<", (A, 1)),)), B))),
+        ("-?a * 2 > 0", Op(">", (Op("*", (Op("-", (A,)), 2)), 0))),
+        ("?a - 1 - 2", Op("-", (Op("-", (A, 1)), 2))),
+        ("?a / 2 / 3", Op("/", (Op("/", (A, 2)), 3))),
+        ("?a || ?b && ?c", Op("||", (A, Op("&&", (B, C))))),
+        ("?a < ?b < ?c", len("?a < ?b ") + 1),
+    ], ids=["and-of-comparisons", "not-binds-tighter-than-and",
+            "unary-minus-binds-tightest", "minus-associates-left",
+            "divide-associates-left", "or-is-loosest", "comparisons-do-not-chain"])
+    def test_filter_expression_tree(self, text, tree):
+        head = "SELECT ?a WHERE { ?s :p ?a . ?s :q ?b . ?s :r ?c FILTER("
+        query = f"{head}{text}) }}"
+        if isinstance(tree, int):
+            with pytest.raises(QuerySyntaxError) as excinfo:
+                parse_query(query)
+            column = len(head) + tree
+            assert str(excinfo.value) == f"line 1, column {column}: expected ')', found '<'"
+            return
+        (expr,) = parse_query(query).filters
+        assert expr == tree
 
     def test_comments_ignored(self):
         spec = parse_query("SELECT ?s # projection\nWHERE { ?s ?p ?o }")
