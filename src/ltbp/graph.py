@@ -38,13 +38,17 @@ differ only in such a form load as one triple. A literal's text comes from
 ``terms.escape``, and the loader reads it with ``terms.read`` or
 ``terms.unescape``.
 
-``build_graph`` adds entities through a ``_Builder``, which adds id triples
-directly. Per build it interns each predicate and class IRI once, quotes
-each entity id into its IRI once, and keys dates by ``date`` and quantities
-by ``int``. Its duplicate-subject and dangling-reference checks read
-per-build dicts from entity id to subject id. Decimals are not keyed by
-value: ``Decimal("100")`` equals ``Decimal("100.00")``, yet the two are
-different terms (above), so a decimal is formatted and interned by its text.
+``build_graph`` is one function that adds id triples through
+``Graph._intern`` and ``Graph._add_ids``, as the loader does. Per build it
+interns each predicate and class IRI once, before the first triple, and
+quotes each entity id into its IRI once. One per-build dict keys the terms
+that many triples share by value: dates, ``int`` quantities and repeated
+strings (basic types, product lines, account classes, regions). Its
+duplicate-subject and dangling-reference checks read per-build dicts from
+entity id to subject id. Nothing else is keyed by value: ``Decimal("100")``
+equals ``Decimal("100.00")``, and ``True`` and ``Decimal("1")`` equal
+``1``, yet each is a different term (above) or none, so each is interned by
+its text.
 
 Match order is deterministic for a deterministically built graph,
 regardless of hash randomization. A full scan is grouped by predicate: the
@@ -66,7 +70,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import terms as T
 from .ingest import not_utf8
-from .model import Customer, Order, PricingConfig, Product, adjustment_factor, to_factor
+from .model import PricingConfig, adjustment_factor, to_factor
 from .query import (
     COMPARISONS,
     Expr,
@@ -245,146 +249,113 @@ class Graph:
 
 # --- graph building ----------------------------------------------------------
 
-class _TermIds(dict):
-    """Iri -> its id in one graph, interned on first lookup."""
+def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> Graph:
+    """Materialize a dataset (and optional pricing output) as a graph.
 
-    def __init__(self, graph: Graph) -> None:
-        super().__init__()
-        self.graph = graph
-
-    def __missing__(self, iri: Iri) -> int:
-        tid = self[iri] = self.graph._intern(iri)
-        return tid
-
-
-class _Builder:
-    """Adds entities to one new graph as id triples, interning each term once.
-
-    ``products``, ``customers`` and ``orders`` map an entity's id string to
-    its subject id, so the duplicate and dangling-reference checks are dict
-    lookups.
+    Each predicate and class IRI is interned once, before any triple, and
+    each entity's IRI once, as its subject. ``products``, ``customers`` and
+    ``orders`` map an entity's id string to its subject id, so the duplicate
+    and dangling-reference checks are dict lookups.
     """
+    config = config or PricingConfig()
+    graph = Graph()
+    intern, attach = graph._intern, graph._add_ids
+    (is_a, product_class, customer_class, order_class, has_product_number,
+     has_basic_type, has_product_line, has_customer_code, has_account_type,
+     has_adjustment_factor, has_annual_revenue, has_region, has_order_number,
+     has_quantity, has_original_price, has_order_date, has_requested_date,
+     has_confirmed_date, has_standard_date, was_placed_by, contains_product,
+     has_premium, has_rm_price, has_convex_price) = map(intern, (
+        T.TYPE, T.PRODUCT_CLASS, T.CUSTOMER_CLASS, T.ORDER_CLASS,
+        T.HAS_PRODUCT_NUMBER, T.HAS_BASIC_TYPE, T.HAS_PRODUCT_LINE,
+        T.HAS_CUSTOMER_CODE, T.HAS_ACCOUNT_TYPE, T.HAS_ADJUSTMENT_FACTOR,
+        T.HAS_ANNUAL_REVENUE, T.HAS_REGION, T.HAS_ORDER_NUMBER, T.HAS_QUANTITY,
+        T.HAS_ORIGINAL_PRICE, T.HAS_ORDER_DATE, T.HAS_REQUESTED_DATE,
+        T.HAS_CONFIRMED_DATE, T.HAS_STANDARD_DATE, T.WAS_PLACED_BY,
+        T.CONTAINS_PRODUCT, T.HAS_PREMIUM, T.HAS_RM_PRICE, T.HAS_CONVEX_PRICE,
+    ))
+    cache: dict = {}  # a date, int or repeated string -> its id
 
-    def __init__(self, graph: Graph, config: PricingConfig) -> None:
-        self.graph = graph
-        self.config = config
-        self.products: dict[str, int] = {}
-        self.customers: dict[str, int] = {}
-        self.orders: dict[str, int] = {}
-        self.p = _TermIds(graph)  # predicate and class IRIs
-        self._attach = graph._add_ids
-        self._intern = graph._intern
-        self._dates: dict[date, int] = {}
-        self._ints: dict[int, int] = {}
-
-    # -- terms ----------------------------------------------------------------
-
-    def _int(self, value) -> int:
-        if type(value) is not int:  # a bool or Decimal would hit an int's entry
-            return self._intern(value)
-        tid = self._ints.get(value)
+    def shared(value) -> int:
+        tid = cache.get(value)
         if tid is None:
-            tid = self._ints[value] = self._intern(value)
+            tid = cache[value] = intern(value)
         return tid
 
-    def _date(self, value) -> int:
-        tid = self._dates.get(value)
-        if tid is None:
-            tid = self._dates[value] = self._intern(value)
+    def subject(entities: dict, key: str, iri, kind: str) -> int:
+        if key in entities:
+            raise DuplicateSubjectError(f"{kind} already asserted: {iri(key).value}")
+        tid = entities[key] = intern(iri(key))
         return tid
 
-    # -- entities -------------------------------------------------------------
-
-    def product(self, product: Product) -> None:
+    products: dict[str, int] = {}
+    for product in dataset.products:
         number = product.product_number
-        if number in self.products:
-            raise DuplicateSubjectError(
-                f"product already asserted: {T.product_iri(number).value}"
-            )
-        s = self.products[number] = self._intern(T.product_iri(number))
-        p, attach, literal = self.p, self._attach, self._intern
-        attach(s, p[T.TYPE], p[T.PRODUCT_CLASS])
-        attach(s, p[T.HAS_PRODUCT_NUMBER], literal(number))
-        attach(s, p[T.HAS_BASIC_TYPE], literal(product.basic_type))
-        attach(s, p[T.HAS_PRODUCT_LINE], literal(product.product_line))
+        s = subject(products, number, T.product_iri, "product")
+        attach(s, is_a, product_class)
+        attach(s, has_product_number, intern(number))
+        attach(s, has_basic_type, shared(product.basic_type))
+        attach(s, has_product_line, shared(product.product_line))
 
-    def customer(self, customer: Customer) -> None:
+    customers: dict[str, int] = {}
+    for customer in dataset.customers:
         code = customer.customer_code
-        if code in self.customers:
-            raise DuplicateSubjectError(
-                f"customer already asserted: {T.customer_iri(code).value}"
-            )
-        rho = adjustment_factor(customer.account_class, self.config)
-        s = self.customers[code] = self._intern(T.customer_iri(code))
-        p, attach, literal = self.p, self._attach, self._intern
-        attach(s, p[T.TYPE], p[T.CUSTOMER_CLASS])
-        attach(s, p[T.HAS_CUSTOMER_CODE], literal(code))
-        attach(s, p[T.HAS_ACCOUNT_TYPE], literal(customer.account_class.value))
-        attach(s, p[T.HAS_ADJUSTMENT_FACTOR], literal(to_factor(rho)))
-        attach(s, p[T.HAS_ANNUAL_REVENUE], literal(customer.annual_revenue))
+        s = subject(customers, code, T.customer_iri, "customer")
+        rho = adjustment_factor(customer.account_class, config)
+        attach(s, is_a, customer_class)
+        attach(s, has_customer_code, intern(code))
+        attach(s, has_account_type, shared(customer.account_class.value))
+        attach(s, has_adjustment_factor, intern(to_factor(rho)))
+        attach(s, has_annual_revenue, intern(customer.annual_revenue))
         if customer.region is not None:
-            attach(s, p[T.HAS_REGION], literal(customer.region))
+            attach(s, has_region, shared(customer.region))
 
-    def order(self, order: Order) -> None:
+    orders: dict[str, int] = {}
+    for order in dataset.orders:
         number = order.order_number
-        if number in self.orders:
-            raise DuplicateSubjectError(
-                f"order already asserted: {T.order_iri(number).value}"
-            )
-        customer = self.customers.get(order.customer_code)
-        if customer is None:
+        s = subject(orders, number, T.order_iri, "order")
+        placed_by = customers.get(order.customer_code)
+        if placed_by is None:
             raise DanglingReferenceError(
                 f"order {number} references unknown customer {order.customer_code}"
             )
-        product = self.products.get(order.product_number)
+        product = products.get(order.product_number)
         if product is None:
             raise DanglingReferenceError(
                 f"order {number} references unknown product {order.product_number}"
             )
-        s = self.orders[number] = self._intern(T.order_iri(number))
-        p, attach, literal, day = self.p, self._attach, self._intern, self._date
-        attach(s, p[T.TYPE], p[T.ORDER_CLASS])
-        attach(s, p[T.HAS_ORDER_NUMBER], literal(number))
-        attach(s, p[T.HAS_QUANTITY], self._int(order.quantity))
-        attach(s, p[T.HAS_ORIGINAL_PRICE], literal(order.original_price))
-        attach(s, p[T.HAS_ORDER_DATE], day(order.order_date))
-        attach(s, p[T.HAS_REQUESTED_DATE], day(order.customer_request_date))
-        attach(s, p[T.HAS_CONFIRMED_DATE], day(order.customer_delivery_date))
-        attach(s, p[T.HAS_STANDARD_DATE], day(order.standard_delivery_date))
-        attach(s, p[T.WAS_PLACED_BY], customer)
-        attach(s, p[T.CONTAINS_PRODUCT], product)
+        quantity = order.quantity
+        attach(s, is_a, order_class)
+        attach(s, has_order_number, intern(number))
+        # a bool or Decimal would hit an int's entry, so only an int is shared
+        attach(s, has_quantity,
+               shared(quantity) if type(quantity) is int else intern(quantity))
+        attach(s, has_original_price, intern(order.original_price))
+        attach(s, has_order_date, shared(order.order_date))
+        attach(s, has_requested_date, shared(order.customer_request_date))
+        attach(s, has_confirmed_date, shared(order.customer_delivery_date))
+        attach(s, has_standard_date, shared(order.standard_delivery_date))
+        attach(s, was_placed_by, placed_by)
+        attach(s, contains_product, product)
 
-    def premium(self, premium) -> None:
-        code = premium.customer_code
-        s = self.customers.get(code)
-        if s is None:
-            raise DanglingReferenceError(f"premium references unknown customer {code}")
-        self._attach(s, self.p[T.HAS_PREMIUM], self._intern(to_factor(premium.premium)))
-
-    def priced(self, priced) -> None:
-        number = priced.order_number
-        s = self.orders.get(number)
-        if s is None:
-            raise UnknownOrderError(f"priced order references unknown order {number}")
-        self._attach(s, self.p[T.HAS_RM_PRICE], self._intern(priced.rm))
-        self._attach(s, self.p[T.HAS_CONVEX_PRICE], self._intern(priced.convex))
-
-
-def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> Graph:
-    """Materialize a dataset (and optional pricing output) as a graph."""
-    graph = Graph()
-    builder = _Builder(graph, config or PricingConfig())
-    for product in dataset.products:
-        builder.product(product)
-    for customer in dataset.customers:
-        builder.customer(customer)
-    for order in dataset.orders:
-        builder.order(order)
     if pricing is not None:
         for premium in pricing.premiums:
-            builder.premium(premium)
+            code = premium.customer_code
+            s = customers.get(code)
+            if s is None:
+                raise DanglingReferenceError(
+                    f"premium references unknown customer {code}"
+                )
+            attach(s, has_premium, intern(to_factor(premium.premium)))
         for priced in pricing.priced_orders:
-            builder.priced(priced)
+            number = priced.order_number
+            s = orders.get(number)
+            if s is None:
+                raise UnknownOrderError(
+                    f"priced order references unknown order {number}"
+                )
+            attach(s, has_rm_price, intern(priced.rm))
+            attach(s, has_convex_price, intern(priced.convex))
     return graph
 
 
@@ -546,7 +517,7 @@ def _eval_expr(expr: Expr, row: Binding):
             raise FilterTypeError(
                 f"negation needs a number, got {kind} in {render_expr(expr)}"
             )
-        return -left
+        return left.copy_negate() if type(left) is Decimal else -left  # exact
     right = _eval_expr(args[1], row)
     right_kind = _KIND[type(right)]
     if op in COMPARISONS:
@@ -566,7 +537,10 @@ def _eval_expr(expr: Expr, row: Binding):
     if op == "/" and right == 0:
         raise EvaluationError(f"division by zero in {render_expr(expr)}")
     try:
-        return _APPLY[op](left, right)
+        if op == "/":  # rounded to the context's precision
+            return _APPLY[op](left, right)
+        with decimal.localcontext(prec=decimal.MAX_PREC):  # + - * are exact
+            return _APPLY[op](left, right)
     except decimal.Overflow:
         raise EvaluationError(f"decimal overflow in {render_expr(expr)}") from None
 
@@ -699,12 +673,7 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
         out_rows = [tuple(values[row[cell]] for cell in cells) for row in rows]
 
     if spec.order_by is not None:
-        try:
-            idx = columns.index(spec.order_by.key)
-        except ValueError:
-            raise EvaluationError(
-                f"order key ?{spec.order_by.key} is not a result column"
-            ) from None
+        idx = columns.index(spec.order_by.key)  # validate() found it there
         keyed = [r for r in out_rows if r[idx] is not None]
         absent = [r for r in out_rows if r[idx] is None]
         keyed.sort(key=lambda r: _sort_key(r[idx]), reverse=spec.order_by.descending)

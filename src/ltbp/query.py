@@ -205,10 +205,8 @@ class QuerySpec:
                 )
         if self.order_by is not None:
             key = self.order_by.key
-            if key not in self.aliases and key not in bound:
-                raise QueryValidationError(
-                    f"order key ?{key} is neither a pattern variable nor an alias"
-                )
+            if key not in bare and key not in self.aliases:
+                raise QueryValidationError(f"order key ?{key} is not a result column")
         if self.limit is not None and self.limit < 0:
             raise QueryValidationError("limit must be >= 0")
 

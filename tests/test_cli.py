@@ -679,6 +679,38 @@ def test_query_sums_decimals_past_the_context_precision_exactly(tmp_path, capsys
     assert capsys.readouterr().out == f"s\ta\n{total}\t{value}\n"
 
 
+@pytest.mark.parametrize("condition, subjects", [
+    ("?d + 0 = ?d", ["<urn:x1>", "<urn:x2>"]),
+    ("?d - 0 = ?d", ["<urn:x1>", "<urn:x2>"]),
+    ("?d * 1 = ?d", ["<urn:x1>", "<urn:x2>"]),
+    ("-(-?d) = ?d", ["<urn:x1>", "<urn:x2>"]),
+    ("-?d + ?d = 0", ["<urn:x1>", "<urn:x2>"]),
+    ("?d / 1 = ?d", ["<urn:x2>"]),  # division rounds to 28 digits
+], ids=["add", "subtract", "multiply", "negate", "negate-add", "divide"])
+def test_query_filter_arithmetic_past_the_context_precision(tmp_path, capsys,
+                                                            condition, subjects):
+    # ?d of <urn:x1> has 31 digits, more than the 28-digit decimal context holds.
+    graph = tmp_path / "graph.nt"
+    graph.write_text(
+        f'<urn:x1> <urn:ltbp:p:v> "99999999999999999999999999999.99"{_DECIMAL} .\n'
+        f'<urn:x2> <urn:ltbp:p:v> "1.5"{_DECIMAL} .\n', encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text(f"SELECT ?x WHERE {{ ?x :v ?d . FILTER({condition}) }} ORDER BY ?x")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 0
+    assert capsys.readouterr().out.splitlines() == ["x", *subjects]
+
+
+def test_query_order_key_not_projected_is_data_error(tmp_path, capsys):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(f'<urn:x1> <urn:ltbp:p:v> "1.5"{_DECIMAL} .\n', encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?s WHERE { ?s :v ?d . } ORDER BY ?d")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 2
+    assert "order key ?d is not a result column" in capsys.readouterr().err
+
+
 def test_premiums_past_the_decimal_precision_keep_their_stats_ordered(tmp_path, capsys):
     # 30 significant digits: summed in the 28-digit context, the mean fell below MIN.
     premium = "1.00000000000000000000000000009"

@@ -20,6 +20,7 @@ from ltbp.graph import (
     EvaluationError,
     FilterTypeError,
     Graph,
+    GraphError,
     GraphParseError,
     UnknownOrderError,
     _nt_term,
@@ -279,6 +280,45 @@ class TestBuildGraph:
             + [o.order_number for o in small_dataset.orders]
         )
         assert sorted(quoted) == sorted(ids)
+
+    # The build shares one term id per date, int quantity and repeated string,
+    # keyed by value; these values equal such a key but are other terms.
+
+    def test_bool_quantity_after_an_int_one_is_unsupported(self, small_dataset,
+                                                           config):
+        assert type(small_dataset.orders[0].quantity) is int
+        assert small_dataset.orders[0].quantity == 1
+        dataset = _with(small_dataset,
+                        orders=(dataclasses.replace(_STRAY, quantity=True),))
+        with pytest.raises(GraphError) as raised:
+            build_graph(dataset, config=config)
+        assert str(raised.value) == "unsupported literal value True"
+
+    def test_decimal_quantity_after_an_int_one_exports_as_decimal(
+        self, tmp_path, small_dataset, config
+    ):
+        assert small_dataset.orders[0].quantity == 1
+        dataset = _with(small_dataset,
+                        orders=(dataclasses.replace(_STRAY, quantity=Decimal("1")),))
+        export_ntriples(build_graph(dataset, config=config), tmp_path / "graph.nt")
+        text = (tmp_path / "graph.nt").read_text(encoding="utf-8")
+        head = f"<{order_iri(_STRAY.order_number).value}> <{T.HAS_QUANTITY.value}>"
+        assert f'{head} "1"^^<{XSD}decimal> .\n' in text
+        first = f"<{order_iri(small_dataset.orders[0].order_number).value}>"
+        assert f'{first} <{T.HAS_QUANTITY.value}> "1"{_INT} .\n' in text
+
+    def test_equal_decimals_of_two_fields_stay_two_terms(self, tmp_path,
+                                                         small_dataset):
+        config = PricingConfig(
+            rho_table={**PricingConfig().rho_table, AccountClass.OTHERS: 0.1})
+        customer = Customer("C009", AccountClass.OTHERS, Decimal("0.10"))
+        dataset = _with(small_dataset, customers=(customer,))
+        export_ntriples(build_graph(dataset, config=config), tmp_path / "graph.nt")
+        text = (tmp_path / "graph.nt").read_text(encoding="utf-8")
+        head = f"<{customer_iri('C009').value}>"
+        decimal = f"^^<{XSD}decimal> .\n"
+        assert f'{head} <{T.HAS_ANNUAL_REVENUE.value}> "0.10"{decimal}' in text
+        assert f'{head} <{HAS_ADJUSTMENT_FACTOR.value}> "0.100000"{decimal}' in text
 
     def test_each_predicate_holds_its_field(self, small_dataset, small_pricing,
                                             config):

@@ -146,6 +146,14 @@ class TestErrors:
         with pytest.raises(QueryValidationError):
             parse_query("SELECT ?s WHERE { ?s ?p ?o FILTER(?nope > 1) }")
 
+    @pytest.mark.parametrize("projection, key", [
+        ("?s", "d"), ("?s", "x"), ("(COUNT(?s) AS ?n)", "s"),
+    ], ids=["pattern-variable", "unknown", "aggregated-variable"])
+    def test_order_key_must_be_a_result_column(self, projection, key):
+        with pytest.raises(QueryValidationError) as excinfo:
+            parse_query(f"SELECT {projection} WHERE {{ ?s :v ?d . }} ORDER BY ?{key}")
+        assert str(excinfo.value) == f"order key ?{key} is not a result column"
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(QuerySyntaxError) as excinfo:
             parse_query("SELECT ?s\nWHERE ?s ?p ?o }")
