@@ -61,6 +61,7 @@ first-insertion order, each with its subjects in insertion order.
 from __future__ import annotations
 
 import decimal
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -497,6 +498,22 @@ _APPLY = {
 }
 
 
+# The most significant digits an exact ``+ - *`` result may have: its longer
+# operand's digits plus one, or CPython's int <-> text limit if that is more.
+# Without a budget, repeated products grow each row's values without bound.
+_DIGITS_FLOOR = 4_300
+_LOG10_2 = math.log10(2)
+
+
+def _digits(number: Union[int, Decimal]) -> int:
+    """A number's significant digits: a decimal's coefficient digits, or an
+    int's, which its bit length gives to within one."""
+    if type(number) is int:
+        digits = int(number.bit_length() * _LOG10_2) + 1
+        return digits - (digits > 1 and abs(number) < 10 ** (digits - 1))
+    return len(number.as_tuple().digits)
+
+
 def _eval_expr(expr: Expr, row: Binding):
     if isinstance(expr, Variable):  # validate() found it in a pattern
         return row[expr.name]
@@ -540,9 +557,15 @@ def _eval_expr(expr: Expr, row: Binding):
         if op == "/":  # rounded to the context's precision
             return _APPLY[op](left, right)
         with decimal.localcontext(prec=decimal.MAX_PREC):  # + - * are exact
-            return _APPLY[op](left, right)
+            value = _APPLY[op](left, right)
     except decimal.Overflow:
         raise EvaluationError(f"decimal overflow in {render_expr(expr)}") from None
+    budget = max(_DIGITS_FLOOR, 1 + max(_digits(left), _digits(right)))
+    if _digits(value) > budget:
+        raise EvaluationError(
+            f"result of more than {budget} digits in {render_expr(expr)}"
+        )
+    return value
 
 
 def _require_bool(value, expr: Expr) -> bool:

@@ -307,6 +307,18 @@ def load_dataset(
 # --- writing -----------------------------------------------------------------
 
 
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, made on the key's first use and kept."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def write_json(path, payload) -> None:
     """One JSON file: two-space indent, UTF-8, ``\\n`` line ends, final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -323,6 +335,7 @@ def write_csv(path, header: Sequence[str], rows) -> None:
 
 
 def write_dataset(dataset: Dataset, out_dir) -> dict:
+    """The three CSVs under ``out_dir``; each distinct date is formatted once."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -337,6 +350,7 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
     write_csv(paths["products"], PRODUCTS_HEADER, (
         [p.product_number, p.basic_type, p.product_line] for p in dataset.products
     ))
+    text = _Memo(terms.lexical)
     write_csv(paths["orders"], ORDERS_HEADER, (
         [
             o.order_number,
@@ -344,10 +358,10 @@ def write_dataset(dataset: Dataset, out_dir) -> dict:
             o.product_number,
             o.quantity,
             o.original_price,
-            o.order_date.isoformat(),
-            o.customer_request_date.isoformat(),
-            o.customer_delivery_date.isoformat(),
-            o.standard_delivery_date.isoformat(),
+            text[o.order_date],
+            text[o.customer_request_date],
+            text[o.customer_delivery_date],
+            text[o.standard_delivery_date],
         ]
         for o in dataset.orders
     ))
@@ -396,6 +410,10 @@ DEFAULT_EXPEDITE_PROFILE = {
 # Eight-digit order numbers, drawn without replacement.
 _ORDER_NUMBERS = range(10_000_000, 100_000_000)
 
+# The most days an order's dates run past its order date: the standard
+# delivery time is at most 56 days, and a request comes up to 7 days later.
+_LONGEST_LEAD = 56 + 7
+
 _REVENUE_CENTS = {
     # (low, high) in cents, matching the class revenue bands
     AccountClass.KEY: (10_000_000_01, 100_000_000_00),
@@ -425,6 +443,12 @@ class GeneratorConfig:
         start, end = self.date_span
         if end < start:
             raise InvalidField("date_span", f"empty date span: {start}..{end}")
+        if (date.max - end).days < _LONGEST_LEAD:
+            raise InvalidField(
+                "date_span",
+                f"date span must end {_LONGEST_LEAD} days or more before "
+                f"{date.max}, got {end}",
+            )
 
 
 def _allocate(n: int) -> dict[AccountClass, int]:
@@ -451,7 +475,9 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     customers = []
     for i, account_class in enumerate(classes, start=1):
         low, high = _REVENUE_CENTS[account_class]
-        revenue = to_money(Decimal(rng.randint(low, high)) / 100)
+        # Money is whole cents scaled by 10**-2: the same digits and
+        # exponent as to_money(cents / 100), without the division.
+        revenue = Decimal(rng.randint(low, high)).scaleb(-2)
         region = rng.choice(REGIONS) if rng.random() < 0.9 else None
         customers.append(
             Customer(f"C{i:0{width}d}", account_class, revenue, region)
@@ -465,13 +491,16 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     start, end = config.date_span
     span_days = (end - start).days
     order_numbers = rng.sample(_ORDER_NUMBERS, config.n_orders)
+    # One date per distinct day, by its offset from the span's start; a span
+    # ends _LONGEST_LEAD days or more before date.max, so every offset fits.
+    day = _Memo(lambda offset: start + timedelta(days=offset))
 
     orders = []
     for number in order_numbers:
         customer = rng.choice(customers)
         product = rng.choice(products)
         behavior = DEFAULT_EXPEDITE_PROFILE[customer.account_class]
-        order_date = start + timedelta(days=rng.randint(0, span_days))
+        offset = rng.randint(0, span_days)
         sdt = rng.randint(14, 56)
         if rng.random() < behavior.eligible_rate:
             ratio = rng.uniform(*behavior.request_ratio)
@@ -489,11 +518,11 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
                 customer_code=customer.customer_code,
                 product_number=product.product_number,
                 quantity=rng.randint(1, 500),
-                original_price=to_money(Decimal(rng.randint(50_00, 500_000)) / 100),
-                order_date=order_date,
-                customer_request_date=order_date + timedelta(days=olt_requested),
-                customer_delivery_date=order_date + timedelta(days=olt_confirmed),
-                standard_delivery_date=order_date + timedelta(days=sdt),
+                original_price=Decimal(rng.randint(50_00, 500_000)).scaleb(-2),
+                order_date=day[offset],
+                customer_request_date=day[offset + olt_requested],
+                customer_delivery_date=day[offset + olt_confirmed],
+                standard_delivery_date=day[offset + sdt],
             )
         )
     return Dataset(tuple(customers), tuple(products), tuple(orders))

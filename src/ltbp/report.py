@@ -9,7 +9,6 @@ particular magnitudes.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -98,6 +97,10 @@ def revenue_totals(graph: Graph) -> RevenueComparison:
 
 
 def config_fingerprint(config: PricingConfig) -> str:
+    # Imported here: hashlib maps OpenSSL's libcrypto, ~3.6 MB of resident
+    # memory that a stage writing no fingerprint never uses.
+    import hashlib
+
     canonical = ",".join(
         [
             f"alpha={config.alpha!r}",

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import filecmp
 import gc
+import hashlib
 import io
 import json
 import os
@@ -95,6 +96,36 @@ class TestGenerate:
                     "--orders", 5, "--customers", 2])
         assert code == 1
         assert f"usage error: not an ISO date: {text!r}" in capsys.readouterr().err
+
+    def test_span_ending_near_the_last_date_is_data_error(self, tmp_path, capsys):
+        # An order's dates run up to 63 days past its order date.
+        code = run(["generate", "--start", "9999-11-01", "--end", "9999-12-31",
+                    "--out", tmp_path / "late", "--orders", 5, "--customers", 2])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: date span must end 63 days or more before 9999-12-31, "
+            "got 9999-12-31\n")
+        code = run(["generate", "--start", "9999-10-01", "--end", "9999-10-29",
+                    "--out", tmp_path / "d", "--orders", 200, "--customers", 2])
+        assert code == 0
+
+    def test_seed_42_bytes(self, tmp_path):
+        # The four files as first written; any change to the generator's
+        # draws or to the writer's text shows here.
+        generate(tmp_path, seed=42, orders=2000, customers=60, products=25)
+        found = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("customers.csv", "products.csv", "orders.csv",
+                              "manifest.json")}
+        assert found == {
+            "customers.csv":
+                "6d6d2badf691cbc19015340d74011e3fe9357f4a8ba53a7e459cc16e4344b32c",
+            "products.csv":
+                "97b2d2ee09e6e19965b130d43236f4570ee68dfbe546c3664d16d8b5781ba756",
+            "orders.csv":
+                "52995933b90b2c30aba3091a19ec61acb887c33da1a4363674235bcaf8e73b43",
+            "manifest.json":
+                "ba7a85551c793e9ed8732c4706f5e64eb9847904f5224c97fc453641ea04b5f1",
+        }
 
     def test_bad_date_flag_is_usage_error(self, tmp_path, capsys):
         code = run([
@@ -270,8 +301,10 @@ class TestAnalyzeQueryReport:
         ("SELECT ?o WHERE { ?o :hasQuantity ?q } LIMIT " + "9" * 5000,
          "line 1, column 46: too many digits"),
         (_quantity_filter("?q > " + "9" * 5000), "line 1, column 50: too many digits"),
-        (_quantity_filter("?q" + f" * {'9' * 60_000}.0" * 20 + " > 1"),
-         "decimal overflow in ((((("),
+        # A sum of 10**1000000 or more: past the decimal exponent limit, yet
+        # within the filter's digit budget, one digit past its longer operand.
+        (_quantity_filter(f"?q + {'9' * 1_000_000}.0 > 1"),
+         "decimal overflow in (?q + 9999"),
     ], ids=["limit", "filter", "decimal-overflow"])
     def test_query_number_out_of_range_is_data_error(self, run_dir, tmp_path, capsys,
                                                      query, message):
@@ -532,6 +565,19 @@ def test_run_pipeline_script_runs_from_a_checkout(tmp_path):
     assert report["ordering_holds"] is True
 
 
+def test_cli_imports_no_hashlib():
+    # hashlib maps OpenSSL's libcrypto into every stage process; only a
+    # config fingerprint needs it, and report imports it for that alone.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, ltbp.cli; print(sorted(m for m in sys.modules if 'hashlib' in m))"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def _with_bad_byte(path, lineno):
     """Put byte 0xff into line ``lineno`` of ``path``; its offset in the file."""
     lines = path.read_bytes().split(b"\n")
@@ -699,6 +745,43 @@ def test_query_filter_arithmetic_past_the_context_precision(tmp_path, capsys,
     capsys.readouterr()
     assert run(["query", "--graph", graph, "--query", query]) == 0
     assert capsys.readouterr().out.splitlines() == ["x", *subjects]
+
+
+@pytest.mark.parametrize("value, condition, budget", [
+    (f'"{"9" * 5000}.5"{_DECIMAL}', "?d * ?d > 0", 5002),
+    (f'"{"9" * 5000}.5"{_DECIMAL}', "?d * 99 > 0", 5002),
+    (f'"{"9" * 4300}"^^<http://www.w3.org/2001/XMLSchema#integer>',
+     "?d * ?d > 0", 4301),
+    (f'"1.5"{_DECIMAL}', f"?d + 0.{'0' * 4300}1 > 0", 4300),
+], ids=["decimal-product", "decimal-by-two-digits", "integer-product",
+        "sum-of-far-apart-digits"])
+def test_query_filter_arithmetic_past_its_digit_budget_is_data_error(
+        tmp_path, capsys, value, condition, budget):
+    # An exact + - * result may have one digit more than its longer operand,
+    # or 4,300 digits; a longer one would let a filter grow values unbounded.
+    graph = tmp_path / "graph.nt"
+    graph.write_text(f"<urn:x1> <urn:ltbp:p:v> {value} .\n", encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text(f"SELECT ?x WHERE {{ ?x :v ?d . FILTER({condition}) }}")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: result of more than {budget} digits in ")
+
+
+@pytest.mark.parametrize("condition", [
+    "?d + ?d > ?d", "?d - ?d = 0", "?d * 1 = ?d", "?d * 0.1 < ?d", "?d * 9 > ?d",
+])
+def test_query_filter_arithmetic_within_its_digit_budget(tmp_path, capsys,
+                                                         condition):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(f'<urn:x1> <urn:ltbp:p:v> "{"9" * 5000}.5"{_DECIMAL} .\n',
+                     encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text(f"SELECT ?x WHERE {{ ?x :v ?d . FILTER({condition}) }}")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 0
+    assert capsys.readouterr().out.splitlines() == ["x", "<urn:x1>"]
 
 
 def test_query_order_key_not_projected_is_data_error(tmp_path, capsys):

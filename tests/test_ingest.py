@@ -349,6 +349,13 @@ class TestGenerator:
             _, confirmed, standard = lead_days(order)
             assert standard > 0 and confirmed >= 1
 
+    def test_one_date_object_per_distinct_date(self):
+        dataset = generate_synthetic(GeneratorConfig(seed=5, n_orders=3000))
+        days = [day for o in dataset.orders
+                for day in (o.order_date, o.customer_request_date,
+                            o.customer_delivery_date, o.standard_delivery_date)]
+        assert len({id(day) for day in days}) == len(set(days)) < len(days)
+
     def test_class_fractions_ordered(self):
         dataset = generate_synthetic(GeneratorConfig(seed=42, n_orders=6000))
         totals = {cls: 0 for cls in AccountClass}

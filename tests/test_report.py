@@ -106,5 +106,6 @@ class TestEmitReport:
 
     def test_fingerprint_stable_and_config_sensitive(self, config):
         assert config_fingerprint(config) == config_fingerprint(PricingConfig())
+        assert config_fingerprint(PricingConfig()) == "8f732e94646b"
         other = PricingConfig(p_max=1.5)
         assert config_fingerprint(config) != config_fingerprint(other)
