@@ -282,6 +282,11 @@ DATA_ERRORS = (
     reportmod.InconsistentTotalsError,
 )
 
+# Errors opening a path the user gave: an input or output file that is
+# missing, a directory, under a file, or not readable or writable.
+PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+               PermissionError)
+
 
 def main(argv=None) -> int:
     parser = make_parser()
@@ -306,8 +311,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+    except PATH_ERRORS as exc:
+        reason = ("no such file" if isinstance(exc, FileNotFoundError)
+                  else exc.strerror.lower())
+        print(f"error: {reason}: {exc.filename}", file=sys.stderr)
         return EXIT_DATA
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

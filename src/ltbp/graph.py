@@ -11,19 +11,20 @@ interned once to an int id, counted up from 0 in order of first appearance.
 Two term tables hold them: ``_ids`` maps a term's N-Triples text to its id,
 so its keys, in insertion order, are the texts by id, and ``_values`` holds
 each id's term, an ``Iri`` or a literal's value, as patterns, bindings and
-result rows hold it (see ``terms``). The graph keeps two maps per predicate
-over those ids, ``so: p -> {s: o}`` and ``os: p -> {o: s}``. Each entry
-holds a bare id, and becomes a list of ids only when a second value arrives
-for the same key; an ltbp graph has one object per (subject, predicate)
-pair, so its ``so`` entries stay bare. A pattern with a bound predicate is answered from
-that predicate's maps: ``so`` when the subject is bound, ``os`` otherwise.
-One with an unbound predicate tries each predicate's maps in turn; one with
-nothing bound scans ``so``. ``Graph.match`` takes and yields ids only. A
-query joins its patterns in greedy order over rows of ids. A step with its
-subject or object bound probes the predicate's ``so`` or ``os`` map once
-per row, with no ``Graph.match`` call; a step with neither bound scans the
-predicate through one ``Graph.match`` call per row. Its filters run once
-every pattern is joined.
+result rows hold it (see ``terms``). The graph keeps one map per predicate
+over those ids, ``so: p -> {s: o}``. Each entry holds a bare id, and becomes
+a list of ids only when a second object arrives for the same subject; an
+ltbp graph has one object per (subject, predicate) pair, so its entries stay
+bare. A predicate's object -> subjects map, ``os: p -> {o: s}``, is
+derived from ``so[p]`` the first time a pattern probes ``p`` by object, and
+kept (after database cracking: an index is built when a query first needs
+it). A store gets no triple after its first query, so the derived map never
+goes stale. ``Graph.match`` takes and yields ids only. A query joins its
+patterns in greedy order over rows of ids. A step with its subject or object
+bound probes the predicate's ``so`` or ``os`` map once per row, with no
+``Graph.match`` call; a step with neither bound scans the predicate's ``so``
+map through one ``Graph.match`` call per row. Its filters run once every
+pattern is joined.
 
 A term's identity is the N-Triples text it exports as (``_nt_term``), so a
 literal is its lexical form plus datatype. ``100`` (integer), ``100.00``
@@ -51,11 +52,11 @@ equals ``Decimal("100.00")``, and ``True`` and ``Decimal("1")`` equal
 its text.
 
 Match order is deterministic for a deterministically built graph,
-regardless of hash randomization. A full scan is grouped by predicate: the
-predicates in the order their first triple was added, then each one's
-subjects in first-insertion order and each subject's objects in insertion
-order. A scan of one predicate by object yields its objects in
-first-insertion order, each with its subjects in insertion order.
+regardless of hash randomization. A scan, of one predicate or of the whole
+store, walks ``so``: the predicates in the order their first triple was
+added, then each one's subjects in first-insertion order and each subject's
+objects in insertion order. A probe by object yields the subjects in that
+same order.
 """
 
 from __future__ import annotations
@@ -144,15 +145,20 @@ def _each(ids: _Ids):
 class Graph:
     """Set of triples over interned term ids.
 
-    Each predicate has a subject -> object map and an object -> subject map;
-    an entry is a bare id, or a list once the key has two values.
+    Each predicate has one subject -> object map, ``_so[p]``; an entry is a
+    bare id, or a list once the subject has two objects. ``_os[p]``, the
+    predicate's object -> subjects map, is derived from ``_so[p]`` on the
+    first probe by object (``_objects``). Only ``build_graph`` and
+    ``load_ntriples`` add triples, both before they return the graph, so a
+    store gets no triple after its first query and nothing invalidates
+    ``_os``.
     """
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}  # N-Triples text -> id, in id order
         self._values: list[Value] = []  # id -> term
         self._so: dict[int, dict[int, _Ids]] = {}  # p -> s -> o
-        self._os: dict[int, dict[int, _Ids]] = {}  # p -> o -> s
+        self._os: dict[int, dict[int, _Ids]] = {}  # p -> o -> s, derived
         self._size = 0
 
     def __len__(self) -> int:
@@ -176,32 +182,45 @@ class Graph:
         except GraphError:  # a value no stored term can have
             return _MISSING
 
-    def _add_ids(self, s: int, p: int, o: int) -> bool:
+    def _add_ids(self, s: int, p: int, o: int) -> None:
+        """Add the triple, unless the graph holds it."""
         so = self._so.get(p)
         if so is None:
             so = self._so[p] = {}
-            self._os[p] = {}
         objects = so.get(s)
         if objects is None:
             so[s] = o
         elif objects.__class__ is int:
             if objects == o:
-                return False
+                return
             so[s] = [objects, o]
         elif o in objects:
-            return False
+            return
         else:
             objects.append(o)
-        by_o = self._os[p]
-        subjects = by_o.get(o)
-        if subjects is None:
-            by_o[o] = s
-        elif subjects.__class__ is int:
-            by_o[o] = [subjects, s]
-        else:
-            subjects.append(s)
         self._size += 1
-        return True
+
+    def _objects(self, p: int) -> dict[int, _Ids]:
+        """Predicate ``p``'s object -> subjects map, built from ``_so[p]`` on
+        first use; each object's subjects are in ``_so[p]``'s order. An
+        entry is a bare id or a list, as in ``_so``: most objects of an ltbp
+        graph have one subject, and a bare id costs far less than a list."""
+        by_o = self._os.get(p)
+        if by_o is None:
+            so = self._so.get(p)
+            if so is None:
+                return _NO_ENTRIES
+            by_o = self._os[p] = {}
+            for s, objects in so.items():
+                for o in _each(objects):
+                    subjects = by_o.get(o)
+                    if subjects is None:
+                        by_o[o] = s
+                    elif subjects.__class__ is int:
+                        by_o[o] = [subjects, s]
+                    else:
+                        subjects.append(s)
+        return by_o
 
     def match(
         self, s: Optional[int] = None, p: Optional[int] = None,
@@ -209,43 +228,26 @@ class Graph:
     ) -> Iterable[tuple[int, int, int]]:
         """(s, p, o) id triples matching the given term ids (None = any).
 
-        A bound predicate is one lookup in its map; an unbound one tries every
-        predicate's map in turn. A list, except for the lazy scan of the whole
-        store when none is given. A query's join calls this only for a step
-        with neither subject nor object bound, once per row; its other steps
-        read the maps directly. So a wrapper on this method (as in
-        ``perfbench/tracer.py``) counts a query's scan steps, not its lookups.
+        A bound predicate is read alone; an unbound one tries every predicate
+        in turn. A probe by subject reads ``_so``, a probe by object alone
+        the derived map of ``_objects``, and each returns a list. With
+        neither bound, a lazy scan walks ``_so``, in subject order (see the
+        module docstring). A query's join calls this only for a step with
+        neither subject nor object bound, once per row; its other steps read
+        the maps directly. So a wrapper on this method (as in
+        ``perfbench/tracer.py``) counts a query's scan steps, not its probes.
         """
-        if p is not None:
-            return self._lookup(s, p, o)
-        if s is None and o is None:
-            return (
-                (s2, p2, o2)
-                for p2, so in self._so.items()
-                for s2, objects in so.items()
-                for o2 in _each(objects)
-            )
-        return [t for p2 in self._so for t in self._lookup(s, p2, o)]
-
-    def _lookup(self, s, p: int, o) -> list[tuple[int, int, int]]:
-        """``match`` with the predicate bound. An unbound predicate calls this,
-        not ``match``, so a wrapper on ``match`` counts one lookup per call."""
+        predicates = self._so if p is None else (p,)
         if s is not None:
-            objects = self._so.get(p, {}).get(s)
-            if objects is None:
-                return []
-            if o is None:
-                return [(s, p, o2) for o2 in _each(objects)]
-            found = objects == o if objects.__class__ is int else o in objects
-            return [(s, p, o)] if found else []
+            return [(s, p2, o2) for p2 in predicates
+                    for o2 in _each(self._so.get(p2, _NO_ENTRIES).get(s, ()))
+                    if o is None or o2 == o]
         if o is not None:
-            subjects = self._os.get(p, {}).get(o)
-            return [] if subjects is None else [(s2, p, o) for s2 in _each(subjects)]
-        return [
-            (s2, p, o2)
-            for o2, subjects in self._os.get(p, {}).items()
-            for s2 in _each(subjects)
-        ]
+            return [(s2, p2, o) for p2 in predicates
+                    for s2 in _each(self._objects(p2).get(o, ()))]
+        return ((s2, p2, o2) for p2 in predicates
+                for s2, objects in self._so.get(p2, _NO_ENTRIES).items()
+                for o2 in _each(objects))
 
 
 # --- graph building ----------------------------------------------------------
@@ -404,15 +406,17 @@ def _plan(graph: Graph, patterns: Sequence[tuple]):
 def _join(graph: Graph, cells, bound, rows: list[list]) -> list[list]:
     """Extend every row by each triple matching the step's pattern.
 
-    A step with its subject or object bound probes a predicate's maps for the
-    whole row list: ``so`` by subject, or ``os`` by object, and a membership
-    test when both are bound. A predicate that is a variable runs the same
-    probe per row over its candidates: the row's own predicate once an earlier
-    step binds it, every predicate in turn while it is unbound. A step with
-    neither bound scans through ``Graph.match``; in every ltbp query its only
-    row is the start row. Rows come out in row order, each row's extensions in
-    the order ``Graph.match`` yields their triples. A row that gains one value
-    is extended in place, as no other row shares it.
+    A step with its subject or object bound probes a predicate's map for the
+    whole row list: ``_so`` by subject, or the derived ``_objects`` map by
+    object, and a membership test when both are bound. The object maps a
+    step needs are built before the row loop, so a row costs one probe. A
+    predicate that is a variable runs the same probe per row over its
+    candidates: the row's own predicate once an earlier step binds it, every
+    predicate in turn while it is unbound. A step with neither bound scans
+    through ``Graph.match``; in every ltbp query its only row is the start
+    row. Rows come out in row order, each row's extensions in the order
+    ``Graph.match`` yields their triples. A row that gains one value is
+    extended in place, as no other row shares it.
     """
     cs, cp, co = cells
     bs, bp, bo = bound
@@ -428,7 +432,11 @@ def _join(graph: Graph, cells, bound, rows: list[list]) -> list[list]:
                 new[cs], new[cp], new[co] = triple
                 out.append(new)
         return out
-    index = graph._so if bs else graph._os
+    if bs:
+        index = graph._so
+    else:
+        index = {p: graph._objects(p)
+                 for p in ({row[cp] for row in rows} if bp else graph._so)}
     key_cell, cell = (cs, co) if bs else (co, cs)  # cell: what a probe yields
     member = bs and bo  # both bound: a membership test
     clash = not bp and cp == cell  # ?s ?x ?x: the predicate must equal the value

@@ -228,12 +228,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-KEYWORDS = {
-    "SELECT", "WHERE", "FILTER", "GROUP", "ORDER", "BY",
-    "ASC", "DESC", "LIMIT", "AS", "FROM",
-}
-
-
 @dataclass(frozen=True, slots=True)
 class _Token:
     kind: str

@@ -500,6 +500,45 @@ def test_bad_input_is_data_error(tmp_path, capsys, make_args):
     assert err.startswith("error: ") and "internal error" not in err
 
 
+@pytest.mark.parametrize("args, reason, named", [
+    (["analyze", "--graph", "{dir}"], "is a directory", "{dir}"),
+    (["query", "--graph", "{graph}", "--query", "{dir}"], "is a directory", "{dir}"),
+    (["price", "--orders", "{dir}", "--portfolio", "{data}/customers.csv",
+      "--products", "{data}/products.csv", "--out", "{dir}/run"],
+     "is a directory", "{dir}"),
+    (["price", "--orders", "{graph}", "--portfolio", "{graph}",
+      "--products", "{graph}", "--config", "{dir}", "--out", "{dir}/run"],
+     "is a directory", "{dir}"),
+    (["report", "--graph", "{dir}", "--out", "{dir}/report.json"],
+     "is a directory", "{dir}"),
+    (["analyze", "--graph", "{graph}/graph.nt"], "not a directory",
+     "{graph}/graph.nt"),
+], ids=["analyze-graph", "query-query", "price-orders", "price-config",
+        "report-graph", "graph-under-a-file"])
+def test_unopenable_input_path_is_data_error(tmp_path, capsys, args, reason, named):
+    paths = {"dir": tmp_path / "dir", "graph": tmp_path / "graph.nt",
+             "data": generate(tmp_path / "data")}
+    paths["dir"].mkdir()
+    paths["graph"].write_text("<urn:s> <urn:p> <urn:o> .\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run([arg.format(**paths) for arg in args]) == 2
+    assert capsys.readouterr().err == f"error: {reason}: {named.format(**paths)}\n"
+
+
+def test_unreadable_input_path_is_data_error(tmp_path, monkeypatch, capsys):
+    import errno
+
+    import ltbp.cli
+
+    def denied(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(ltbp.cli.graphmod, "load_ntriples", denied)
+    assert run(["analyze", "--graph", tmp_path / "graph.nt"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: permission denied: {tmp_path / 'graph.nt'}\n")
+
+
 def test_value_error_from_a_bug_is_internal_error(tmp_path, monkeypatch, capsys):
     import ltbp.cli
 

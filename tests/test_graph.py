@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ltbp.terms
+from ltbp.analytics import run_competency_questions
 from ltbp.cli import main
 from ltbp.graph import (
     DanglingReferenceError,
@@ -36,6 +37,7 @@ from ltbp.model import (
 )
 from ltbp.pricing import CustomerPremium, PricedOrder, PricingResult, price_dataset
 from ltbp.query import QuerySpec, parse_query
+from ltbp.report import revenue_totals
 from ltbp.terms import (
     HAS_ADJUSTMENT_FACTOR,
     HAS_RM_PRICE,
@@ -91,6 +93,44 @@ class TestStore:
         assert _match(g, p=Iri("urn:p")) == [t1, t2]
         assert _match(g, o=2) == [t2]
         assert _match(g) == [t1, t2]
+
+
+class TestDerivedObjectMaps:
+    """A graph keeps one subject map per predicate. A predicate's object map
+    is built the first time a pattern probes that predicate by object."""
+
+    def test_built_and_loaded_graphs_hold_no_object_map(self, small_graph,
+                                                        tmp_path):
+        assert small_graph._os == {}
+        export_ntriples(small_graph, tmp_path / "graph.nt")
+        assert load_ntriples(tmp_path / "graph.nt")._os == {}
+
+    def test_the_stages_queries_probe_no_predicate_by_object(self, small_graph):
+        run_competency_questions(small_graph, top_n=3, pair_k=3)
+        revenue_totals(small_graph)
+        assert small_graph._os == {}
+
+    @pytest.mark.parametrize("where, probed", [
+        ("?o :wasPlacedBy cust:C001 . ?o :hasQuantity ?q", [WAS_PLACED_BY]),
+        ("?o :wasPlacedBy ?c . ?c :hasCustomerCode \"C001\" . "
+         "?o :hasRMPrice ?rm", [T.HAS_CUSTOMER_CODE, WAS_PLACED_BY]),
+        ("?o :hasQuantity ?q . ?o :hasRMPrice ?rm", []),  # a scan, then by subject
+    ])
+    def test_a_query_builds_the_maps_of_the_predicates_it_probes_by_object(
+        self, small_graph, where, probed
+    ):
+        names = " ".join(dict.fromkeys(re.findall(r"\?\w+", where)))
+        assert _rows(small_graph, f"SELECT {names} WHERE {{ {where} }}")
+        assert sorted(small_graph._os) == sorted(map(small_graph._id_of, probed))
+
+    def test_match_by_object_builds_the_maps_of_the_predicates_it_reads(self,
+                                                                        small_graph):
+        customer = small_graph._id_of(customer_iri("C001"))
+        placed_by = small_graph._id_of(WAS_PLACED_BY)
+        assert len(small_graph.match(None, placed_by, customer)) == 2
+        assert list(small_graph._os) == [placed_by]
+        assert len(small_graph.match(None, None, customer)) == 2
+        assert sorted(small_graph._os) == sorted(small_graph._so)
 
 
 _S1, _S2, _S3 = Iri("urn:s1"), Iri("urn:s2"), Iri("urn:s3")
@@ -233,6 +273,25 @@ def _with(dataset, **extra):
 _STRAY = make_order("O 7", "C001", "P01", date(2020, 5, 1), 5, 5, 10)
 
 
+def _seed_42_dataset(config):
+    """The seed-42 dataset of 2,000 orders and 60 customers, and its pricing."""
+    dataset = generate_synthetic(
+        GeneratorConfig(seed=42, n_customers=60, n_orders=2_000)
+    )
+    return dataset, price_dataset(dataset, config)
+
+
+def _retained_per_triple(make, *args):
+    """The graph ``make(*args)`` returns, and the bytes it retains per triple."""
+    tracemalloc.start()
+    try:
+        g = make(*args)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return g, retained / len(g)
+
+
 class TestBuildGraph:
     @pytest.mark.parametrize("extra, pricing_extra, error, message", [
         ({"products": (Product("P01", "BT-Z", "PL-9"),)}, {},
@@ -325,22 +384,15 @@ class TestBuildGraph:
         g = build_graph(small_dataset, small_pricing, config)
         _check_layout(g, _expected_layout(small_dataset, small_pricing, config))
 
-    def test_retains_at_most_180_bytes_per_triple(self, config):
+    def test_retains_at_most_120_bytes_per_triple(self, config):
         # An ltbp graph holds one object per (subject, predicate) pair. Kept
         # as a one-element list under a dict per subject, each triple
-        # retained 258 bytes; kept as a bare id per predicate map, 146.
-        dataset = generate_synthetic(
-            GeneratorConfig(seed=42, n_customers=60, n_orders=2_000)
-        )
-        pricing = price_dataset(dataset, config)
-        tracemalloc.start()
-        try:
-            g = build_graph(dataset, pricing, config)
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # retained 258 bytes; kept as a bare id in a subject map and an
+        # object map per predicate, 142; in a subject map alone, 109.
+        dataset, pricing = _seed_42_dataset(config)
+        g, per_triple = _retained_per_triple(build_graph, dataset, pricing, config)
         assert len(g) >= 12 * len(dataset.orders)
-        assert retained / len(g) <= 180
+        assert per_triple <= 120
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -708,6 +760,17 @@ class TestEvaluate:
 
 
 class TestNtriples:
+    def test_loaded_graph_retains_at_most_145_bytes_per_triple(self, tmp_path,
+                                                               config):
+        # The interned term texts and values come on top of the subject
+        # maps: 168 bytes per triple with an object map per predicate too,
+        # 136 without.
+        path = tmp_path / "graph.nt"
+        export_ntriples(build_graph(*_seed_42_dataset(config), config), path)
+        g, per_triple = _retained_per_triple(load_ntriples, path)
+        assert len(g) >= 24_000
+        assert per_triple <= 145
+
     def test_empty_graph_empty_file(self, tmp_path):
         path = tmp_path / "empty.nt"
         export_ntriples(Graph(), path)
