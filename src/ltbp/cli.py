@@ -2,7 +2,7 @@
 
     ltbp generate --seed 42 --out data/            synthetic dataset + manifest
     ltbp price --orders ... --portfolio ... --products ... --out run/
-    ltbp analyze --graph run/graph.nt --out-dir run/
+    ltbp --out-dir run analyze --graph run/graph.nt --top 20
     ltbp query --graph run/graph.nt --query src/ltbp/totals.rq
     ltbp report --graph run/graph.nt --out run/report.json
 

@@ -815,6 +815,10 @@ def load_ntriples(path) -> Graph:
     an IRI is its token. A non-canonical literal such as
     ``"007"^^xsd:integer`` is not a key in the table, so it is parsed each
     time it occurs.
+
+    A comment line, one whose first character after any leading whitespace
+    is "#", is skipped. It is told apart only where the line would otherwise
+    be rejected, so triples pay nothing for it; line numbers count it.
     """
     graph = Graph()
     ids, intern, add = graph._ids, graph._intern, graph._add_ids
@@ -826,15 +830,22 @@ def load_ntriples(path) -> Graph:
                 if not line:
                     continue
                 if line[-1] != ".":
+                    if line[0] == "#":
+                        continue
                     raise _malformed(lineno, line)
                 try:
                     s_token, p_token, o_token = line[:-1].split(None, 2)
                 except ValueError:  # fewer than three terms
+                    if line[0] == "#":
+                        continue
                     raise _malformed(lineno, line) from None
                 o_token = o_token.rstrip()
                 if s_token != last_token:
                     s = ids.get(s_token)
                     if s is None or s_token[0] != "<":
+                        if s_token[0] == "#":
+                            last_token = None  # s no longer holds its id
+                            continue
                         s = intern(_parse_iri(s_token, lineno))
                     last_token = s_token
                 p = ids.get(p_token)

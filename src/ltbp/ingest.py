@@ -16,7 +16,11 @@ entity rules live in ``model``, and a rule broken there comes back as a
 default; given an ``issues`` list, the loader appends the row's error to it
 and continues. The generator is fully deterministic for a fixed seed and
 writes the three CSVs plus a ``manifest.json`` recording the seed and
-configuration.
+configuration. It draws from one ``random.Random(seed)``: ``shuffle`` once
+for the customers' classes, ``sample`` once for the order numbers, and every
+other integer through a local ``below(n)``, the ``getrandbits`` loop that
+CPython 3.11's ``randint`` and ``choice`` run, so each draw is the one those
+calls made, without their frames. Floats come from ``random()``.
 """
 
 from __future__ import annotations
@@ -467,6 +471,17 @@ def _allocate(n: int) -> dict[AccountClass, int]:
 def generate_synthetic(config: GeneratorConfig) -> Dataset:
     """Deterministic synthetic dataset honoring all model invariants."""
     rng = random.Random(config.seed)
+    getrandbits, random_ = rng.getrandbits, rng.random
+
+    def below(n):
+        # A uniform int in [0, n), drawn as CPython 3.11's randint, randrange
+        # and choice draw it (Random._randbelow_with_getrandbits), without
+        # their frames: k bits at a time until the value is below n.
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
     counts = _allocate(config.n_customers)
     classes = [cls for cls in AccountClass for _ in range(counts[cls])]
@@ -477,11 +492,12 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
         low, high = _REVENUE_CENTS[account_class]
         # Money is whole cents scaled by 10**-2: the same digits and
         # exponent as to_money(cents / 100), without the division.
-        revenue = Decimal(rng.randint(low, high)).scaleb(-2)
-        region = rng.choice(REGIONS) if rng.random() < 0.9 else None
+        revenue = Decimal(low + below(high - low + 1)).scaleb(-2)
+        region = REGIONS[below(len(REGIONS))] if random_() < 0.9 else None
         customers.append(
             Customer(f"C{i:0{width}d}", account_class, revenue, region)
         )
+    behaviors = [DEFAULT_EXPEDITE_PROFILE[c.account_class] for c in customers]
 
     products = [
         Product(f"P{i:03d}", BASIC_TYPES[(i - 1) % len(BASIC_TYPES)], PRODUCT_LINE)
@@ -489,36 +505,41 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     ]
 
     start, end = config.date_span
-    span_days = (end - start).days
+    days = (end - start).days + 1
     order_numbers = rng.sample(_ORDER_NUMBERS, config.n_orders)
     # One date per distinct day, by its offset from the span's start; a span
     # ends _LONGEST_LEAD days or more before date.max, so every offset fits.
     day = _Memo(lambda offset: start + timedelta(days=offset))
 
     orders = []
+    n_customers, n_products = len(customers), len(products)
     for number in order_numbers:
-        customer = rng.choice(customers)
-        product = rng.choice(products)
-        behavior = DEFAULT_EXPEDITE_PROFILE[customer.account_class]
-        offset = rng.randint(0, span_days)
-        sdt = rng.randint(14, 56)
-        if rng.random() < behavior.eligible_rate:
-            ratio = rng.uniform(*behavior.request_ratio)
+        i = below(n_customers)
+        customer, behavior = customers[i], behaviors[i]
+        product = products[below(n_products)]
+        offset = below(days)
+        sdt = 14 + below(56 - 14 + 1)
+        if random_() < behavior.eligible_rate:
+            low, high = behavior.request_ratio  # uniform(low, high)
+            ratio = low + (high - low) * random_()
             olt_requested = min(sdt - 1, max(0, round(ratio * sdt)))
         else:
-            olt_requested = sdt + rng.randint(0, 7)
-        if rng.random() < behavior.confirm_rate:
-            ratio = rng.uniform(*behavior.confirm_ratio)
+            olt_requested = sdt + below(8)
+        if random_() < behavior.confirm_rate:
+            low, high = behavior.confirm_ratio
+            ratio = low + (high - low) * random_()
             olt_confirmed = min(sdt - 1, max(1, round(ratio * sdt)))
         else:
-            olt_confirmed = sdt + rng.randint(0, 5)
+            olt_confirmed = sdt + below(6)
         orders.append(
             Order(
                 order_number=f"O{number}",
                 customer_code=customer.customer_code,
                 product_number=product.product_number,
-                quantity=rng.randint(1, 500),
-                original_price=Decimal(rng.randint(50_00, 500_000)).scaleb(-2),
+                quantity=1 + below(500),
+                original_price=Decimal(
+                    50_00 + below(500_000 - 50_00 + 1)
+                ).scaleb(-2),
                 order_date=day[offset],
                 customer_request_date=day[offset + olt_requested],
                 customer_delivery_date=day[offset + olt_confirmed],

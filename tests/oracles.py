@@ -4,16 +4,31 @@ These deliberately avoid the graph/query machinery: they operate on triples,
 the dataset, and the pricing output with plain dictionaries and loops, so
 agreement with query-engine results is a real two-route check. Lead times
 come from the dates' ordinals here, not from ``model.lead_days``. The one
-exception is ``nested_loop_rows``, the engine's former row-at-a-time join: it
-checks the order of the engine's rows, which no other route defines.
+exceptions are ``nested_loop_rows``, the engine's former row-at-a-time join,
+which checks the order of the engine's rows, and ``reference_generate``, the
+generator written with ``random.Random``'s public draws, which checks the
+order and kind of the generator's draws; no other route defines either.
 """
 
 import math
+import random
 from collections import defaultdict
+from datetime import timedelta
 from decimal import Decimal
 
 from ltbp.graph import _plan
-from ltbp.model import to_money
+from ltbp.ingest import (
+    _ORDER_NUMBERS,
+    _REVENUE_CENTS,
+    BASIC_TYPES,
+    DEFAULT_EXPEDITE_PROFILE,
+    PRODUCT_LINE,
+    REGIONS,
+    Dataset,
+    _allocate,
+    _Memo,
+)
+from ltbp.model import AccountClass, Customer, Order, Product, to_money
 from ltbp.pricing import (
     CustomerStats,
     PricedOrder,
@@ -234,3 +249,64 @@ def oracle_totals(pricing):
         return sum((getattr(p, attr) for p in pricing.priced_orders), Decimal("0"))
 
     return total("original"), total("rm"), total("convex")
+
+
+def reference_generate(config):
+    """``ingest.generate_synthetic`` drawn through ``randint``, ``choice`` and
+    ``uniform``: the same draws in the same order, so the same dataset."""
+    rng = random.Random(config.seed)
+
+    counts = _allocate(config.n_customers)
+    classes = [cls for cls in AccountClass for _ in range(counts[cls])]
+    rng.shuffle(classes)
+    width = max(4, len(str(config.n_customers)))
+    customers = []
+    for i, account_class in enumerate(classes, start=1):
+        low, high = _REVENUE_CENTS[account_class]
+        revenue = Decimal(rng.randint(low, high)).scaleb(-2)
+        region = rng.choice(REGIONS) if rng.random() < 0.9 else None
+        customers.append(
+            Customer(f"C{i:0{width}d}", account_class, revenue, region)
+        )
+
+    products = [
+        Product(f"P{i:03d}", BASIC_TYPES[(i - 1) % len(BASIC_TYPES)], PRODUCT_LINE)
+        for i in range(1, config.n_products + 1)
+    ]
+
+    start, end = config.date_span
+    span_days = (end - start).days
+    order_numbers = rng.sample(_ORDER_NUMBERS, config.n_orders)
+    day = _Memo(lambda offset: start + timedelta(days=offset))
+
+    orders = []
+    for number in order_numbers:
+        customer = rng.choice(customers)
+        product = rng.choice(products)
+        behavior = DEFAULT_EXPEDITE_PROFILE[customer.account_class]
+        offset = rng.randint(0, span_days)
+        sdt = rng.randint(14, 56)
+        if rng.random() < behavior.eligible_rate:
+            ratio = rng.uniform(*behavior.request_ratio)
+            olt_requested = min(sdt - 1, max(0, round(ratio * sdt)))
+        else:
+            olt_requested = sdt + rng.randint(0, 7)
+        if rng.random() < behavior.confirm_rate:
+            ratio = rng.uniform(*behavior.confirm_ratio)
+            olt_confirmed = min(sdt - 1, max(1, round(ratio * sdt)))
+        else:
+            olt_confirmed = sdt + rng.randint(0, 5)
+        orders.append(
+            Order(
+                order_number=f"O{number}",
+                customer_code=customer.customer_code,
+                product_number=product.product_number,
+                quantity=rng.randint(1, 500),
+                original_price=Decimal(rng.randint(50_00, 500_000)).scaleb(-2),
+                order_date=day[offset],
+                customer_request_date=day[offset + olt_requested],
+                customer_delivery_date=day[offset + olt_confirmed],
+                standard_delivery_date=day[offset + sdt],
+            )
+        )
+    return Dataset(tuple(customers), tuple(products), tuple(orders))

@@ -669,6 +669,18 @@ def test_help_lists_the_seven_pricing_flags_in_order(capsys, command):
         assert getattr(args, flag[2:].replace("-", "_")) == value
 
 
+def test_help_text_usage_lines_parse():
+    import ltbp.cli
+
+    lines = [line.strip() for line in ltbp.cli.__doc__.splitlines()
+             if line.startswith("    ltbp ")]
+    commands = []
+    for line in lines:
+        words = re.split(r"\s{2,}", line)[0].split()  # drop a trailing note
+        commands.append(ltbp.cli.make_parser().parse_args(words[1:]).command)
+    assert sorted(commands) == ["analyze", "generate", "price", "query", "report"]
+
+
 _DECIMAL = "^^<http://www.w3.org/2001/XMLSchema#decimal>"
 
 
@@ -729,6 +741,45 @@ def test_query_prints_one_row_per_line_and_escapes_strings(tmp_path, capsys):
     assert [len(row) for row in cells] == [2, 2]
     assert [row[0] for row in cells] == [f'"{escaped}"', f'"{escaped}"']
     assert [unescape(row[0][1:-1]) for row in cells] == [region, region]
+
+
+# N-Triples comment lines: one without a final ".", one with fewer than three
+# terms before it, one with three or more, and one indented. The test below
+# puts the third between two lines of one subject, which the loader reads
+# with the subject id of the line before.
+_COMMENTS = ["# exported by ltbp", "#.", "# <urn:s1> <urn:p> 9 .", "  #  "]
+
+
+def test_query_skips_ntriples_comment_lines(tmp_path, capsys):
+    graph = tmp_path / "graph.nt"
+    graph.write_text("\n".join([
+        _COMMENTS[0], _COMMENTS[1],
+        '<urn:s1> <urn:p> "1"^^<http://www.w3.org/2001/XMLSchema#integer> .',
+        _COMMENTS[2],
+        '<urn:s1> <urn:q> "a" .',
+        _COMMENTS[3],
+        '<urn:s2> <urn:p> "2"^^<http://www.w3.org/2001/XMLSchema#integer> .',
+    ]) + "\n", encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 0
+    assert capsys.readouterr().out == (
+        "s\tp\to\n"
+        "<urn:s1>\t<urn:p>\t1\n<urn:s2>\t<urn:p>\t2\n<urn:s1>\t<urn:q>\t\"a\"\n")
+
+
+@pytest.mark.parametrize("comment", _COMMENTS)
+def test_query_counts_comment_lines_in_error_line_numbers(tmp_path, capsys, comment):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(f'{comment}\n<urn:s> <urn:p> "x" .\n{comment}\nnot a triple\n',
+                     encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?s WHERE { ?s <urn:p> ?o }")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: malformed triple: 'not a triple'\n")
 
 
 def test_query_prints_decimals_in_plain_notation(tmp_path, capsys):

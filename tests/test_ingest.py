@@ -1,9 +1,12 @@
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ltbp.ingest import (
+    _LONGEST_LEAD,
+    DEFAULT_SPAN,
     DanglingReference,
     DuplicateIdentifier,
     GeneratorConfig,
@@ -20,6 +23,7 @@ from ltbp.ingest import (
     write_manifest,
 )
 from ltbp.model import AccountClass, lead_days, rm_eligible
+from tests.oracles import reference_generate
 
 CUSTOMER_HEADER = "customer_code,account_class,annual_revenue,region\n"
 PRODUCT_HEADER = "product_number,basic_type,product_line\n"
@@ -316,6 +320,10 @@ class TestRoundTrip:
         assert reloaded == dataset
 
 
+# The last end date a generator span may have.
+_LAST_END = date.max - timedelta(days=_LONGEST_LEAD)
+
+
 class TestGenerator:
     def test_equal_seeds_equal_datasets(self):
         config = GeneratorConfig(seed=42, n_customers=15, n_orders=120, n_products=4)
@@ -373,6 +381,26 @@ class TestGenerator:
             >= fraction[AccountClass.REGULAR]
             >= fraction[AccountClass.KEY]
         )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n_customers=st.integers(1, 200),
+        n_products=st.integers(1, 30),
+        n_orders=st.integers(1, 3000),
+        span=st.one_of(
+            st.just(DEFAULT_SPAN),
+            st.dates(max_value=_LAST_END).map(lambda d: (d, d)),
+            st.integers(0, 2000).map(
+                lambda days: (_LAST_END - timedelta(days=days), _LAST_END)),
+        ),
+    )
+    @example(seed=0, n_customers=1, n_products=1, n_orders=1,
+             span=(_LAST_END, _LAST_END))
+    def test_draws_match_the_library_generator(
+            self, seed, n_customers, n_products, n_orders, span):
+        config = GeneratorConfig(seed, n_customers, n_orders, n_products, span)
+        assert generate_synthetic(config) == reference_generate(config)
 
     def test_manifest_written(self, tmp_path):
         config = GeneratorConfig(seed=9, n_customers=5, n_orders=10)
