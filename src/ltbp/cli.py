@@ -203,9 +203,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # The report names a pricing config only when the command line sets one.
+    configured = args.config or any(getattr(args, key) is not None
+                                    for key in _CONFIG_KEYS)
+    config = build_pricing_config(args) if configured else None
     g = graphmod.load_ntriples(args.graph)
     comparison = reportmod.revenue_totals(g)
-    config = build_pricing_config(args) if args.config else None
     out = Path(args.out) if args.out else Path(args.out_dir) / "report.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     reportmod.emit_report(comparison, out, config=config,

@@ -19,12 +19,12 @@ bare. A predicate's object -> subjects map, ``os: p -> {o: s}``, is
 derived from ``so[p]`` the first time a pattern probes ``p`` by object, and
 kept (after database cracking: an index is built when a query first needs
 it). A store gets no triple after its first query, so the derived map never
-goes stale. ``Graph.match`` takes and yields ids only. A query joins its
-patterns in greedy order over rows of ids. A step with its subject or object
-bound probes the predicate's ``so`` or ``os`` map once per row, with no
-``Graph.match`` call; a step with neither bound scans the predicate's ``so``
-map through one ``Graph.match`` call per row. Its filters run once every
-pattern is joined.
+goes stale. ``Graph.match`` is the store's one scan: it yields the id
+triples of one predicate, or of all of them. A query joins its patterns in
+greedy order over rows of ids. The probes live in the join: a step with its
+subject or object bound probes the predicate's ``so`` or ``os`` map once per
+row; a step with neither bound scans the predicate's ``so`` map through one
+``Graph.match`` call per row. Its filters run once every pattern is joined.
 
 A term's identity is the N-Triples text it exports as (``_nt_term``), so a
 literal is its lexical form plus datatype. ``100`` (integer), ``100.00``
@@ -42,9 +42,10 @@ differ only in such a form load as one triple. A literal's text comes from
 ``build_graph`` is one function that adds id triples through
 ``Graph._intern`` and ``Graph._add_ids``, as the loader does. Per build it
 interns each predicate and class IRI once, before the first triple, and
-quotes each entity id into its IRI once. One per-build dict keys the terms
-that many triples share by value: dates, ``int`` quantities and repeated
-strings (basic types, product lines, account classes, regions). Its
+quotes each entity id into its IRI once. One per-build ``ingest._Memo``
+keys the terms that many triples share by value: dates, ``int`` quantities
+and repeated strings (basic types, product lines, account classes,
+regions). Its
 duplicate-subject and dangling-reference checks read per-build dicts from
 entity id to subject id. Nothing else is keyed by value: ``Decimal("100")``
 equals ``Decimal("100.00")``, and ``True`` and ``Decimal("1")`` equal
@@ -55,8 +56,8 @@ Match order is deterministic for a deterministically built graph,
 regardless of hash randomization. A scan, of one predicate or of the whole
 store, walks ``so``: the predicates in the order their first triple was
 added, then each one's subjects in first-insertion order and each subject's
-objects in insertion order. A probe by object yields the subjects in that
-same order.
+objects in insertion order. The join's probes yield a row's triples in that
+same order, so each probe yields what a filtered scan would.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from decimal import Decimal
 from typing import Iterable, Optional, Sequence, Union
 
 from . import terms as T
-from .ingest import not_utf8
+from .ingest import _Memo, not_utf8
 from .model import PricingConfig, adjustment_factor, to_factor
 from .query import (
     COMPARISONS,
@@ -148,7 +149,8 @@ class Graph:
     Each predicate has one subject -> object map, ``_so[p]``; an entry is a
     bare id, or a list once the subject has two objects. ``_os[p]``, the
     predicate's object -> subjects map, is derived from ``_so[p]`` on the
-    first probe by object (``_objects``). Only ``build_graph`` and
+    join's first probe by object (``_objects``). ``match`` is the scan;
+    the probes live in ``_join``. Only ``build_graph`` and
     ``load_ntriples`` add triples, both before they return the graph, so a
     store gets no triple after its first query and nothing invalidates
     ``_os``.
@@ -222,32 +224,19 @@ class Graph:
                         subjects.append(s)
         return by_o
 
-    def match(
-        self, s: Optional[int] = None, p: Optional[int] = None,
-        o: Optional[int] = None,
-    ) -> Iterable[tuple[int, int, int]]:
-        """(s, p, o) id triples matching the given term ids (None = any).
-
-        A bound predicate is read alone; an unbound one tries every predicate
-        in turn. A probe by subject reads ``_so``, a probe by object alone
-        the derived map of ``_objects``, and each returns a list. With
-        neither bound, a lazy scan walks ``_so``, in subject order (see the
-        module docstring). A query's join calls this only for a step with
-        neither subject nor object bound, once per row; its other steps read
-        the maps directly. So a wrapper on this method (as in
-        ``perfbench/tracer.py``) counts a query's scan steps, not its probes.
+    def match(self, p: Optional[int] = None) -> Iterable[tuple[int, int, int]]:
+        """Every (s, p, o) id triple of predicate ``p``, or of every
+        predicate when ``p`` is None: a lazy scan of ``_so`` in subject order
+        (see the module docstring). This is the store's scan and nothing
+        else; a query's probes by subject or object live in ``_join``, which
+        calls this only for a step with neither bound. So a wrapper on this
+        method (as in ``perfbench/tracer.py``) counts a query's scan steps,
+        not its probes.
         """
         predicates = self._so if p is None else (p,)
-        if s is not None:
-            return [(s, p2, o2) for p2 in predicates
-                    for o2 in _each(self._so.get(p2, _NO_ENTRIES).get(s, ()))
-                    if o is None or o2 == o]
-        if o is not None:
-            return [(s2, p2, o) for p2 in predicates
-                    for s2 in _each(self._objects(p2).get(o, ()))]
-        return ((s2, p2, o2) for p2 in predicates
-                for s2, objects in self._so.get(p2, _NO_ENTRIES).items()
-                for o2 in _each(objects))
+        return ((s, p2, o) for p2 in predicates
+                for s, objects in self._so.get(p2, _NO_ENTRIES).items()
+                for o in _each(objects))
 
 
 # --- graph building ----------------------------------------------------------
@@ -277,13 +266,7 @@ def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> G
         T.HAS_CONFIRMED_DATE, T.HAS_STANDARD_DATE, T.WAS_PLACED_BY,
         T.CONTAINS_PRODUCT, T.HAS_PREMIUM, T.HAS_RM_PRICE, T.HAS_CONVEX_PRICE,
     ))
-    cache: dict = {}  # a date, int or repeated string -> its id
-
-    def shared(value) -> int:
-        tid = cache.get(value)
-        if tid is None:
-            tid = cache[value] = intern(value)
-        return tid
+    shared = _Memo(intern)  # a date, int or repeated string -> its id
 
     def subject(entities: dict, key: str, iri, kind: str) -> int:
         if key in entities:
@@ -297,8 +280,8 @@ def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> G
         s = subject(products, number, T.product_iri, "product")
         attach(s, is_a, product_class)
         attach(s, has_product_number, intern(number))
-        attach(s, has_basic_type, shared(product.basic_type))
-        attach(s, has_product_line, shared(product.product_line))
+        attach(s, has_basic_type, shared[product.basic_type])
+        attach(s, has_product_line, shared[product.product_line])
 
     customers: dict[str, int] = {}
     for customer in dataset.customers:
@@ -307,11 +290,11 @@ def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> G
         rho = adjustment_factor(customer.account_class, config)
         attach(s, is_a, customer_class)
         attach(s, has_customer_code, intern(code))
-        attach(s, has_account_type, shared(customer.account_class.value))
+        attach(s, has_account_type, shared[customer.account_class.value])
         attach(s, has_adjustment_factor, intern(to_factor(rho)))
         attach(s, has_annual_revenue, intern(customer.annual_revenue))
         if customer.region is not None:
-            attach(s, has_region, shared(customer.region))
+            attach(s, has_region, shared[customer.region])
 
     orders: dict[str, int] = {}
     for order in dataset.orders:
@@ -332,12 +315,12 @@ def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> G
         attach(s, has_order_number, intern(number))
         # a bool or Decimal would hit an int's entry, so only an int is shared
         attach(s, has_quantity,
-               shared(quantity) if type(quantity) is int else intern(quantity))
+               shared[quantity] if type(quantity) is int else intern(quantity))
         attach(s, has_original_price, intern(order.original_price))
-        attach(s, has_order_date, shared(order.order_date))
-        attach(s, has_requested_date, shared(order.customer_request_date))
-        attach(s, has_confirmed_date, shared(order.customer_delivery_date))
-        attach(s, has_standard_date, shared(order.standard_delivery_date))
+        attach(s, has_order_date, shared[order.order_date])
+        attach(s, has_requested_date, shared[order.customer_request_date])
+        attach(s, has_confirmed_date, shared[order.customer_delivery_date])
+        attach(s, has_standard_date, shared[order.standard_delivery_date])
         attach(s, was_placed_by, placed_by)
         attach(s, contains_product, product)
 
@@ -412,10 +395,11 @@ def _join(graph: Graph, cells, bound, rows: list[list]) -> list[list]:
     step needs are built before the row loop, so a row costs one probe. A
     predicate that is a variable runs the same probe per row over its
     candidates: the row's own predicate once an earlier step binds it, every
-    predicate in turn while it is unbound. A step with neither bound scans
-    through ``Graph.match``; in every ltbp query its only row is the start
-    row. Rows come out in row order, each row's extensions in the order
-    ``Graph.match`` yields their triples. A row that gains one value is
+    predicate in turn while it is unbound. These are the store's only
+    probes. A step with neither bound scans through ``Graph.match``; in
+    every ltbp query its only row is the start row. Rows come out in row
+    order, each row's extensions in scan order: the order a scan of
+    ``Graph.match`` would yield their triples. A row that gains one value is
     extended in place, as no other row shares it.
     """
     cs, cp, co = cells
@@ -425,7 +409,7 @@ def _join(graph: Graph, cells, bound, rows: list[list]) -> list[list]:
         # same variable twice within one pattern: its positions must agree
         same = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if cells[i] == cells[j]]
         for row in rows:
-            for triple in graph.match(None, row[cp] if bp else None, None):
+            for triple in graph.match(row[cp] if bp else None):
                 if same and any(triple[i] != triple[j] for i, j in same):
                     continue
                 new = row.copy()
@@ -801,6 +785,20 @@ def _malformed(lineno: int, line: str) -> GraphParseError:
     return GraphParseError(f"line {lineno}: malformed triple: {line!r}")
 
 
+# A triple followed by a comment: group 1 is the triple, group 2 its object.
+_COMMENTED = re.compile(
+    rf'(\S+\s+\S+\s+(<[^<>\s]*>|{_NT_LITERAL.pattern})\s*\.)\s*#.*')
+
+
+def _uncomment(line: str, error: GraphParseError) -> re.Match:
+    """The match of ``line`` as a triple followed by a comment; a line that
+    is not one raises ``error``."""
+    commented = _COMMENTED.fullmatch(line)
+    if commented is None:
+        raise error
+    return commented
+
+
 def load_ntriples(path) -> Graph:
     """Read an N-Triples file; GraphParseError names the first bad line.
 
@@ -817,8 +815,12 @@ def load_ntriples(path) -> Graph:
     time it occurs.
 
     A comment line, one whose first character after any leading whitespace
-    is "#", is skipped. It is told apart only where the line would otherwise
-    be rejected, so triples pay nothing for it; line numbers count it.
+    is "#", is skipped, and so is a comment after a triple. Each is told
+    apart only where the line would otherwise be rejected, so triples pay
+    nothing for it: a comment line by its first "#", a trailing comment by
+    ``_COMMENTED`` when the line does not end in "." or its object token
+    does not parse (a comment that ends in "." runs into that token). Line
+    numbers count comment lines.
     """
     graph = Graph()
     ids, intern, add = graph._ids, graph._intern, graph._add_ids
@@ -832,7 +834,7 @@ def load_ntriples(path) -> Graph:
                 if line[-1] != ".":
                     if line[0] == "#":
                         continue
-                    raise _malformed(lineno, line)
+                    line = _uncomment(line, _malformed(lineno, line))[1]
                 try:
                     s_token, p_token, o_token = line[:-1].split(None, 2)
                 except ValueError:  # fewer than three terms
@@ -853,7 +855,11 @@ def load_ntriples(path) -> Graph:
                     p = intern(_parse_iri(p_token, lineno))
                 o = ids.get(o_token)
                 if o is None:
-                    o = intern(_parse_object(o_token, lineno))
+                    try:
+                        o = intern(_parse_object(o_token, lineno))
+                    except GraphParseError as exc:
+                        o_token = _uncomment(line, exc)[2]
+                        o = intern(_parse_object(o_token, lineno))
                 add(s, p, o)
         except UnicodeDecodeError:
             raise GraphParseError(not_utf8(path)) from None

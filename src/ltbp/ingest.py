@@ -29,7 +29,7 @@ import csv
 import json
 import logging
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -37,6 +37,8 @@ from typing import Optional, Sequence
 
 from . import terms
 from .model import (
+    OTHERS_REVENUE_MAX,
+    REGULAR_REVENUE_MAX,
     AccountClass,
     Customer,
     InvalidField,
@@ -48,19 +50,10 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-CUSTOMERS_HEADER = ["customer_code", "account_class", "annual_revenue", "region"]
-PRODUCTS_HEADER = ["product_number", "basic_type", "product_line"]
-ORDERS_HEADER = [
-    "order_number",
-    "customer_code",
-    "product_number",
-    "quantity",
-    "original_price",
-    "order_date",
-    "customer_request_date",
-    "customer_delivery_date",
-    "standard_delivery_date",
-]
+# Each file's columns are its entity's fields, in order.
+CUSTOMERS_HEADER = [f.name for f in fields(Customer)]
+PRODUCTS_HEADER = [f.name for f in fields(Product)]
+ORDERS_HEADER = [f.name for f in fields(Order)]
 
 
 class LoadError(Exception):
@@ -418,11 +411,14 @@ _ORDER_NUMBERS = range(10_000_000, 100_000_000)
 # delivery time is at most 56 days, and a request comes up to 7 days later.
 _LONGEST_LEAD = 56 + 7
 
+# Each class's revenue range, (low, high) in whole cents: model's revenue
+# bands, with Key revenue capped at 100,000,000.00.
+_OTHERS_CENTS = int(OTHERS_REVENUE_MAX * 100)
+_REGULAR_CENTS = int(REGULAR_REVENUE_MAX * 100)
 _REVENUE_CENTS = {
-    # (low, high) in cents, matching the class revenue bands
-    AccountClass.KEY: (10_000_000_01, 100_000_000_00),
-    AccountClass.REGULAR: (5_000_000_01, 10_000_000_00),
-    AccountClass.OTHERS: (0, 5_000_000_00),
+    AccountClass.KEY: (_REGULAR_CENTS + 1, 100_000_000_00),
+    AccountClass.REGULAR: (_OTHERS_CENTS + 1, _REGULAR_CENTS),
+    AccountClass.OTHERS: (0, _OTHERS_CENTS),
 }
 
 

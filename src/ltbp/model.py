@@ -62,8 +62,8 @@ def float_to_money(value: float) -> Decimal:
 class InvalidField(ValueError):
     """An entity or config value breaking its rule; ``field`` names the field.
 
-    The entity field names equal the CSV column names, so the loader reports
-    ``field`` as the column of the rejected row.
+    ``ingest`` takes each CSV's column names from its entity's fields, so
+    the loader reports ``field`` as the column of the rejected row.
     """
 
     def __init__(self, field: str, message: str):

@@ -64,7 +64,8 @@ def brute_force_match(triples, patterns):
 
 def nested_loop_rows(graph, patterns, names):
     """Reference join in the engine's own step order: ``_plan``'s steps, each
-    extending one row at a time by the triples of one ``Graph.match`` call.
+    extending one row at a time by the triples of a ``Graph.match`` scan of
+    the step's predicate that agree with the row's bound cells.
 
     The engine's join must yield these rows in this order. Each row is read
     back as the tuple of the values of the variables ``names``.
@@ -72,11 +73,13 @@ def nested_loop_rows(graph, patterns, names):
     slots, start, steps = _plan(graph, patterns)
     rows = [start]
     for cells, bound in steps:
-        cs, cp, co = cells
+        fixed = [(k, cell) for k, (cell, b) in enumerate(zip(cells, bound)) if b]
         free = [(k, cell) for k, (cell, b) in enumerate(zip(cells, bound)) if not b]
         out = []
         for row in rows:
-            for triple in graph.match(row[cs], row[cp], row[co]):
+            for triple in graph.match(row[cells[1]]):
+                if any(row[cell] != triple[k] for k, cell in fixed):
+                    continue
                 new = row.copy()
                 for k, cell in free:
                     seen = new[cell]

@@ -19,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 from ltbp.cli import main
 from ltbp.ingest import CUSTOMERS_HEADER, ORDERS_HEADER, PRODUCTS_HEADER, Dataset
 from ltbp.model import (
-    MONEY_MAX, AccountClass, Customer, Order, PricingConfig, Product, to_factor,
+    DEFAULT_RHO, MONEY_MAX, AccountClass, Customer, Order, PricingConfig, Product,
+    to_factor,
 )
 from ltbp.pricing import PricingResult
+from ltbp.report import config_fingerprint
 from ltbp.terms import unescape
 from tests.oracles import (
     oracle_cq1, oracle_cq2, oracle_cq3, oracle_cq4, oracle_totals,
@@ -266,6 +268,29 @@ class TestAnalyzeQueryReport:
         assert values["TotalRMPrice"] == payload["totals"]["rm"]
         assert values["TotalOrginalPrice"] == payload["totals"]["original"]
         assert values["TotalConvexPrice"] == payload["totals"]["convex"]
+
+    @pytest.mark.parametrize("flags, config", [
+        ([], None),
+        (["--alpha", "2"], PricingConfig(alpha=2.0)),
+        (["--rho-others", "0.5"], PricingConfig(rho_table={
+            **DEFAULT_RHO, AccountClass.OTHERS: 0.5})),
+    ])
+    def test_report_fingerprints_the_config_its_flags_set(self, run_dir, tmp_path,
+                                                          flags, config):
+        out = tmp_path / "report.json"
+        assert run(["report", "--graph", run_dir / "graph.nt", "--out", out,
+                    *flags]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["config_fingerprint"] == (
+            None if config is None else config_fingerprint(config))
+
+    def test_report_rejects_an_out_of_range_flag(self, run_dir, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["report", "--graph", run_dir / "graph.nt", "--out", out,
+                    "--rho-key", "1.5"]) == 2
+        assert "rho" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_query_syntax_error_is_data_error(self, run_dir, tmp_path, capsys):
         bad = tmp_path / "bad.rq"
@@ -780,6 +805,46 @@ def test_query_counts_comment_lines_in_error_line_numbers(tmp_path, capsys, comm
     assert run(["query", "--graph", graph, "--query", query]) == 2
     assert capsys.readouterr().err == (
         "error: line 4: malformed triple: 'not a triple'\n")
+
+
+@pytest.mark.parametrize("line, printed", [
+    ('<urn:s1> <urn:p> "a" . # a comment', '"a"'),
+    ('<urn:s1> <urn:p> "a" .# a comment that ends in .', '"a"'),
+    ("<urn:s1> <urn:p> <urn:o#f> . # c", "<urn:o#f>"),
+    ("<urn:s1> <urn:p> <urn:o#f> . # c .", "<urn:o#f>"),
+    ('<urn:s1> <urn:p> "x . # y" .', '"x . # y"'),
+    ('<urn:s1> <urn:p> "x . # y" . # c', '"x . # y"'),
+    ('<urn:s1> <urn:p> "x . # y" . # c .', '"x . # y"'),
+    ('<urn:s1> <urn:p> "7"^^<http://www.w3.org/2001/XMLSchema#integer> . #c', "7"),
+])
+def test_query_skips_a_comment_after_a_triple(tmp_path, capsys, line, printed):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(f'{line}\n<urn:s2> <urn:p> "b" . # c\n', encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?s ?o WHERE { ?s <urn:p> ?o }")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 0
+    assert capsys.readouterr().out == (
+        f's\to\n<urn:s1>\t{printed}\n<urn:s2>\t"b"\n')
+
+
+@pytest.mark.parametrize("line, error", [
+    ("<urn:s1> <urn:p> . # c", "malformed triple: '<urn:s1> <urn:p> . # c'"),
+    ("<urn:s1> <urn:p> . # c .", "malformed object term: '. # c'"),
+    ('<urn:s1> <urn:p> "a # c', "malformed triple: '<urn:s1> <urn:p> \"a # c'"),
+    ("<urn:s1> <urn:p> <urn:o> <urn:x> . # c", "malformed triple: "
+     "'<urn:s1> <urn:p> <urn:o> <urn:x> . # c'"),
+    ('<urn:s1> <urn:p> "a"^^<urn:t> . # c .', "unsupported datatype <urn:t>"),
+])
+def test_query_names_the_line_of_a_bad_triple_before_a_comment(tmp_path, capsys,
+                                                                line, error):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(f'<urn:s0> <urn:p> "a" . # c\n{line}\n', encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?s WHERE { ?s <urn:p> ?o }")
+    capsys.readouterr()
+    assert run(["query", "--graph", graph, "--query", query]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {error}\n"
 
 
 def test_query_prints_decimals_in_plain_notation(tmp_path, capsys):

@@ -63,9 +63,11 @@ def _load(tmp_path, *lines):
 
 
 def _match(g, s=None, p=None, o=None):
-    """``g.match`` looked up by terms; the matches as (s, p, o) terms."""
+    """The triples matching the given terms (None = any), as (s, p, o)
+    terms: ``g.match``'s scan filtered by id."""
     ids = [None if term is None else g._id_of(term) for term in (s, p, o)]
-    return triples(g, g.match(*ids))
+    return triples(g, [t for t in g.match(ids[1])
+                       if all(i is None or i == x for i, x in zip(ids, t))])
 
 
 def _rows(g, query):
@@ -115,22 +117,15 @@ class TestDerivedObjectMaps:
         ("?o :wasPlacedBy ?c . ?c :hasCustomerCode \"C001\" . "
          "?o :hasRMPrice ?rm", [T.HAS_CUSTOMER_CODE, WAS_PLACED_BY]),
         ("?o :hasQuantity ?q . ?o :hasRMPrice ?rm", []),  # a scan, then by subject
+        ("?s ?p cust:C001", None),  # an unbound predicate: every predicate
     ])
     def test_a_query_builds_the_maps_of_the_predicates_it_probes_by_object(
         self, small_graph, where, probed
     ):
         names = " ".join(dict.fromkeys(re.findall(r"\?\w+", where)))
         assert _rows(small_graph, f"SELECT {names} WHERE {{ {where} }}")
-        assert sorted(small_graph._os) == sorted(map(small_graph._id_of, probed))
-
-    def test_match_by_object_builds_the_maps_of_the_predicates_it_reads(self,
-                                                                        small_graph):
-        customer = small_graph._id_of(customer_iri("C001"))
-        placed_by = small_graph._id_of(WAS_PLACED_BY)
-        assert len(small_graph.match(None, placed_by, customer)) == 2
-        assert list(small_graph._os) == [placed_by]
-        assert len(small_graph.match(None, None, customer)) == 2
-        assert sorted(small_graph._os) == sorted(small_graph._so)
+        expected = small_graph._so if probed is None else map(small_graph._id_of, probed)
+        assert sorted(small_graph._os) == sorted(expected)
 
 
 _S1, _S2, _S3 = Iri("urn:s1"), Iri("urn:s2"), Iri("urn:s3")
@@ -163,6 +158,9 @@ class TestForeignGraph:
         return path
 
     def test_every_match_shape_equals_brute_force(self, path):
+        """Each bound/unbound shape, as a one-pattern query, exercises one of
+        the join's probes or its scan. The all-bound shape, which projects
+        nothing, is the first step of a query that then scans every triple."""
         g = load_ntriples(path)
         held = list(dict.fromkeys(triple for _, triple in _FOREIGN))
         absent = Iri("urn:absent")
@@ -172,18 +170,19 @@ class TestForeignGraph:
             [o for _, _, o in held] + [absent, "absent"],
         ]
         names = (Variable("s"), Variable("p"), Variable("o"))
+        scan = (Variable("x"), Variable("y"), Variable("z"))
         for shape in itertools.product((False, True), repeat=3):
             choices = [dict.fromkeys(c) if bound else [None]
                        for bound, c in zip(shape, candidates)]
             for terms in itertools.product(*choices):
-                found = []
-                for m in _match(g, *terms):
-                    found.append({name.name: value for name, term, value
-                                  in zip(names, terms, m) if term is None})
                 pattern = tuple(
                     name if term is None else term for name, term in zip(names, terms)
                 )
-                expected = brute_force_match(held, [pattern])
+                patterns = (pattern,) if not all(shape) else (pattern, scan)
+                projected = tuple(t.name for p in patterns for t in p
+                                  if isinstance(t, Variable))
+                found = evaluate(g, QuerySpec(projected, patterns)).mappings()
+                expected = brute_force_match(held, patterns)
                 assert Counter(frozenset(r.items()) for r in found) == Counter(
                     frozenset(r.items()) for r in expected
                 ), (shape, terms)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ltbp.ingest import (
     _LONGEST_LEAD,
+    _REVENUE_CENTS,
     DEFAULT_SPAN,
     DanglingReference,
     DuplicateIdentifier,
@@ -22,7 +23,7 @@ from ltbp.ingest import (
     write_dataset,
     write_manifest,
 )
-from ltbp.model import AccountClass, lead_days, rm_eligible
+from ltbp.model import AccountClass, class_for_revenue, lead_days, rm_eligible
 from tests.oracles import reference_generate
 
 CUSTOMER_HEADER = "customer_code,account_class,annual_revenue,region\n"
@@ -325,6 +326,14 @@ _LAST_END = date.max - timedelta(days=_LONGEST_LEAD)
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("account_class", list(AccountClass))
+    def test_revenue_range_ends_fall_in_their_class(self, account_class):
+        low, high = _REVENUE_CENTS[account_class]
+        assert low < high
+        for cents in (low, high):
+            revenue = Decimal(cents).scaleb(-2)
+            assert class_for_revenue(revenue) is account_class, revenue
+
     def test_equal_seeds_equal_datasets(self):
         config = GeneratorConfig(seed=42, n_customers=15, n_orders=120, n_products=4)
         assert generate_synthetic(config) == generate_synthetic(config)
