@@ -16,12 +16,13 @@ import argparse
 import gc
 import logging
 import sys
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
 from . import analytics, graph as graphmod, ingest, pricing, report as reportmod
 from . import terms
-from .model import DEFAULT_RHO, AccountClass, InvalidField, PricingConfig
+from .model import InvalidField, PricingConfig
 from .query import QueryError, parse_query
 
 log = logging.getLogger("ltbp")
@@ -45,10 +46,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The pricing settings a config file or flag may set; rho_<class> is the
-# adjustment factor of one account class.
-_CONFIG_KEYS = ("alpha", "beta", "p_max", "convex_alpha",
-                "rho_key", "rho_regular", "rho_others")
+# The pricing settings a config file or flag may set.
+_CONFIG_KEYS = tuple(f.name for f in fields(PricingConfig))
 
 
 def _read_text(path) -> str:
@@ -68,8 +67,10 @@ def _checked(config_class, **values):
 
 
 def read_config_file(path) -> dict[str, float]:
-    """Flat key = value file mirroring PricingConfig fields."""
+    """Flat key = value file mirroring PricingConfig fields; a key may be
+    set once."""
     values: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,6 +81,12 @@ def read_config_file(path) -> dict[str, float]:
                 f"{path}: line {lineno}: expected 'key = value' with key in "
                 f"{_CONFIG_KEYS}, got {raw.strip()!r}"
             )
+        if key in first_line:
+            raise ingest.LoadError(
+                f"{path}: line {lineno}: {key} is already set on line "
+                f"{first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             values[key] = float(value)
         except ValueError:
@@ -96,11 +103,7 @@ def build_pricing_config(args) -> PricingConfig:
     for key in _CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
-    rho_table = {
-        cls: values.pop(f"rho_{cls.value.lower()}", DEFAULT_RHO[cls])
-        for cls in AccountClass
-    }
-    return _checked(PricingConfig, **values, rho_table=rho_table)
+    return _checked(PricingConfig, **values)
 
 
 def _parse_iso(text: str) -> date:
@@ -111,12 +114,11 @@ def _parse_iso(text: str) -> date:
 
 
 def cmd_generate(args) -> int:
-    span = ingest.DEFAULT_SPAN
-    if args.start or args.end:
-        span = (
-            _parse_iso(args.start) if args.start else ingest.DEFAULT_SPAN[0],
-            _parse_iso(args.end) if args.end else ingest.DEFAULT_SPAN[1],
-        )
+    start, end = ingest.GeneratorConfig.date_span
+    span = (
+        _parse_iso(args.start) if args.start else start,
+        _parse_iso(args.end) if args.end else end,
+    )
     config = _checked(
         ingest.GeneratorConfig,
         seed=args.seed,
@@ -236,10 +238,11 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a seeded synthetic dataset")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--orders", type=int, default=65_000)
-    p.add_argument("--customers", type=int, default=177)
-    p.add_argument("--products", type=int, default=25)
+    defaults = ingest.GeneratorConfig
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--orders", type=int, default=defaults.n_orders)
+    p.add_argument("--customers", type=int, default=defaults.n_customers)
+    p.add_argument("--products", type=int, default=defaults.n_products)
     p.add_argument("--start", help="first order date (ISO)")
     p.add_argument("--end", help="last order date (ISO)")
     p.add_argument("--out", help="output directory (defaults to --out-dir)")

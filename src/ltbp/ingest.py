@@ -105,8 +105,6 @@ class Dataset:
 
 def _read_rows(path, header: list[str]):
     path = Path(path)
-    if not path.exists():
-        raise LoadError(f"no such file: {path}")
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -371,8 +369,6 @@ REGIONS = ["AMER", "APAC", "EMEA", "JP"]
 BASIC_TYPES = ["BT-A", "BT-B", "BT-C", "BT-D", "BT-E", "BT-F"]
 PRODUCT_LINE = "PL-1"
 
-DEFAULT_SPAN = (date(2016, 10, 4), date(2020, 9, 1))
-
 DEFAULT_CLASS_MIX = {
     AccountClass.KEY: 0.2,
     AccountClass.REGULAR: 0.3,
@@ -428,7 +424,7 @@ class GeneratorConfig:
     n_customers: int = 177
     n_orders: int = 65_000
     n_products: int = 25
-    date_span: tuple[date, date] = DEFAULT_SPAN
+    date_span: tuple[date, date] = (date(2016, 10, 4), date(2020, 9, 1))
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
@@ -546,11 +542,9 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
 
 
 def manifest_dict(config: GeneratorConfig) -> dict:
+    """The config's fields in their order, then the class mix and profile."""
     return {
-        "seed": config.seed,
-        "n_customers": config.n_customers,
-        "n_orders": config.n_orders,
-        "n_products": config.n_products,
+        **asdict(config),
         "date_span": [d.isoformat() for d in config.date_span],
         "class_mix": {c.value: DEFAULT_CLASS_MIX[c] for c in AccountClass},
         "expedite_profile": {

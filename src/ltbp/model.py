@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
-from typing import Mapping, Union
+from typing import Union
 
 CENT = Decimal("0.01")
 FACTOR = Decimal("0.000001")
@@ -93,12 +93,6 @@ class AccountClass(enum.Enum):
 # revenue above the top band maps to Key so the classification is total.
 OTHERS_REVENUE_MAX = Decimal(5_000_000)
 REGULAR_REVENUE_MAX = Decimal(10_000_000)
-
-DEFAULT_RHO = {
-    AccountClass.KEY: 0.1,
-    AccountClass.REGULAR: 0.05,
-    AccountClass.OTHERS: 0.025,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,19 +177,22 @@ class Order:
 
 @dataclass(frozen=True)
 class PricingConfig:
-    """Weights, bounds, and the per-class adjustment factor table.
+    """Weights, bounds, and each account class's adjustment factor rho.
 
-    ``convex_alpha`` must be <= 0: the convex baseline prices faster delivery
-    above the original price, which requires a non-positive log coefficient.
+    Each field is one pricing setting: a config-file key, and a flag of
+    ``price`` and ``report``. ``rho_<class>`` is read through
+    ``adjustment_factor``. ``convex_alpha`` must be <= 0: the convex baseline
+    prices faster delivery above the original price, which requires a
+    non-positive log coefficient.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     p_max: float = 2.0
     convex_alpha: float = -0.5
-    rho_table: Mapping[AccountClass, float] = field(
-        default_factory=lambda: dict(DEFAULT_RHO)
-    )
+    rho_key: float = 0.1
+    rho_regular: float = 0.05
+    rho_others: float = 0.025
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "p_max", "convex_alpha"):
@@ -210,13 +207,11 @@ class PricingConfig:
                 "convex_alpha",
                 f"convex_alpha must be <= 0 and >= {CONVEX_ALPHA_MIN:g}",
             )
-        missing = [c for c in AccountClass if c not in self.rho_table]
-        if missing:
-            raise InvalidField("rho_table", f"rho_table missing classes: {missing}")
-        for cls, rho in self.rho_table.items():
+        for cls in AccountClass:
+            rho = adjustment_factor(cls, self)
             if not 0 <= rho < 1:
                 raise InvalidField(
-                    "rho_table", f"rho for {cls} must be in [0, 1), got {rho}"
+                    rho_field(cls), f"rho for {cls} must be in [0, 1), got {rho}"
                 )
 
 
@@ -242,8 +237,13 @@ def expedited(olt_confirmed: int, sdt: int) -> bool:
     return olt_confirmed < sdt
 
 
+def rho_field(account_class: AccountClass) -> str:
+    """The ``PricingConfig`` field that holds the class's rho."""
+    return f"rho_{account_class.value.lower()}"
+
+
 def adjustment_factor(account_class: AccountClass, config: PricingConfig) -> float:
-    return config.rho_table[account_class]
+    return getattr(config, rho_field(account_class))
 
 
 def class_for_revenue(revenue: Union[int, float, Decimal]) -> AccountClass:

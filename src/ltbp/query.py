@@ -175,27 +175,19 @@ class QuerySpec:
             raise QueryValidationError("query has no patterns")
         bound = self.pattern_variables()
         bare = [p for p in self.projections if isinstance(p, str)]
-        for name in bare:
-            if name not in bound:
-                raise UnboundProjectionError(
-                    f"projected variable ?{name} does not occur in any pattern"
-                )
-        for agg in self.aggregates:
-            if agg.var not in bound:
-                raise UnboundProjectionError(
-                    f"aggregated variable ?{agg.var} does not occur in any pattern"
-                )
-        for expr in self.filters:
-            for name in sorted(expr_variables(expr)):
+        uses = (
+            (UnboundProjectionError, "projected", bare),
+            (UnboundProjectionError, "aggregated", [a.var for a in self.aggregates]),
+            (QueryValidationError, "filter",
+             [name for expr in self.filters for name in sorted(expr_variables(expr))]),
+            (QueryValidationError, "grouping", self.group_by),
+        )
+        for error, noun, names in uses:
+            for name in names:
                 if name not in bound:
-                    raise QueryValidationError(
-                        f"filter variable ?{name} does not occur in any pattern"
+                    raise error(
+                        f"{noun} variable ?{name} does not occur in any pattern"
                     )
-        for name in self.group_by:
-            if name not in bound:
-                raise QueryValidationError(
-                    f"grouping variable ?{name} does not occur in any pattern"
-                )
         if self.aggregates or self.group_by:
             uncovered = [name for name in bare if name not in self.group_by]
             if uncovered:

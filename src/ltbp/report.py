@@ -16,7 +16,7 @@ from typing import Optional
 
 from .graph import Graph, evaluate, quantized
 from .ingest import write_json
-from .model import AccountClass, PricingConfig, to_money
+from .model import AccountClass, PricingConfig, adjustment_factor, to_money
 from .query import parse_query
 
 TOTALS_QUERY = (Path(__file__).parent / "totals.rq").read_text(encoding="utf-8")
@@ -108,7 +108,7 @@ def config_fingerprint(config: PricingConfig) -> str:
             f"p_max={config.p_max!r}",
             f"convex_alpha={config.convex_alpha!r}",
         ]
-        + [f"rho_{c.value}={config.rho_table[c]!r}" for c in AccountClass]
+        + [f"rho_{c.value}={adjustment_factor(c, config)!r}" for c in AccountClass]
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 

@@ -28,7 +28,9 @@ from ltbp.ingest import (
     _allocate,
     _Memo,
 )
-from ltbp.model import AccountClass, Customer, Order, Product, to_money
+from ltbp.model import (
+    AccountClass, Customer, Order, Product, adjustment_factor, to_money,
+)
 from ltbp.pricing import (
     CustomerStats,
     PricedOrder,
@@ -173,7 +175,7 @@ def priced_orders_oracle(dataset, config):
         stats.append(CustomerStats(
             code, len(series), compute_rsd(series), compute_rmd(series)
         ))
-        rho = config.rho_table[customer.account_class]
+        rho = adjustment_factor(customer.account_class, config)
         premiums[code] = compute_premium(stats[-1], rho, config)
     priced, issues = [], []
     for order in dataset.orders:

@@ -19,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 from ltbp.cli import main
 from ltbp.ingest import CUSTOMERS_HEADER, ORDERS_HEADER, PRODUCTS_HEADER, Dataset
 from ltbp.model import (
-    DEFAULT_RHO, MONEY_MAX, AccountClass, Customer, Order, PricingConfig, Product,
-    to_factor,
+    MONEY_MAX, AccountClass, Customer, Order, PricingConfig, Product, to_factor,
 )
 from ltbp.pricing import PricingResult
 from ltbp.report import config_fingerprint
@@ -149,7 +148,7 @@ class TestPrice:
         header = (out / "priced_orders.csv").read_text().splitlines()[0]
         assert header == "order_number,original,rm,convex"
 
-    def test_missing_file_is_data_error(self, tmp_path):
+    def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = run([
             "price", "--orders", tmp_path / "nope.csv",
             "--portfolio", tmp_path / "nope.csv",
@@ -157,6 +156,7 @@ class TestPrice:
             "--out", tmp_path / "run",
         ])
         assert code == 2
+        assert capsys.readouterr().err == f"error: no such file: {tmp_path}/nope.csv\n"
 
     def test_bad_row_aborts_without_skip_invalid(self, tmp_path):
         data = generate(tmp_path / "data")
@@ -198,7 +198,6 @@ class TestPrice:
         import argparse
 
         from ltbp.cli import build_pricing_config
-        from ltbp.model import AccountClass
 
         cfg = tmp_path / "pricing.cfg"
         cfg.write_text("p_max = 1.5\nrho_key = 0.2\n# comment\n")
@@ -208,8 +207,8 @@ class TestPrice:
         )
         config = build_pricing_config(args)
         assert config.p_max == 1.8  # flag beats file
-        assert config.rho_table[AccountClass.KEY] == 0.2  # file beats default
-        assert config.rho_table[AccountClass.REGULAR] == 0.05
+        assert config.rho_key == 0.2  # file beats default
+        assert config.rho_regular == 0.05
 
     def test_price_honors_config_flags(self, tmp_path):
         data = generate(tmp_path / "data")
@@ -236,6 +235,19 @@ class TestPrice:
             "--out", tmp_path / "run", "--config", cfg,
         ])
         assert code == 2
+
+    def test_repeated_config_key_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "pricing.cfg"
+        cfg.write_text("p_max = 1.5\n# comment\n\np_max = 1.2\n")
+        code = run([
+            "price", "--orders", tmp_path / "o.csv",
+            "--portfolio", tmp_path / "c.csv", "--products", tmp_path / "p.csv",
+            "--out", tmp_path / "run", "--config", cfg,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 4: p_max is already set on line 1\n")
+        assert not (tmp_path / "run").exists()
 
 
 class TestAnalyzeQueryReport:
@@ -272,8 +284,7 @@ class TestAnalyzeQueryReport:
     @pytest.mark.parametrize("flags, config", [
         ([], None),
         (["--alpha", "2"], PricingConfig(alpha=2.0)),
-        (["--rho-others", "0.5"], PricingConfig(rho_table={
-            **DEFAULT_RHO, AccountClass.OTHERS: 0.5})),
+        (["--rho-others", "0.5"], PricingConfig(rho_others=0.5)),
     ])
     def test_report_fingerprints_the_config_its_flags_set(self, run_dir, tmp_path,
                                                           flags, config):

@@ -367,8 +367,7 @@ class TestBuildGraph:
 
     def test_equal_decimals_of_two_fields_stay_two_terms(self, tmp_path,
                                                          small_dataset):
-        config = PricingConfig(
-            rho_table={**PricingConfig().rho_table, AccountClass.OTHERS: 0.1})
+        config = PricingConfig(rho_others=0.1)
         customer = Customer("C009", AccountClass.OTHERS, Decimal("0.10"))
         dataset = _with(small_dataset, customers=(customer,))
         export_ntriples(build_graph(dataset, config=config), tmp_path / "graph.nt")

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from ltbp.ingest import (
     _LONGEST_LEAD,
     _REVENUE_CENTS,
-    DEFAULT_SPAN,
     DanglingReference,
     DuplicateIdentifier,
     GeneratorConfig,
@@ -111,7 +110,7 @@ class TestLoadCustomers:
             load_customers(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(Exception, match="no such file"):
+        with pytest.raises(FileNotFoundError):
             load_customers(tmp_path / "absent.csv")
 
     def test_header_mismatch(self, tmp_path):
@@ -398,7 +397,7 @@ class TestGenerator:
         n_products=st.integers(1, 30),
         n_orders=st.integers(1, 3000),
         span=st.one_of(
-            st.just(DEFAULT_SPAN),
+            st.just(GeneratorConfig.date_span),
             st.dates(max_value=_LAST_END).map(lambda d: (d, d)),
             st.integers(0, 2000).map(
                 lambda days: (_LAST_END - timedelta(days=days), _LAST_END)),

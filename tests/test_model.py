@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, fields
 from datetime import date
 from decimal import Decimal
 
@@ -148,11 +149,19 @@ class TestPricingConfig:
 
     def test_rho_range_enforced(self):
         with pytest.raises(ValueError):
-            PricingConfig(rho_table={
-                AccountClass.KEY: 1.0,
-                AccountClass.REGULAR: 0.05,
-                AccountClass.OTHERS: 0.025,
-            })
+            PricingConfig(rho_key=1.0)
+
+    def test_hashable(self):
+        assert hash(PricingConfig()) == hash(PricingConfig())
+        assert len({PricingConfig(), PricingConfig(rho_key=0.2)}) == 2
+
+    def test_immutable(self):
+        config = PricingConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.rho_key = 0.5
+        # Every setting is a number, so no value can change in place after
+        # validation.
+        assert all(isinstance(getattr(config, f.name), float) for f in fields(config))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -192,6 +201,9 @@ class TestBounds:
         ("p_max", 1e300),
         ("convex_alpha", CONVEX_ALPHA_MIN * 1.001),
         ("convex_alpha", -1e300),
+        ("rho_key", 1.0),
+        ("rho_regular", 1.0),
+        ("rho_others", 1.0),
     ])
     def test_setting_over_bound_rejected(self, field, value):
         with pytest.raises(InvalidField) as excinfo:
