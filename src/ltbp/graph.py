@@ -52,6 +52,20 @@ equals ``Decimal("100.00")``, and ``True`` and ``Decimal("1")`` equal
 ``1``, yet each is a different term (above) or none, so each is interned by
 its text.
 
+``export_ntriples`` also writes a store image beside ``graph.nt``, after
+HDT's dictionary plus triples (Fernandez et al., J. Web Semantics 2013) and
+RDF-3X, which never re-parses text (Neumann & Weikum, VLDB 2008): the term
+texts in id order, and per predicate a subject and an object id column. Ids
+count up in order of first appearance in ``graph.nt``, as the loader gives
+them, so the store ``load_ntriples`` reads from a matching image equals the
+one it parses from the text, and the stages skip the parse. The image
+records ``graph.nt``'s size and CRC-32, and its own CRC-32; a stage uses
+it only when those match and its term count and ids check out, and parses
+the text otherwise. CRC-32 comes from ``zlib``, which a stage has loaded
+anyway; it catches accidental change, and whoever can forge a ``graph.nt``
+can rewrite its image too. A sha256 would load ``hashlib``, and OpenSSL's
+libcrypto with it, into every stage.
+
 Match order is deterministic for a deterministically built graph,
 regardless of hash randomization. A scan, of one predicate or of the whole
 store, walks ``so``: the predicates in the order their first triple was
@@ -63,9 +77,14 @@ same order, so each probe yields what a filtered scan would.
 from __future__ import annotations
 
 import decimal
+import logging
 import math
 import operator
+import os
 import re
+import sys
+import zlib
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
@@ -86,6 +105,8 @@ from .query import (
 from .terms import Iri, Value, Variable
 
 Binding = dict  # variable name -> Value
+
+log = logging.getLogger(__name__)
 
 
 class GraphError(Exception):
@@ -701,6 +722,22 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
 # --- N-Triples I/O -----------------------------------------------------------
 
 
+# The store image beside ``graph.nt`` (see ``export_ntriples``). Its ids are
+# 4-byte little-endian unsigned ints, the same bytes on every host.
+_IMAGE_MAGIC = b"ltbp-store-image/1"
+_ID = "I" if array("I").itemsize == 4 else "L"
+_TEXTS_PER_WRITE = 1 << 12  # term texts joined, encoded and written at a time
+
+
+def _crc32(path) -> int:
+    """The CRC-32 of the file at ``path``, read in blocks."""
+    crc = 0
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            crc = zlib.crc32(block, crc)
+    return crc
+
+
 def export_ntriples(graph: Graph, path) -> None:
     """One triple per line in lexicographic order; reload round-trips.
 
@@ -710,10 +747,31 @@ def export_ntriples(graph: Graph, path) -> None:
     inside it), so the subject decides between lines of different subjects
     and the predicate between lines of one subject. A subject's lines are
     found by probing each predicate's subject map for it.
+
+    The same walk numbers the terms for the store image, ``path + ".img"``,
+    that ``load_ntriples`` reads in place of the text: in order of first
+    appearance in the file, a line's subject, then its predicate, then its
+    object, as the loader interns them. The image is one header line, then
+    the body:
+
+    - the header: the magic, ``graph.nt``'s size and CRC-32, the image's
+      CRC-32, the term count, the byte lengths of the columns and of the
+      texts, and each predicate's id and triple count, predicates in the
+      order of their first line. The image's CRC-32 runs over the body and
+      then over the header with that field as zeros, so a changed
+      predicate id is caught as a changed column is;
+    - each predicate's subject id column, then its object id column, its
+      lines in file order, an id being 4 bytes little-endian;
+    - the term texts in id order, each ending in a line feed (N-Triples
+      escapes every line break, so no text holds one).
+
+    Any old image is deleted before ``graph.nt`` is written, and the new one
+    is written under a temporary name and then renamed, so no image
+    outlives the ``graph.nt`` it describes.
     """
     text = list(graph._ids)  # ids count up in insertion order
-    maps = sorted(((text[p], so) for p, so in graph._so.items()),
-                  key=lambda pair: pair[0])
+    maps = sorted((text[p], p, so, array(_ID), array(_ID))
+                  for p, so in graph._so.items())
     seen = bytearray(len(text))  # a flag per term id: far smaller than a set
     subjects = []
     for so in graph._so.values():
@@ -722,19 +780,84 @@ def export_ntriples(graph: Graph, path) -> None:
                 seen[s] = 1
                 subjects.append(s)
     subjects.sort(key=text.__getitem__)
+
+    def in_file_order(objects: list) -> list:
+        """A subject's objects of one predicate, in the order of their lines."""
+        return sorted(objects, key=lambda o: f"{text[o]} .")
+
+    image = f"{os.fspath(path)}.img"
+    if os.path.isfile(image):
+        os.remove(image)
+    # store id -> id in the file, or -1; an array, as a list would hold an
+    # int object per term
+    file_id = array("i", [-1]) * len(text)
+    order = array(_ID)  # file id -> store id
+    used = []  # each predicate's id and columns, in the order of its first line
+
+    def number(term: int) -> int:
+        """The term's id in the file, given on first sight."""
+        fid = file_id[term]
+        if fid < 0:
+            fid = file_id[term] = len(order)
+            order.append(term)
+        return fid
+
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         write = handle.write
         for s in subjects:
             head = text[s]
-            for predicate, so in maps:
-                objects = so.get(s)
-                if objects is None:
+            fs = number(s)
+            for predicate, p, so, subject_ids, object_ids in maps:
+                o = so.get(s)
+                if o is None:
                     continue
-                if objects.__class__ is int:
-                    write(f"{head} {predicate} {text[objects]} .\n")
-                else:
-                    lines = sorted(f"{head} {predicate} {text[o]} ." for o in objects)
-                    write("".join(f"{line}\n" for line in lines))
+                if not subject_ids:  # the predicate's first line
+                    used.append((number(p), subject_ids, object_ids))
+                if o.__class__ is int:  # as ``number(o)``, inline: most lines
+                    write(f"{head} {predicate} {text[o]} .\n")
+                    fo = file_id[o]
+                    if fo < 0:
+                        fo = file_id[o] = len(order)
+                        order.append(o)
+                    subject_ids.append(fs)
+                    object_ids.append(fo)
+                    continue
+                for o in in_file_order(o):
+                    write(f"{head} {predicate} {text[o]} .\n")
+                    subject_ids.append(fs)
+                    object_ids.append(number(o))
+    del file_id, maps
+    nt_size, nt_crc = os.path.getsize(path), _crc32(path)
+    counts = "".join(f" {p}:{len(subject_ids)}" for p, subject_ids, _ in used)
+    columns = 8 * sum(len(subject_ids) for _, subject_ids, _ in used)
+
+    def header(crc: int, texts: int) -> bytes:
+        """The image's first line. ``crc`` and ``texts`` have fixed widths,
+        so a placeholder written before they are known has its length."""
+        return (f"{_IMAGE_MAGIC.decode()} {nt_size} {nt_crc:08x} {crc:08x} "
+                f"{len(order)} {columns} {texts:020d}{counts}\n").encode("ascii")
+
+    temporary = f"{image}.tmp"
+    with open(temporary, "wb") as out:
+        out.write(header(0, 0))
+        crc = 0
+        for _, subject_ids, object_ids in used:
+            for ids in (subject_ids, object_ids):
+                if sys.byteorder == "big":
+                    ids.byteswap()
+                crc = zlib.crc32(ids, crc)
+                ids.tofile(out)
+        del used
+        texts = 0
+        for start in range(0, len(order), _TEXTS_PER_WRITE):
+            block = "\n".join(map(text.__getitem__,
+                                  order[start:start + _TEXTS_PER_WRITE]))
+            block = f"{block}\n".encode("utf-8")
+            crc = zlib.crc32(block, crc)
+            texts += out.write(block)
+        out.seek(0)
+        out.write(header(zlib.crc32(header(0, texts), crc), texts))
+    os.replace(temporary, image)
 
 
 _NT_LITERAL = re.compile(r'"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*)>)?')
@@ -745,39 +868,52 @@ _IRI_FORBIDDEN = re.compile(r'[\x00-\x20\s<>"{}|^`\\]')
 _KINDS = {datatype: kind for kind, datatype in T.DATATYPES.items()}
 
 
-def _parse_iri(token: str, lineno: int) -> Iri:
+# A term's checks name where the term was read, ``where``: "line N" of an
+# N-Triples file, or a store image.
+def _parse_iri(token: str, where: str) -> Iri:
     if not (token.startswith("<") and token.endswith(">")):
-        raise GraphParseError(f"line {lineno}: expected an IRI, got {token!r}")
+        raise GraphParseError(f"{where}: expected an IRI, got {token!r}")
     body = token[1:-1]
     bad = _IRI_FORBIDDEN.search(body)
     if bad is not None:
         raise GraphParseError(
-            f"line {lineno}: character {bad.group()!r} not allowed in IRI {token}"
+            f"{where}: character {bad.group()!r} not allowed in IRI {token}"
         )
     return Iri(body)
 
 
-def _parse_object(token: str, lineno: int) -> Value:
+def _parse_object(token: str, where: str) -> Value:
     if token.startswith("<") and token.endswith(">"):
-        return _parse_iri(token, lineno)
-    m = _NT_LITERAL.fullmatch(token)
-    if m is None:
-        raise GraphParseError(f"line {lineno}: malformed object term: {token!r}")
-    try:
-        body = T.unescape(m.group("body"))
-    except ValueError as exc:
-        raise GraphParseError(f"line {lineno}: {exc}") from None
-    dtype = m.group("dtype")
+        return _parse_iri(token, where)
+    # "body" or "body"^^<datatype>. A body with no quote and no backslash,
+    # as most are, is its value's text: it needs neither the regex nor an
+    # unescape. Any other token takes the regex, which also names what is
+    # wrong with it.
+    body, typed, dtype = token[1:-1].rpartition('"^^<')
+    if not typed:
+        body, dtype = token[1:-1], None
+    if not (len(token) > 1 and token[0] == '"'
+            and token[-1] == (">" if typed else '"')
+            and '"' not in body and "\\" not in body
+            and (dtype is None or dtype in _KINDS)):
+        m = _NT_LITERAL.fullmatch(token)
+        if m is None:
+            raise GraphParseError(f"{where}: malformed object term: {token!r}")
+        try:
+            body = T.unescape(m.group("body"))
+        except ValueError as exc:
+            raise GraphParseError(f"{where}: {exc}") from None
+        dtype = m.group("dtype")
     if dtype is None:
         return body
     kind = _KINDS.get(dtype)
     if kind is None:
-        raise GraphParseError(f"line {lineno}: unsupported datatype <{dtype}>")
+        raise GraphParseError(f"{where}: unsupported datatype <{dtype}>")
     try:
         return T.read(kind, body)
     except ValueError:
         raise GraphParseError(
-            f"line {lineno}: invalid literal {body!r} for <{dtype}>"
+            f"{where}: invalid literal {body!r} for <{dtype}>"
         ) from None
 
 
@@ -797,6 +933,102 @@ def _uncomment(line: str, error: GraphParseError) -> re.Match:
     if commented is None:
         raise error
     return commented
+
+
+class _Refused(Exception):
+    """A store image that does not match its ``graph.nt`` or is not well
+    formed: ``args`` are the reason (size, CRC, format or ids) and what
+    differs."""
+
+
+def _read_image(path, handle) -> Graph:
+    """The store held by ``handle``, open on the image of the N-Triples file
+    ``path`` (see ``export_ntriples``). Raises ``_Refused`` unless
+    ``path`` has the size and CRC-32 that the header records, the image has
+    its CRC-32, the texts are the header's count of distinct terms, and every
+    id lies in [0, n). The section lengths are checked against the image's
+    size before any section is read, so no count in a header makes a read
+    larger than the file. An id is read unsigned, so indexing the table of
+    ids with it checks its range. A text that fails the loader's term checks
+    is a GraphParseError naming the image.
+
+    Each id is one int object, shared by ``_ids`` and every map, as in a
+    store the text gives. A predicate whose column repeats a subject is
+    added triple by triple, as the loader adds them.
+    """
+    image = handle.name
+    header = handle.readline()
+    fields = header.split()
+    try:
+        magic, nt_size, nt_crc, image_crc, n, columns, texts, *counts = fields
+        nt_size, n, columns, texts = int(nt_size), int(n), int(columns), int(texts)
+        nt_crc, image_crc = int(nt_crc, 16), int(image_crc, 16)
+        predicates = [(int(p), int(count))
+                      for p, count in (field.split(b":") for field in counts)]
+    except ValueError:
+        raise _Refused("format", "unreadable header") from None
+    if magic != _IMAGE_MAGIC:
+        raise _Refused("format", f"not a {_IMAGE_MAGIC.decode()} image")
+    size = os.path.getsize(path)
+    if size != nt_size:
+        raise _Refused("size", f"graph.nt has {size} bytes, the image was "
+                               f"written for {nt_size}")
+    if (texts < 0 or len(header) + columns + texts != os.fstat(handle.fileno()).st_size
+            or any(count < 0 for _, count in predicates)
+            or columns != 8 * sum(count for _, count in predicates)):
+        raise _Refused("format", "section lengths disagree with the file")
+    if _crc32(path) != nt_crc:
+        raise _Refused("CRC", "graph.nt differs from the file the image was "
+                              "written for")
+    crc, cols = 0, []
+    for p, count in predicates:
+        subject_ids, object_ids = array(_ID), array(_ID)
+        for ids in (subject_ids, object_ids):
+            ids.fromfile(handle, count)
+            crc = zlib.crc32(ids, crc)
+            if sys.byteorder == "big":
+                ids.byteswap()
+        cols.append((p, subject_ids, object_ids))
+    data = handle.read(texts)
+    fields[3] = b"0" * 8  # the CRC runs over the header with its own field as zeros
+    if zlib.crc32(b" ".join(fields) + b"\n", zlib.crc32(data, crc)) != image_crc:
+        raise _Refused("CRC", "the image is corrupt")
+    try:
+        words = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise _Refused("format", "a term text is not UTF-8") from None
+    del data
+    if words.pop() != "" or len(words) != n:
+        raise _Refused("format", f"{len(words)} term texts, the header says {n}")
+    pool = list(range(n))  # one int object per id, shared by every map
+    graph = Graph()
+    graph._ids = dict(zip(words, pool))
+    if len(graph._ids) != n:
+        raise _Refused("format", "a term text repeats")
+    if len({p for p, _, _ in cols}) != len(cols):
+        raise _Refused("format", "a predicate repeats")
+    if not all(0 <= p < n for p, _, _ in cols):
+        raise _Refused("ids", f"a predicate id is outside [0, {n})")
+    graph._values = [_parse_object(word, image) for word in words]
+    for p, _, _ in cols:
+        _parse_iri(words[p], image)
+    del words
+    so, take, add = graph._so, pool.__getitem__, graph._add_ids
+    cols.reverse()
+    try:
+        while cols:  # each predicate's columns are freed once its map is built
+            p, subject_ids, object_ids = cols.pop()
+            p = take(p)
+            pairs = dict(zip(map(take, subject_ids), map(take, object_ids)))
+            if len(pairs) == len(subject_ids):
+                so[p] = pairs
+                graph._size += len(pairs)
+            else:  # a subject with two or more objects
+                for s, o in zip(map(take, subject_ids), map(take, object_ids)):
+                    add(s, p, o)
+    except IndexError:
+        raise _Refused("ids", f"an id of predicate {p} is outside [0, {n})") from None
+    return graph
 
 
 def load_ntriples(path) -> Graph:
@@ -821,7 +1053,29 @@ def load_ntriples(path) -> Graph:
     ``_COMMENTED`` when the line does not end in "." or its object token
     does not parse (a comment that ends in "." runs into that token). Line
     numbers count comment lines.
+
+    When the store image that ``export_ntriples`` wrote beside the file is
+    there and matches it (see ``_read_image``), the store is read from the
+    image instead, with no text parse. It equals the store the text gives:
+    the same ``_ids``, ``_values`` and ``_so``, each in the same order, and
+    the same size. A missing or refused image falls back to the text, and
+    the ``ltbp.graph`` log says at INFO level which way was taken and why.
     """
+    image = f"{os.fspath(path)}.img"
+    try:
+        handle = open(image, "rb")
+    except OSError as exc:
+        log.info("%s: no store image (%s); parsing the text", path, exc.strerror)
+    else:
+        with handle:
+            try:
+                graph = _read_image(path, handle)
+            except _Refused as refused:
+                log.info("%s: store image refused (%s: %s); parsing the text",
+                         image, *refused.args)
+            else:
+                log.info("%s: read the store image", image)
+                return graph
     graph = Graph()
     ids, intern, add = graph._ids, graph._intern, graph._add_ids
     last_token, s = None, None
@@ -848,18 +1102,18 @@ def load_ntriples(path) -> Graph:
                         if s_token[0] == "#":
                             last_token = None  # s no longer holds its id
                             continue
-                        s = intern(_parse_iri(s_token, lineno))
+                        s = intern(_parse_iri(s_token, f"line {lineno}"))
                     last_token = s_token
                 p = ids.get(p_token)
                 if p is None or p_token[0] != "<":
-                    p = intern(_parse_iri(p_token, lineno))
+                    p = intern(_parse_iri(p_token, f"line {lineno}"))
                 o = ids.get(o_token)
                 if o is None:
                     try:
-                        o = intern(_parse_object(o_token, lineno))
+                        o = intern(_parse_object(o_token, f"line {lineno}"))
                     except GraphParseError as exc:
                         o_token = _uncomment(line, exc)[2]
-                        o = intern(_parse_object(o_token, lineno))
+                        o = intern(_parse_object(o_token, f"line {lineno}"))
                 add(s, p, o)
         except UnicodeDecodeError:
             raise GraphParseError(not_utf8(path)) from None

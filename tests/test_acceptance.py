@@ -400,6 +400,7 @@ def test_c10_end_to_end_determinism(tmp_path):
         for p in (tmp_path / "two").rglob("*") if p.is_file()
     )
     assert one_files == two_files and one_files
+    assert Path("run/graph.nt.img") in one_files  # the store image is compared too
     for rel in one_files:
         assert filecmp.cmp(tmp_path / "one" / rel, tmp_path / "two" / rel,
                            shallow=False), rel

@@ -2,11 +2,18 @@ import contextlib
 import dataclasses
 import io
 import itertools
+import logging
+import os
 import re
+import struct
+import subprocess
+import sys
 import tracemalloc
+import zlib
 from collections import Counter
 from datetime import date, timedelta
 from decimal import Decimal
+from pathlib import Path
 from urllib.parse import quote
 
 import pytest
@@ -25,6 +32,7 @@ from ltbp.graph import (
     GraphParseError,
     UnknownOrderError,
     _nt_term,
+    _read_image,
     build_graph,
     evaluate,
     export_ntriples,
@@ -72,6 +80,33 @@ def _match(g, s=None, p=None, o=None):
 
 def _rows(g, query):
     return evaluate(g, parse_query(query)).rows
+
+
+def _store(g):
+    """A store's content, each part in its order: the term table, each
+    value's repr (``1.0`` and ``1.00`` differ), each predicate's subject
+    map, and the size. A store read from an image must equal the one the
+    text gives."""
+    return (list(g._ids.items()), list(map(repr, g._values)),
+            [(p, list(so.items())) for p, so in g._so.items()], len(g))
+
+
+@contextlib.contextmanager
+def _image_hidden(path):
+    """While open, ``path`` has no image beside it."""
+    image = Path(f"{path}.img")
+    hidden = image.with_name(f"{image.name}.hidden")
+    image.rename(hidden)
+    try:
+        yield
+    finally:
+        hidden.rename(image)
+
+
+def _text_store(path):
+    """The store of ``path`` read from its text, with its image hidden."""
+    with _image_hidden(path):
+        return _store(load_ntriples(path))
 
 
 @pytest.fixture
@@ -758,13 +793,17 @@ class TestEvaluate:
 
 
 class TestNtriples:
+    @pytest.mark.parametrize("way", ["image", "text"])
     def test_loaded_graph_retains_at_most_145_bytes_per_triple(self, tmp_path,
-                                                               config):
+                                                               config, way):
         # The interned term texts and values come on top of the subject
         # maps: 168 bytes per triple with an object map per predicate too,
-        # 136 without.
+        # 136 without. The store read from the image holds the same objects,
+        # each id one int shared by every map, as the text loader's does.
         path = tmp_path / "graph.nt"
         export_ntriples(build_graph(*_seed_42_dataset(config), config), path)
+        if way == "text":
+            os.remove(f"{path}.img")
         g, per_triple = _retained_per_triple(load_ntriples, path)
         assert len(g) >= 24_000
         assert per_triple <= 145
@@ -971,6 +1010,272 @@ class TestNtriples:
         assert triples(load_ntriples(loose)) == triples(load_ntriples(canonical))
 
 
+# Term texts the loader rejects: bad escapes, a literal outside its
+# datatype's lexical form, an unknown datatype and malformed terms.
+_BAD_TEXTS = ['"bad \\q"', '"\\uD800"', f'"1.5"{_INT}', '"1"^^<urn:unknown>',
+              "<urn:o x>", '"x"@en', "_:b0", "", '"unclosed']
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _image_parts(path):
+    """The (predicate id, count) pairs, the id columns (one list, in file
+    order) and the term texts of ``path``'s image."""
+    header, body = Path(f"{path}.img").read_bytes().split(b"\n", 1)
+    fields = header.split()
+    columns = int(fields[5])
+    predicates = [tuple(map(int, field.split(b":"))) for field in fields[7:]]
+    ids = list(struct.unpack(f"<{columns // 4}I", body[:columns]))
+    texts = body[columns:].decode("utf-8").split("\n")[:-1]
+    return predicates, ids, texts
+
+
+def _write_image(path, predicates, ids, texts, terms=None):
+    """Write ``path``'s image from its parts, with the sizes and CRCs that
+    match them and ``path``: an image made to pass the CRC checks. An id is
+    written as a 4-byte little-endian int, so -1 is 0xffffffff. The image's
+    CRC-32 runs over the body, then over the header with that CRC as
+    zeros."""
+    nt = Path(path).read_bytes()
+    columns = b"".join(struct.pack("<i" if i < 0 else "<I", i) for i in ids)
+    body = columns + "".join(f"{text}\n" for text in texts).encode("utf-8")
+    counts = "".join(f" {p}:{count}" for p, count in predicates)
+
+    def header(crc):
+        return (f"ltbp-store-image/1 {len(nt)} {zlib.crc32(nt):08x} {crc:08x} "
+                f"{len(texts) if terms is None else terms} {len(columns)} "
+                f"{len(body) - len(columns):020d}{counts}\n").encode("ascii")
+
+    crc = zlib.crc32(header(0), zlib.crc32(body))
+    Path(f"{path}.img").write_bytes(header(crc) + body)
+
+
+def _image_store(path):
+    """The store of ``path`` read from its image, which must be accepted."""
+    with open(f"{path}.img", "rb") as handle:
+        return _store(_read_image(path, handle))
+
+
+def _outcome(path):
+    """What loading ``path`` gives: its store, or the GraphParseError text."""
+    try:
+        return _store(load_ntriples(path))
+    except GraphParseError as exc:
+        return str(exc)
+
+
+class TestStoreImage:
+    """``export_ntriples`` writes a store image beside ``graph.nt``, and
+    ``load_ntriples`` reads it when it matches: the store must equal the one
+    the text gives, and a stale, corrupt or missing image must change no
+    answer."""
+
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        dataset = generate_synthetic(
+            GeneratorConfig(seed=5, n_customers=2, n_orders=3, n_products=1))
+        path = tmp_path_factory.mktemp("imaged") / "graph.nt"
+        export_ntriples(build_graph(dataset, price_dataset(dataset, PricingConfig())),
+                        path)
+        return path
+
+    @pytest.mark.parametrize("priced", [True, False], ids=["priced", "unpriced"])
+    def test_image_store_equals_text_store_at_2000_orders(self, tmp_path, config,
+                                                          priced):
+        dataset, pricing = _seed_42_dataset(config)
+        path = tmp_path / "graph.nt"
+        export_ntriples(build_graph(dataset, pricing if priced else None, config), path)
+        store = _image_store(path)
+        assert store == _text_store(path)
+        assert store[3] == (24_513 if priced else 20_453)  # less 2 per order, 1 per customer
+
+    def test_image_store_equals_text_store_of_a_multi_valued_graph(self, tmp_path):
+        source, path = tmp_path / "foreign.nt", tmp_path / "graph.nt"
+        source.write_text("".join(f"{line}\n" for line, _ in _FOREIGN))
+        export_ntriples(load_ntriples(source), path)
+        assert _image_store(path) == _text_store(path)
+
+    def test_image_layout(self, exported, tmp_path):
+        """The header, the columns and the texts are as documented: an image
+        rebuilt from its parsed parts has the export's bytes."""
+        path = tmp_path / "graph.nt"
+        path.write_bytes(exported.read_bytes())
+        _write_image(path, *_image_parts(exported))
+        assert Path(f"{path}.img").read_bytes() == Path(f"{exported}.img").read_bytes()
+        predicates, ids, texts = _image_parts(exported)
+        assert len(ids) == 2 * sum(count for _, count in predicates)
+        assert texts == list(load_ntriples(exported)._ids)
+
+    def test_export_replaces_the_image_and_leaves_no_temporary_file(
+            self, small_graph, exported, tmp_path):
+        path = tmp_path / "graph.nt"
+        export_ntriples(load_ntriples(exported), path)
+        export_ntriples(small_graph, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.nt", "graph.nt.img"]
+        assert _image_store(path) == _text_store(path)
+        assert _image_store(path)[3] == len(small_graph)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_stale_or_missing_image_falls_back(self, exported,
+                                                       tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("corrupt") / "graph.nt"
+        image = Path(f"{path}.img")
+        path.write_bytes(exported.read_bytes())
+        raw = bytearray(Path(f"{exported}.img").read_bytes())
+        kind = data.draw(st.sampled_from(["flip", "truncate", "edit", "missing"]))
+        if kind == "flip":
+            for _ in range(data.draw(st.integers(1, 3))):
+                raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(
+                    st.integers(1, 255))
+            image.write_bytes(raw)
+        elif kind == "truncate":
+            image.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        elif kind == "edit":  # graph.nt changes, and keeps its size
+            image.write_bytes(raw)
+            nt = bytearray(path.read_bytes())
+            at = data.draw(st.integers(0, len(nt) - 1))
+            nt[at] = data.draw(st.sampled_from(b'aZ09 <>".\\#').filter(
+                lambda byte: byte != nt[at]))
+            path.write_bytes(nt)
+        got = _outcome(path)
+        if kind != "missing":
+            with _image_hidden(path):
+                assert got == _outcome(path)
+        else:
+            assert got == _outcome(exported) and not image.exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_hostile_image_with_matching_crcs_exits_2_or_falls_back(
+            self, exported, tmp_path_factory, data):
+        out = tmp_path_factory.mktemp("hostile")
+        path, query = out / "graph.nt", out / "q.rq"
+        path.write_bytes(exported.read_bytes())
+        query.write_text("SELECT ?s ?p ?o WHERE { ?s ?p ?o }", encoding="utf-8")
+        predicates, ids, texts = _image_parts(exported)
+        n, terms = len(texts), None
+        kind = data.draw(st.sampled_from(
+            ["negative", "past", "duplicate", "count", "terms", "literal", "predicate"]))
+        if kind in ("negative", "past"):
+            at = data.draw(st.integers(0, len(ids) - 1))
+            ids[at] = (-data.draw(st.integers(1, 2 ** 31)) if kind == "negative"
+                       else data.draw(st.integers(n, 2 ** 32 - 1)))
+        elif kind == "duplicate":
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+            texts[j] = texts[i]
+        elif kind == "count":
+            at = data.draw(st.integers(0, len(predicates) - 1))
+            p, count = predicates[at]
+            predicates[at] = (p, data.draw(st.integers(0, count + 3).filter(
+                lambda c: c != count)))
+        elif kind == "terms":
+            terms = data.draw(st.integers(0, n + 3).filter(lambda t: t != n))
+        elif kind == "predicate":  # a literal in a predicate's place
+            at = data.draw(st.integers(0, len(predicates) - 1))
+            predicates[at] = (data.draw(st.sampled_from(
+                [i for i, text in enumerate(texts) if text[0] == '"'])), predicates[at][1])
+        else:
+            texts[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(_BAD_TEXTS))
+        _write_image(path, predicates, ids, texts, terms)
+        try:
+            store = _store(load_ntriples(path))
+        except GraphParseError as exc:
+            assert kind in ("literal", "predicate")
+            assert str(exc).startswith(f"{path}.img: ")
+        else:
+            assert kind not in ("literal", "predicate") and store == _text_store(path)
+        printed, errors = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
+            code = main(["query", "--graph", str(path), "--query", str(query)])
+        assert code == (2 if kind in ("literal", "predicate") else 0), errors.getvalue()
+
+    @pytest.mark.parametrize("spoil, reason", [
+        ("graph.nt grows", "size"),
+        ("graph.nt edited", "CRC"),
+        ("body flipped", "CRC"),
+        ("predicate id changed", "CRC"),
+        ("magic", "format"),
+        ("id past the texts", "ids"),
+    ])
+    def test_refused_image_logs_its_reason(self, small_graph, tmp_path, caplog,
+                                           spoil, reason):
+        path = tmp_path / "graph.nt"
+        image = Path(f"{path}.img")
+        export_ntriples(small_graph, path)
+        if spoil == "graph.nt grows":
+            path.write_text(path.read_text() + "# a comment\n")
+        elif spoil == "graph.nt edited":
+            path.write_bytes(path.read_bytes().replace(b'"PL-1"', b'"PL-2"', 1))
+        elif spoil == "body flipped":
+            image.write_bytes(image.read_bytes()[:-1] + b"\t")
+        elif spoil == "predicate id changed":  # to another in-range id
+            header, body = image.read_bytes().split(b"\n", 1)
+            fields = header.split()
+            p, count = fields[7].split(b":")
+            fields[7] = b"%d:%s" % (int(p) + 1, count)
+            image.write_bytes(b" ".join(fields) + b"\n" + body)
+        elif spoil == "magic":
+            image.write_bytes(image.read_bytes().replace(b"image/1", b"image/9", 1))
+        else:
+            predicates, ids, texts = _image_parts(path)
+            ids[-1] = len(texts)
+            _write_image(path, predicates, ids, texts)
+        with caplog.at_level(logging.INFO, logger="ltbp.graph"):
+            store = _store(load_ntriples(path))
+        [record] = caplog.records
+        assert record.getMessage().startswith(
+            f"{image}: store image refused ({reason}: ")
+        assert record.getMessage().endswith("; parsing the text")
+        with _image_hidden(path):
+            assert store == _store(load_ntriples(path))
+
+    def test_load_logs_the_image_read_or_its_absence(self, small_graph, tmp_path,
+                                                     caplog):
+        path = tmp_path / "graph.nt"
+        export_ntriples(small_graph, path)
+        with caplog.at_level(logging.INFO, logger="ltbp.graph"):
+            load_ntriples(path)
+            with _image_hidden(path):
+                load_ntriples(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}.img: read the store image",
+            f"{path}: no store image (No such file or directory); parsing the text",
+        ]
+
+    def test_verbose_stage_says_which_way_it_read_and_quiet_one_nothing(
+            self, small_graph, tmp_path):
+        path, query = tmp_path / "graph.nt", tmp_path / "q.rq"
+        export_ntriples(small_graph, path)
+        query.write_text("SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o }", encoding="utf-8")
+        runs = [subprocess.run(
+            [sys.executable, "-m", "ltbp", *flags, "query", "--graph", str(path),
+             "--query", str(query)],
+            env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True,
+            text=True, timeout=60) for flags in ([], ["-v"])]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout == f"n\n{len(small_graph)}\n"
+        assert runs[0].stderr == ""
+        assert runs[1].stderr == f"INFO ltbp.graph: {path}.img: read the store image\n"
+
+    def test_reading_an_image_imports_no_hashlib(self, small_graph, tmp_path):
+        # hashlib maps OpenSSL's libcrypto into the stage process; the image
+        # is checked with zlib's CRC-32, which every stage has loaded anyway.
+        path = tmp_path / "graph.nt"
+        export_ntriples(small_graph, path)
+        code = ("import logging, sys; logging.basicConfig(level=logging.INFO); "
+                "from ltbp.graph import load_ntriples; load_ntriples(sys.argv[1]); "
+                "print(sorted(m for m in sys.modules if 'hashlib' in m))")
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(path)],
+            env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+        assert "read the store image" in done.stderr
+
+
 _DEC, _DATE = f"^^<{XSD}decimal>", f"^^<{XSD}date>"
 # Terms to put into a line of an exported graph.nt: escapes good and bad,
 # lexical forms per datatype, unknown or broken datatypes, oversized
@@ -1079,6 +1384,7 @@ class TestGraphFileProperty:
             assert named and 1 <= int(named.group(1)) <= len(lines), str(exc)[:200]
             return
         export_ntriples(g, out / "first.nt")
+        assert _image_store(out / "first.nt") == _text_store(out / "first.nt")
         export_ntriples(load_ntriples(out / "first.nt"), out / "second.nt")
         assert (out / "second.nt").read_bytes() == (out / "first.nt").read_bytes()
 
