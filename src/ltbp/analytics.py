@@ -25,6 +25,7 @@ from .graph import Graph, GraphError, evaluate, quantized
 from .ingest import write_csv, write_json
 from .model import AccountClass, to_factor, to_money
 from .query import parse_query
+from .terms import identifier
 
 
 @dataclass(frozen=True)
@@ -227,11 +228,13 @@ def _fraction_text(fraction: Optional[float]) -> Optional[str]:
 def _cq_tables(report: CqReport) -> dict[str, tuple[list[str], list[list]]]:
     """Each CQ's header and rows of cells, as both exports write them; the
     CSVs add a rank to cq1, cq2 and cq4. A fraction of None writes as an
-    empty CSV cell and as JSON null."""
+    empty CSV cell and as JSON null, and an identifier that is not a string
+    as ``terms.identifier`` writes it."""
     fractions = dict(report.occurrence_ranking)
     return {
         "cq1": (["customer_code", "total_rm_revenue"], [
-            [row.customer_code, str(row.total_rm)] for row in report.top_customers
+            [identifier(row.customer_code), str(row.total_rm)]
+            for row in report.top_customers
         ]),
         "cq2": (["account_class", "eligible_fraction"], [
             [cls.value, _fraction_text(fraction)]
@@ -246,7 +249,8 @@ def _cq_tables(report: CqReport) -> dict[str, tuple[list[str], list[list]]]:
             for s in report.class_stats
         ]),
         "cq4": (["customer_code", "product_number", "revenue_delta"], [
-            [row.customer_code, row.product_number, str(row.revenue_delta)]
+            [identifier(row.customer_code), identifier(row.product_number),
+             str(row.revenue_delta)]
             for row in report.pair_selection
         ]),
     }

@@ -180,27 +180,12 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _format_cell(value) -> str:
-    """A result cell as ``ltbp query`` prints it, in the text that reads back
-    to it. A string is quoted and escaped as in an N-Triples file, so a tab
-    or line break cannot split the TSV row and the empty string is not an
-    empty cell, which means unbound. A number or a date is in its lexical
-    form, as in ``graph.nt``."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return f'"{terms.escape(value)}"'
-    if isinstance(value, terms.Iri):
-        return f"<{value.value}>"
-    return terms.lexical(value)
-
-
 def cmd_query(args) -> int:
     g = graphmod.load_ntriples(args.graph)
     table = graphmod.evaluate(g, parse_query(_read_text(args.query)))
     print("\t".join(table.columns))
-    for row in table.rows:
-        print("\t".join(_format_cell(cell) for cell in row))
+    for row in table.rows:  # an unbound cell is empty; a bound one reads back
+        print("\t".join("" if cell is None else terms.text(cell) for cell in row))
     return EXIT_OK
 
 

@@ -58,13 +58,15 @@ RDF-3X, which never re-parses text (Neumann & Weikum, VLDB 2008): the term
 texts in id order, and per predicate a subject and an object id column. Ids
 count up in order of first appearance in ``graph.nt``, as the loader gives
 them, so the store ``load_ntriples`` reads from a matching image equals the
-one it parses from the text, and the stages skip the parse. The image
-records ``graph.nt``'s size and CRC-32, and its own CRC-32; a stage uses
-it only when those match and its term count and ids check out, and parses
-the text otherwise. CRC-32 comes from ``zlib``, which a stage has loaded
-anyway; it catches accidental change, and whoever can forge a ``graph.nt``
-can rewrite its image too. A sha256 would load ``hashlib``, and OpenSSL's
-libcrypto with it, into every stage.
+one it parses from the text, and the stages skip the parse. The image's
+header records ``graph.nt``'s size and CRC-32 and each predicate's triple
+count, and the image ends in its own CRC-32; a stage uses it only when those
+match and its ids check out, and parses the text otherwise. No header field
+repeats what the file already says: the term count is the number of texts.
+CRC-32 comes from ``zlib``, which a stage has loaded anyway; it catches
+accidental change, and whoever can forge a ``graph.nt`` can rewrite its
+image too. A sha256 would load ``hashlib``, and OpenSSL's libcrypto with it,
+into every stage.
 
 Match order is deterministic for a deterministically built graph,
 regardless of hash randomization. A scan, of one predicate or of the whole
@@ -605,7 +607,9 @@ class ResultTable:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
-def _sort_key(value):
+def sort_key(value):
+    """A value's key in ORDER BY and GROUP BY order: by kind (numbers,
+    strings, dates, IRIs), then by value within a kind."""
     kind = _KIND[type(value)]
     return (_SORT_ORDER.index(kind), value.value if kind == "iri" else value)
 
@@ -686,7 +690,7 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
             groups[()] = []  # global aggregates over no rows still yield one row
         keyed = [(tuple([values[tid] for tid in ids]), members)
                  for ids, members in groups.items()]
-        keyed.sort(key=lambda group: tuple(map(_sort_key, group[0])))
+        keyed.sort(key=lambda group: tuple(map(sort_key, group[0])))
         out_rows = []
         for key, members in keyed:
             named = dict(zip(spec.group_by, key))
@@ -712,7 +716,7 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
         idx = columns.index(spec.order_by.key)  # validate() found it there
         keyed = [r for r in out_rows if r[idx] is not None]
         absent = [r for r in out_rows if r[idx] is None]
-        keyed.sort(key=lambda r: _sort_key(r[idx]), reverse=spec.order_by.descending)
+        keyed.sort(key=lambda r: sort_key(r[idx]), reverse=spec.order_by.descending)
         out_rows = keyed + absent
     if spec.limit is not None:
         out_rows = out_rows[: spec.limit]
@@ -724,7 +728,7 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
 
 # The store image beside ``graph.nt`` (see ``export_ntriples``). Its ids are
 # 4-byte little-endian unsigned ints, the same bytes on every host.
-_IMAGE_MAGIC = b"ltbp-store-image/1"
+_IMAGE_MAGIC = b"ltbp-store-image/2"
 _ID = "I" if array("I").itemsize == 4 else "L"
 _TEXTS_PER_WRITE = 1 << 12  # term texts joined, encoded and written at a time
 
@@ -751,19 +755,19 @@ def export_ntriples(graph: Graph, path) -> None:
     The same walk numbers the terms for the store image, ``path + ".img"``,
     that ``load_ntriples`` reads in place of the text: in order of first
     appearance in the file, a line's subject, then its predicate, then its
-    object, as the loader interns them. The image is one header line, then
-    the body:
+    object, as the loader interns them. The image is written front to back,
+    once:
 
-    - the header: the magic, ``graph.nt``'s size and CRC-32, the image's
-      CRC-32, the term count, the byte lengths of the columns and of the
-      texts, and each predicate's id and triple count, predicates in the
-      order of their first line. The image's CRC-32 runs over the body and
-      then over the header with that field as zeros, so a changed
-      predicate id is caught as a changed column is;
+    - a header line: the magic, ``graph.nt``'s size and CRC-32, and each
+      predicate's ``id:count``, predicates in the order of their first line;
     - each predicate's subject id column, then its object id column, its
       lines in file order, an id being 4 bytes little-endian;
     - the term texts in id order, each ending in a line feed (N-Triples
-      escapes every line break, so no text holds one).
+      escapes every line break, so no text holds one);
+    - the CRC-32 of every byte before it, 4 bytes little-endian.
+
+    Nothing else is recorded: the term count is the number of texts, and
+    the texts' length is what the image's size leaves.
 
     Any old image is deleted before ``graph.nt`` is written, and the new one
     is written under a temporary name and then renamed, so no image
@@ -827,20 +831,13 @@ def export_ntriples(graph: Graph, path) -> None:
                     subject_ids.append(fs)
                     object_ids.append(number(o))
     del file_id, maps
-    nt_size, nt_crc = os.path.getsize(path), _crc32(path)
     counts = "".join(f" {p}:{len(subject_ids)}" for p, subject_ids, _ in used)
-    columns = 8 * sum(len(subject_ids) for _, subject_ids, _ in used)
-
-    def header(crc: int, texts: int) -> bytes:
-        """The image's first line. ``crc`` and ``texts`` have fixed widths,
-        so a placeholder written before they are known has its length."""
-        return (f"{_IMAGE_MAGIC.decode()} {nt_size} {nt_crc:08x} {crc:08x} "
-                f"{len(order)} {columns} {texts:020d}{counts}\n").encode("ascii")
-
+    header = (f"{_IMAGE_MAGIC.decode()} {os.path.getsize(path)} {_crc32(path):08x}"
+              f"{counts}\n").encode("ascii")
     temporary = f"{image}.tmp"
     with open(temporary, "wb") as out:
-        out.write(header(0, 0))
-        crc = 0
+        out.write(header)
+        crc = zlib.crc32(header)
         for _, subject_ids, object_ids in used:
             for ids in (subject_ids, object_ids):
                 if sys.byteorder == "big":
@@ -848,15 +845,13 @@ def export_ntriples(graph: Graph, path) -> None:
                 crc = zlib.crc32(ids, crc)
                 ids.tofile(out)
         del used
-        texts = 0
         for start in range(0, len(order), _TEXTS_PER_WRITE):
             block = "\n".join(map(text.__getitem__,
                                   order[start:start + _TEXTS_PER_WRITE]))
             block = f"{block}\n".encode("utf-8")
             crc = zlib.crc32(block, crc)
-            texts += out.write(block)
-        out.seek(0)
-        out.write(header(zlib.crc32(header(0, texts), crc), texts))
+            out.write(block)
+        out.write(crc.to_bytes(4, "little"))
     os.replace(temporary, image)
 
 
@@ -943,14 +938,15 @@ class _Refused(Exception):
 
 def _read_image(path, handle) -> Graph:
     """The store held by ``handle``, open on the image of the N-Triples file
-    ``path`` (see ``export_ntriples``). Raises ``_Refused`` unless
-    ``path`` has the size and CRC-32 that the header records, the image has
-    its CRC-32, the texts are the header's count of distinct terms, and every
-    id lies in [0, n). The section lengths are checked against the image's
-    size before any section is read, so no count in a header makes a read
-    larger than the file. An id is read unsigned, so indexing the table of
-    ids with it checks its range. A text that fails the loader's term checks
-    is a GraphParseError naming the image.
+    ``path`` (see ``export_ntriples``). Raises ``_Refused`` unless ``path``
+    has the size and CRC-32 that the header records, the image ends in the
+    CRC-32 of the bytes before it, every count is positive, and every id lies
+    in [0, n), n being the number of texts. The texts' length is what the
+    image's size leaves after the header, the columns and the CRC, so no
+    count in a header makes a read larger than the file. An id is read
+    unsigned, so indexing the table of ids with it checks its range. A text
+    that fails the loader's term checks, and a predicate or subject that is
+    not an IRI, is a GraphParseError naming the image.
 
     Each id is one int object, shared by ``_ids`` and every map, as in a
     store the text gives. A predicate whose column repeats a subject is
@@ -959,28 +955,27 @@ def _read_image(path, handle) -> Graph:
     image = handle.name
     header = handle.readline()
     fields = header.split()
+    if fields[:1] != [_IMAGE_MAGIC]:
+        raise _Refused("format", f"not a {_IMAGE_MAGIC.decode()} image")
     try:
-        magic, nt_size, nt_crc, image_crc, n, columns, texts, *counts = fields
-        nt_size, n, columns, texts = int(nt_size), int(n), int(columns), int(texts)
-        nt_crc, image_crc = int(nt_crc, 16), int(image_crc, 16)
+        _, nt_size, nt_crc, *counts = fields
+        nt_size, nt_crc = int(nt_size), int(nt_crc, 16)
         predicates = [(int(p), int(count))
                       for p, count in (field.split(b":") for field in counts)]
     except ValueError:
         raise _Refused("format", "unreadable header") from None
-    if magic != _IMAGE_MAGIC:
-        raise _Refused("format", f"not a {_IMAGE_MAGIC.decode()} image")
     size = os.path.getsize(path)
     if size != nt_size:
         raise _Refused("size", f"graph.nt has {size} bytes, the image was "
                                f"written for {nt_size}")
-    if (texts < 0 or len(header) + columns + texts != os.fstat(handle.fileno()).st_size
-            or any(count < 0 for _, count in predicates)
-            or columns != 8 * sum(count for _, count in predicates)):
-        raise _Refused("format", "section lengths disagree with the file")
+    texts = (os.fstat(handle.fileno()).st_size - len(header) - 4
+             - 8 * sum(count for _, count in predicates))
+    if texts < 0 or any(p < 0 or count <= 0 for p, count in predicates):
+        raise _Refused("format", "the header's ids and counts do not fit the file")
     if _crc32(path) != nt_crc:
         raise _Refused("CRC", "graph.nt differs from the file the image was "
                               "written for")
-    crc, cols = 0, []
+    crc, cols = zlib.crc32(header), []
     for p, count in predicates:
         subject_ids, object_ids = array(_ID), array(_ID)
         for ids in (subject_ids, object_ids):
@@ -990,35 +985,31 @@ def _read_image(path, handle) -> Graph:
                 ids.byteswap()
         cols.append((p, subject_ids, object_ids))
     data = handle.read(texts)
-    fields[3] = b"0" * 8  # the CRC runs over the header with its own field as zeros
-    if zlib.crc32(b" ".join(fields) + b"\n", zlib.crc32(data, crc)) != image_crc:
+    if zlib.crc32(data, crc) != int.from_bytes(handle.read(4), "little"):
         raise _Refused("CRC", "the image is corrupt")
     try:
         words = data.decode("utf-8").split("\n")
     except UnicodeDecodeError:
         raise _Refused("format", "a term text is not UTF-8") from None
     del data
-    if words.pop() != "" or len(words) != n:
-        raise _Refused("format", f"{len(words)} term texts, the header says {n}")
+    if words.pop() != "":
+        raise _Refused("format", "the last term text has no line feed")
+    n = len(words)
     pool = list(range(n))  # one int object per id, shared by every map
     graph = Graph()
     graph._ids = dict(zip(words, pool))
     if len(graph._ids) != n:
         raise _Refused("format", "a term text repeats")
-    if len({p for p, _, _ in cols}) != len(cols):
-        raise _Refused("format", "a predicate repeats")
-    if not all(0 <= p < n for p, _, _ in cols):
-        raise _Refused("ids", f"a predicate id is outside [0, {n})")
-    graph._values = [_parse_object(word, image) for word in words]
-    for p, _, _ in cols:
-        _parse_iri(words[p], image)
+    values = graph._values = [_parse_object(word, image) for word in words]
     del words
-    so, take, add = graph._so, pool.__getitem__, graph._add_ids
+    so, take, add, last = graph._so, pool.__getitem__, graph._add_ids, None
     cols.reverse()
     try:
         while cols:  # each predicate's columns are freed once its map is built
             p, subject_ids, object_ids = cols.pop()
             p = take(p)
+            if p in so:
+                raise _Refused("format", f"predicate {p} repeats")
             pairs = dict(zip(map(take, subject_ids), map(take, object_ids)))
             if len(pairs) == len(subject_ids):
                 so[p] = pairs
@@ -1026,6 +1017,12 @@ def _read_image(path, handle) -> Graph:
             else:  # a subject with two or more objects
                 for s, o in zip(map(take, subject_ids), map(take, object_ids)):
                     add(s, p, o)
+            # The predicate must be an IRI, and so must its subjects, unless
+            # its subject column is the last one's, as most are in ltbp's graphs.
+            for tid in (p, *so[p]) if subject_ids != last else (p,):
+                if values[tid].__class__ is not Iri:
+                    _parse_iri(_nt_term(values[tid]), image)  # raises
+            last = subject_ids
     except IndexError:
         raise _Refused("ids", f"an id of predicate {p} is outside [0, {n})") from None
     return graph
@@ -1060,6 +1057,9 @@ def load_ntriples(path) -> Graph:
     the same ``_ids``, ``_values`` and ``_so``, each in the same order, and
     the same size. A missing or refused image falls back to the text, and
     the ``ltbp.graph`` log says at INFO level which way was taken and why.
+    An image that passes its CRC but holds a bad term text, or a literal as
+    a predicate or subject, is a GraphParseError naming the image, as the
+    text would be for a bad line.
     """
     image = f"{os.fspath(path)}.img"
     try:

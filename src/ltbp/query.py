@@ -100,7 +100,7 @@ def render_expr(expr: Expr) -> str:
         left, right = map(render_expr, expr.args)
         text = f"{left} {expr.op} {right}"
         return text if expr.op in COMPARISONS else f"({text})"
-    return f'"{T.escape(expr)}"' if isinstance(expr, str) else T.lexical(expr)
+    return T.text(expr)
 
 
 def expr_depth(expr: Expr) -> int:

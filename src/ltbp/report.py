@@ -14,10 +14,11 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from .graph import Graph, evaluate, quantized
+from .graph import Graph, evaluate, quantized, sort_key
 from .ingest import write_json
 from .model import AccountClass, PricingConfig, adjustment_factor, to_money
 from .query import parse_query
+from .terms import identifier
 
 TOTALS_QUERY = (Path(__file__).parent / "totals.rq").read_text(encoding="utf-8")
 
@@ -42,10 +43,11 @@ WHERE {
 
 
 class IncompleteDataError(Exception):
-    """Orders present in the graph without both computed prices."""
+    """Orders present in the graph without both computed prices, their
+    numbers in ORDER BY order and named as ``terms.identifier`` writes them."""
 
-    def __init__(self, order_numbers: list[str]):
-        preview = ", ".join(order_numbers[:10])
+    def __init__(self, order_numbers: list):
+        preview = ", ".join(map(identifier, order_numbers[:10]))
         suffix = ", ..." if len(order_numbers) > 10 else ""
         super().__init__(f"unpriced orders in graph: {preview}{suffix}")
         self.order_numbers = order_numbers
@@ -77,9 +79,9 @@ def revenue_totals(graph: Graph) -> RevenueComparison:
     """Run the totals query and compare the three regimes."""
     orders = _rows(graph, _ORDERS_QUERY)
     priced = {o for (o,) in _rows(graph, _PRICED_QUERY)}
-    unpriced = sorted(number for o, number in orders if o not in priced)
+    unpriced = [number for o, number in orders if o not in priced]
     if unpriced:
-        raise IncompleteDataError(unpriced)
+        raise IncompleteDataError(sorted(unpriced, key=sort_key))
     table = evaluate(graph, parse_query(TOTALS_QUERY))
     row = table.mappings()[0]
     total_rm, total_original, total_convex = (

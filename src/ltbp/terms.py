@@ -18,6 +18,10 @@ reads and writes through it:
   and filter error messages call it.
 - ``escape(text)`` and ``unescape(body)`` are a quoted string's escapes,
   shared by N-Triples and the query language.
+- ``text(value)`` is a term's untyped text: a string quoted and escaped, an
+  IRI in angle brackets, a number or a date in its lexical form. ``ltbp
+  query``'s cells and filter error messages call it, and ``identifier``
+  writes a CQ table's or an error's identifier cell through it.
 
 Everything lives under ``urn:ltbp:``. Entities get one IRI each
 (``urn:ltbp:customer:C001``), with the id percent-encoded (RFC 3986) so that
@@ -134,6 +138,26 @@ def unescape(body: str) -> str:
     """A quoted string's body with its escapes resolved; a bad escape raises
     ValueError."""
     return _ESCAPE.sub(_unescape_one, body) if "\\" in body else body
+
+
+def text(value: Value) -> str:
+    """A term's text with no datatype, as ``ltbp query`` prints a cell, which
+    reads back to the term's value: a string between quotes with
+    ``escape``'s escapes, so a tab or line break cannot split a TSV row and
+    the empty string is not an empty cell (which means unbound); an IRI
+    between angle brackets; a number or a date in its ``lexical`` form, as
+    in ``graph.nt``."""
+    if isinstance(value, str):
+        return f'"{escape(value)}"'
+    if isinstance(value, Iri):
+        return f"<{value.value}>"
+    return lexical(value)
+
+
+def identifier(value: Value) -> str:
+    """An entity identifier read from a graph, as a CSV or JSON cell: a string
+    as it is, any other term as ``text`` writes it."""
+    return value if isinstance(value, str) else text(value)
 
 
 def predicate(name: str) -> Iri:

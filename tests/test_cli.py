@@ -23,7 +23,7 @@ from ltbp.model import (
 )
 from ltbp.pricing import PricingResult
 from ltbp.report import config_fingerprint
-from ltbp.terms import unescape
+from ltbp.terms import XSD, unescape
 from tests.oracles import (
     oracle_cq1, oracle_cq2, oracle_cq3, oracle_cq4, oracle_totals,
     priced_orders_oracle,
@@ -380,6 +380,62 @@ class TestAnalyzeQueryReport:
                     "--customers", "2", "--out", tmp_path / "d"])
         assert code == 3
         assert "internal error" in capsys.readouterr().err
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return path
+
+
+# Identifier terms a valid graph may hold that are not strings, and the cell
+# each writes as: the text ``ltbp query`` prints for it.
+_IDENTIFIERS = [
+    (f'"1.5"^^<{XSD}decimal>', "1.5"),
+    (f'"5"^^<{XSD}integer>', "5"),
+    (f'"2020-02-29"^^<{XSD}date>', "2020-02-29"),
+    ("<urn:x>", "<urn:x>"),
+]
+
+
+@pytest.mark.parametrize("term, cell", _IDENTIFIERS)
+def test_analyze_writes_an_identifier_that_is_not_a_string_as_text(tmp_path, term,
+                                                                   cell):
+    graph = _write_lines(tmp_path / "graph.nt", [
+        f"<urn:c> <urn:ltbp:p:hasCustomerCode> {term} .",
+        f'<urn:c> <urn:ltbp:p:hasPremium> "1.5"^^<{XSD}decimal> .',
+        "<urn:o> <urn:ltbp:p:wasPlacedBy> <urn:c> .",
+        "<urn:o> <urn:ltbp:p:containsProduct> <urn:p> .",
+        f'<urn:o> <urn:ltbp:p:hasRMPrice> "10.00"^^<{XSD}decimal> .',
+        f'<urn:o> <urn:ltbp:p:hasOriginalPrice> "9.00"^^<{XSD}decimal> .',
+        f"<urn:p> <urn:ltbp:p:hasProductNumber> {term} .",
+    ])
+    out = tmp_path / "cq"
+    assert run(["--out-dir", out, "analyze", "--graph", graph]) == 0
+    assert (out / "cq1.csv").read_text(encoding="utf-8") == (
+        f"rank,customer_code,total_rm_revenue\n1,{cell},10.00\n")
+    assert (out / "cq4.csv").read_text(encoding="utf-8") == (
+        f"rank,customer_code,product_number,revenue_delta\n1,{cell},{cell},1.00\n")
+    report = json.loads((out / "cq_report.json").read_text(encoding="utf-8"))
+    assert report["cq1"] == [{"customer_code": cell, "total_rm_revenue": "10.00"}]
+    assert report["cq4"] == [{"customer_code": cell, "product_number": cell,
+                              "revenue_delta": "1.00"}]
+
+
+@pytest.mark.parametrize("term, names", [
+    (term, names) for (term, _), names in zip(
+        _IDENTIFIERS, ["1.5, A7", "5, A7", "A7, 2020-02-29", "A7, <urn:x>"])
+])
+def test_report_names_unpriced_orders_that_are_not_strings(tmp_path, capsys, term,
+                                                           names):
+    """Unpriced orders are named in ORDER BY order: numbers, then strings,
+    then dates, then IRIs."""
+    graph = _write_lines(tmp_path / "graph.nt", [
+        '<urn:o1> <urn:ltbp:p:hasOrderNumber> "A7" .',
+        f"<urn:o2> <urn:ltbp:p:hasOrderNumber> {term} .",
+    ])
+    capsys.readouterr()
+    assert run(["report", "--graph", graph, "--out", tmp_path / "report.json"]) == 2
+    assert capsys.readouterr().err == f"error: unpriced orders in graph: {names}\n"
 
 
 def _rewrite_column(path, column, old, new):

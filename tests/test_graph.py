@@ -1019,31 +1019,44 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _image_parts(path):
     """The (predicate id, count) pairs, the id columns (one list, in file
-    order) and the term texts of ``path``'s image."""
-    header, body = Path(f"{path}.img").read_bytes().split(b"\n", 1)
-    fields = header.split()
-    columns = int(fields[5])
-    predicates = [tuple(map(int, field.split(b":"))) for field in fields[7:]]
+    order) and the term texts of ``path``'s image; its trailing CRC-32 must
+    be that of the bytes before it."""
+    raw = Path(f"{path}.img").read_bytes()
+    assert int.from_bytes(raw[-4:], "little") == zlib.crc32(raw[:-4])
+    header, body = raw[:-4].split(b"\n", 1)
+    predicates = [tuple(map(int, field.split(b":"))) for field in header.split()[3:]]
+    columns = 8 * sum(count for _, count in predicates)
     ids = list(struct.unpack(f"<{columns // 4}I", body[:columns]))
     texts = body[columns:].decode("utf-8").split("\n")[:-1]
     return predicates, ids, texts
 
 
-def _write_image(path, predicates, ids, texts, terms=None):
-    """Write ``path``'s image from its parts, with the sizes and CRCs that
+def _write_image(path, predicates, ids, texts):
+    """Write ``path``'s image from its parts, with the size and CRCs that
     match them and ``path``: an image made to pass the CRC checks. An id is
-    written as a 4-byte little-endian int, so -1 is 0xffffffff. The image's
-    CRC-32 runs over the body, then over the header with that CRC as
-    zeros."""
+    written as a 4-byte little-endian int, so -1 is 0xffffffff."""
     nt = Path(path).read_bytes()
-    columns = b"".join(struct.pack("<i" if i < 0 else "<I", i) for i in ids)
+    counts = "".join(f" {p}:{count}" for p, count in predicates)
+    image = (f"ltbp-store-image/2 {len(nt)} {zlib.crc32(nt):08x}{counts}\n".encode("ascii")
+             + b"".join(struct.pack("<i" if i < 0 else "<I", i) for i in ids)
+             + "".join(f"{text}\n" for text in texts).encode("utf-8"))
+    Path(f"{path}.img").write_bytes(image + struct.pack("<I", zlib.crc32(image)))
+
+
+def _write_v1_image(path):
+    """Write ``path``'s image in the first layout, ``ltbp-store-image/1``,
+    with all its CRCs right: the header also held the image's CRC-32, the
+    term count and the byte lengths of the columns and of the texts."""
+    nt = Path(path).read_bytes()
+    predicates, ids, texts = _image_parts(path)
+    columns = struct.pack(f"<{len(ids)}I", *ids)
     body = columns + "".join(f"{text}\n" for text in texts).encode("utf-8")
     counts = "".join(f" {p}:{count}" for p, count in predicates)
 
     def header(crc):
         return (f"ltbp-store-image/1 {len(nt)} {zlib.crc32(nt):08x} {crc:08x} "
-                f"{len(texts) if terms is None else terms} {len(columns)} "
-                f"{len(body) - len(columns):020d}{counts}\n").encode("ascii")
+                f"{len(texts)} {len(columns)} {len(body) - len(columns):020d}"
+                f"{counts}\n").encode("ascii")
 
     crc = zlib.crc32(header(0), zlib.crc32(body))
     Path(f"{path}.img").write_bytes(header(crc) + body)
@@ -1095,8 +1108,9 @@ class TestStoreImage:
         assert _image_store(path) == _text_store(path)
 
     def test_image_layout(self, exported, tmp_path):
-        """The header, the columns and the texts are as documented: an image
-        rebuilt from its parsed parts has the export's bytes."""
+        """The header, the columns, the texts and the trailing CRC-32 are as
+        documented: an image rebuilt from its parsed parts has the export's
+        bytes."""
         path = tmp_path / "graph.nt"
         path.write_bytes(exported.read_bytes())
         _write_image(path, *_image_parts(exported))
@@ -1153,9 +1167,11 @@ class TestStoreImage:
         path.write_bytes(exported.read_bytes())
         query.write_text("SELECT ?s ?p ?o WHERE { ?s ?p ?o }", encoding="utf-8")
         predicates, ids, texts = _image_parts(exported)
-        n, terms = len(texts), None
+        n = len(texts)
+        literals = [i for i, text in enumerate(texts) if text[0] == '"']
         kind = data.draw(st.sampled_from(
-            ["negative", "past", "duplicate", "count", "terms", "literal", "predicate"]))
+            ["negative", "past", "duplicate", "count", "literal", "predicate",
+             "subject"]))
         if kind in ("negative", "past"):
             at = data.draw(st.integers(0, len(ids) - 1))
             ids[at] = (-data.draw(st.integers(1, 2 ** 31)) if kind == "negative"
@@ -1164,31 +1180,58 @@ class TestStoreImage:
             i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                       unique=True))
             texts[j] = texts[i]
-        elif kind == "count":
+        elif kind == "count":  # the columns and texts no longer split where written
             at = data.draw(st.integers(0, len(predicates) - 1))
             p, count = predicates[at]
             predicates[at] = (p, data.draw(st.integers(0, count + 3).filter(
                 lambda c: c != count)))
-        elif kind == "terms":
-            terms = data.draw(st.integers(0, n + 3).filter(lambda t: t != n))
         elif kind == "predicate":  # a literal in a predicate's place
             at = data.draw(st.integers(0, len(predicates) - 1))
-            predicates[at] = (data.draw(st.sampled_from(
-                [i for i, text in enumerate(texts) if text[0] == '"'])), predicates[at][1])
+            predicates[at] = (data.draw(st.sampled_from(literals)), predicates[at][1])
+        elif kind == "subject":  # a literal in a subject column
+            at = data.draw(st.integers(0, len(predicates) - 1))
+            start = 2 * sum(count for _, count in predicates[:at])
+            ids[start + data.draw(st.integers(0, predicates[at][1] - 1))] = (
+                data.draw(st.sampled_from(literals)))
         else:
             texts[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(_BAD_TEXTS))
-        _write_image(path, predicates, ids, texts, terms)
+        _write_image(path, predicates, ids, texts)
         try:
             store = _store(load_ntriples(path))
         except GraphParseError as exc:
-            assert kind in ("literal", "predicate")
+            # a changed count moves where the texts start, so their first
+            # one reads as a bad term
+            assert kind in ("literal", "predicate", "subject", "count")
             assert str(exc).startswith(f"{path}.img: ")
+            expected = 2
         else:
-            assert kind not in ("literal", "predicate") and store == _text_store(path)
+            assert kind not in ("literal", "predicate", "subject")
+            assert store == _text_store(path)
+            expected = 0
         printed, errors = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
             code = main(["query", "--graph", str(path), "--query", str(query)])
-        assert code == (2 if kind in ("literal", "predicate") else 0), errors.getvalue()
+        assert code == expected, errors.getvalue()
+
+    def test_literal_subject_in_an_image_is_a_parse_error(self, tmp_path):
+        """No text gives a store with a literal subject, so an image that
+        holds one is refused as the text would be, naming the image."""
+        path, query = tmp_path / "graph.nt", tmp_path / "q.rq"
+        path.write_text('<urn:a> <urn:p> "x" .\n<urn:b> <urn:p> "y" .\n',
+                        encoding="utf-8")
+        query.write_text("SELECT ?s WHERE { ?s <urn:p> ?o }", encoding="utf-8")
+        export_ntriples(load_ntriples(path), path)
+        predicates, ids, texts = _image_parts(path)
+        assert predicates == [(1, 2)] and ids[1] == texts.index("<urn:b>")
+        ids[1] = texts.index('"x"')  # the second line's subject
+        _write_image(path, predicates, ids, texts)
+        with pytest.raises(GraphParseError) as raised:
+            load_ntriples(path)
+        assert str(raised.value) == f"{path}.img: expected an IRI, got '\"x\"'"
+        errors = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors):
+            assert main(["query", "--graph", str(path), "--query", str(query)]) == 2
+        assert str(raised.value) in errors.getvalue()
 
     @pytest.mark.parametrize("spoil, reason", [
         ("graph.nt grows", "size"),
@@ -1196,6 +1239,11 @@ class TestStoreImage:
         ("body flipped", "CRC"),
         ("predicate id changed", "CRC"),
         ("magic", "format"),
+        ("v1 image", "format"),
+        ("zero count", "format"),
+        ("negative predicate id", "format"),
+        ("predicate repeats", "format"),
+        ("last text without its line feed", "format"),
         ("id past the texts", "ids"),
     ])
     def test_refused_image_logs_its_reason(self, small_graph, tmp_path, caplog,
@@ -1207,16 +1255,32 @@ class TestStoreImage:
             path.write_text(path.read_text() + "# a comment\n")
         elif spoil == "graph.nt edited":
             path.write_bytes(path.read_bytes().replace(b'"PL-1"', b'"PL-2"', 1))
-        elif spoil == "body flipped":
-            image.write_bytes(image.read_bytes()[:-1] + b"\t")
+        elif spoil == "body flipped":  # the last text's line feed
+            raw = image.read_bytes()
+            image.write_bytes(raw[:-5] + b"\t" + raw[-4:])
         elif spoil == "predicate id changed":  # to another in-range id
             header, body = image.read_bytes().split(b"\n", 1)
             fields = header.split()
-            p, count = fields[7].split(b":")
-            fields[7] = b"%d:%s" % (int(p) + 1, count)
+            p, count = fields[3].split(b":")
+            fields[3] = b"%d:%s" % (int(p) + 1, count)
             image.write_bytes(b" ".join(fields) + b"\n" + body)
         elif spoil == "magic":
-            image.write_bytes(image.read_bytes().replace(b"image/1", b"image/9", 1))
+            image.write_bytes(image.read_bytes().replace(b"image/2", b"image/9", 1))
+        elif spoil == "v1 image":  # as the first layout wrote it, CRCs and all
+            _write_v1_image(path)
+        elif spoil == "zero count":  # one more predicate, with no triples
+            predicates, ids, texts = _image_parts(path)
+            unused = next(i for i, text in enumerate(texts)
+                          if text[0] == "<" and i not in dict(predicates))
+            _write_image(path, [*predicates, (unused, 0)], ids, texts)
+        elif spoil in ("negative predicate id", "predicate repeats"):  # the second
+            predicates, ids, texts = _image_parts(path)
+            p = -1 if spoil == "negative predicate id" else predicates[0][0]
+            predicates[1] = (p, predicates[1][1])
+            _write_image(path, predicates, ids, texts)
+        elif spoil == "last text without its line feed":
+            raw = image.read_bytes()[:-5]  # less the line feed and the CRC
+            image.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
         else:
             predicates, ids, texts = _image_parts(path)
             ids[-1] = len(texts)
