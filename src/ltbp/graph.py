@@ -202,10 +202,7 @@ class Graph:
 
     def _id_of(self, term: Value) -> int:
         """The term's id, or ``_MISSING`` when the graph does not hold it."""
-        try:
-            return self._ids.get(_nt_term(term), _MISSING)
-        except GraphError:  # a value no stored term can have
-            return _MISSING
+        return self._ids.get(_nt_term(term), _MISSING)
 
     def _add_ids(self, s: int, p: int, o: int) -> None:
         """Add the triple, unless the graph holds it."""
@@ -384,8 +381,6 @@ def _plan(graph: Graph, patterns: Sequence[tuple]):
     start: list[Optional[int]] = []
     pending = []
     for pattern in patterns:
-        if len(pattern) != 3:
-            raise QueryError(f"malformed pattern: {pattern!r}")
         cells = []
         for term in pattern:
             if isinstance(term, Variable):
@@ -530,7 +525,7 @@ def _digits(number: Union[int, Decimal]) -> int:
 
 
 def _eval_expr(expr: Expr, row: Binding):
-    if isinstance(expr, Variable):  # validate() found it in a pattern
+    if isinstance(expr, Variable):  # the spec found it in a pattern
         return row[expr.name]
     if not isinstance(expr, Op):
         return expr  # a constant: a literal's value
@@ -673,13 +668,11 @@ def quantized(convert, value, name: str) -> Decimal:
 
 def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
     """Run a query: match, group, aggregate, order, and limit."""
-    spec.validate()
     slots, rows = _solve(graph, spec.patterns, spec.filters)
     values = graph._values
-    aggregates = spec.aggregates
-    columns = [p if isinstance(p, str) else p.alias for p in spec.projections]
+    columns = list(spec.columns)
 
-    if aggregates or spec.group_by:
+    if spec.aggregates or spec.group_by:
         # Grouped by term, as joins match: value-equal terms such as 1 and
         # 1.0 are two groups, kept in first-appearance order on a tie.
         key_cells = [slots[name] for name in spec.group_by]
@@ -713,7 +706,7 @@ def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
         out_rows = [tuple(values[row[cell]] for cell in cells) for row in rows]
 
     if spec.order_by is not None:
-        idx = columns.index(spec.order_by.key)  # validate() found it there
+        idx = columns.index(spec.order_by.key)  # the spec found it there
         keyed = [r for r in out_rows if r[idx] is not None]
         absent = [r for r in out_rows if r[idx] is None]
         keyed.sort(key=lambda r: sort_key(r[idx]), reverse=spec.order_by.descending)
@@ -856,9 +849,6 @@ def export_ntriples(graph: Graph, path) -> None:
 
 
 _NT_LITERAL = re.compile(r'"(?P<body>(?:[^"\\]|\\.)*)"(?:\^\^<(?P<dtype>[^<>\s]*)>)?')
-# N-Triples IRIREF excludes controls, space and <>"{}|^`\ (W3C, 2014); other
-# whitespace is excluded too, as the loader splits terms on it.
-_IRI_FORBIDDEN = re.compile(r'[\x00-\x20\s<>"{}|^`\\]')
 # Each datatype IRI's value type, the ``kind`` that ``terms.read`` takes.
 _KINDS = {datatype: kind for kind, datatype in T.DATATYPES.items()}
 
@@ -868,13 +858,10 @@ _KINDS = {datatype: kind for kind, datatype in T.DATATYPES.items()}
 def _parse_iri(token: str, where: str) -> Iri:
     if not (token.startswith("<") and token.endswith(">")):
         raise GraphParseError(f"{where}: expected an IRI, got {token!r}")
-    body = token[1:-1]
-    bad = _IRI_FORBIDDEN.search(body)
-    if bad is not None:
-        raise GraphParseError(
-            f"{where}: character {bad.group()!r} not allowed in IRI {token}"
-        )
-    return Iri(body)
+    try:
+        return T.read_iri(token[1:-1])
+    except ValueError as exc:
+        raise GraphParseError(f"{where}: {exc}") from None
 
 
 def _parse_object(token: str, where: str) -> Value:
@@ -938,15 +925,20 @@ class _Refused(Exception):
 
 def _read_image(path, handle) -> Graph:
     """The store held by ``handle``, open on the image of the N-Triples file
-    ``path`` (see ``export_ntriples``). Raises ``_Refused`` unless ``path``
-    has the size and CRC-32 that the header records, the image ends in the
-    CRC-32 of the bytes before it, every count is positive, and every id lies
-    in [0, n), n being the number of texts. The texts' length is what the
-    image's size leaves after the header, the columns and the CRC, so no
-    count in a header makes a read larger than the file. An id is read
-    unsigned, so indexing the table of ids with it checks its range. A text
-    that fails the loader's term checks, and a predicate or subject that is
-    not an IRI, is a GraphParseError naming the image.
+    ``path`` (see ``export_ntriples``). An image is refused (``_Refused``)
+    unless it has the magic and a readable header, ``path`` has the size and
+    CRC-32 that the header records, every count is positive and the columns
+    fit the file, the image ends in the CRC-32 of the bytes before it, the
+    texts are UTF-8, end in a line feed and none repeats, no predicate
+    repeats, and every id lies in [0, n), n being the number of texts. The
+    texts' length is what the image's size leaves after the header, the
+    columns and the CRC, so no count in a header makes a read larger than
+    the file. An id is read unsigned, so indexing the table of ids with it
+    checks its range. A text that fails the loader's term checks, and a
+    predicate or subject that is not an IRI, is a GraphParseError naming
+    the image. A text is not checked to be its value's canonical text
+    (``_nt_term``): an image holding ``"007"^^xsd:integer`` with its CRCs
+    right loads, and a query for ``7`` finds nothing there.
 
     Each id is one int object, shared by ``_ids`` and every map, as in a
     store the text gives. A predicate whose column repeats a subject is
@@ -1044,12 +1036,12 @@ def load_ntriples(path) -> Graph:
     time it occurs.
 
     A comment line, one whose first character after any leading whitespace
-    is "#", is skipped, and so is a comment after a triple. Each is told
-    apart only where the line would otherwise be rejected, so triples pay
-    nothing for it: a comment line by its first "#", a trailing comment by
-    ``_COMMENTED`` when the line does not end in "." or its object token
-    does not parse (a comment that ends in "." runs into that token). Line
-    numbers count comment lines.
+    is "#", is skipped by one test of that character, before the line is
+    split. A comment after a triple is skipped too. It is told apart only
+    where the line would otherwise be rejected, so triples pay nothing for
+    it: by ``_COMMENTED`` when the line does not end in "." or its object
+    token does not parse (a comment that ends in "." runs into that token).
+    Line numbers count comment lines.
 
     When the store image that ``export_ntriples`` wrote beside the file is
     there and matches it (see ``_read_image``), the store is read from the
@@ -1078,30 +1070,23 @@ def load_ntriples(path) -> Graph:
                 return graph
     graph = Graph()
     ids, intern, add = graph._ids, graph._intern, graph._add_ids
-    last_token, s = None, None
+    last_token = None
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
-                if not line:
+                if not line or line[0] == "#":
                     continue
                 if line[-1] != ".":
-                    if line[0] == "#":
-                        continue
                     line = _uncomment(line, _malformed(lineno, line))[1]
                 try:
                     s_token, p_token, o_token = line[:-1].split(None, 2)
                 except ValueError:  # fewer than three terms
-                    if line[0] == "#":
-                        continue
                     raise _malformed(lineno, line) from None
                 o_token = o_token.rstrip()
                 if s_token != last_token:
                     s = ids.get(s_token)
                     if s is None or s_token[0] != "<":
-                        if s_token[0] == "#":
-                            last_token = None  # s no longer holds its id
-                            continue
                         s = intern(_parse_iri(s_token, f"line {lineno}"))
                     last_token = s_token
                 p = ids.get(p_token)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from typing import Iterable, Sequence
 
@@ -241,7 +241,7 @@ def write_premiums(result: PricingResult, path) -> None:
 
 def write_priced_orders(result: PricingResult, path) -> None:
     """priced_orders.csv: order_number,original,rm,convex (2-decimal prices)."""
-    write_csv(path, ["order_number", "original", "rm", "convex"], (
+    write_csv(path, [f.name for f in fields(PricedOrder)], (
         [po.order_number, po.original, po.rm, po.convex]
         for po in result.priced_orders
     ))

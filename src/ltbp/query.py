@@ -17,15 +17,18 @@ A strict SPARQL subset, whitespace-insensitive with case-insensitive keywords:
 
 IRIs are written either in angle brackets or as prefixed names using the
 built-in prefixes (``:name`` for predicates, plus ``cust:``, ``ord:``,
-``prod:`` and ``class:`` for entities). A filter's operators bind in
-these levels, loosest first: ``||``, ``&&``, ``!``, the comparisons
-``= != < <= > >=``, which do not chain, ``+ -``, ``* /``, and unary ``-``.
-Binary operators associate left. A filter nests at most ``MAX_EXPR_DEPTH``
-deep. ``#`` starts a line comment. A number is ASCII digits with an
-optional fraction, an ``xsd:integer`` without a point and an ``xsd:decimal``
-with one, read by ``terms.read``. An error message shows a constant as the
-query would write it: a string quoted and escaped, and a number in plain
-notation (``terms.lexical``).
+``prod:`` and ``class:`` for entities). An IRI in angle brackets, ``FROM``'s
+too, holds no character that N-Triples forbids in one, by the rule the
+loader applies (``terms.read_iri``): a bad one is a syntax error at the IRI.
+A parsed query is a ``QuerySpec``, which checks itself. A filter's
+operators bind in these levels, loosest first: ``||``, ``&&``, ``!``, the
+comparisons ``= != < <= > >=``, which do not chain, ``+ -``, ``* /``, and
+unary ``-``. Binary operators associate left. A filter nests at most
+``MAX_EXPR_DEPTH`` deep. ``#`` starts a line comment. A number is ASCII
+digits with an optional fraction, an ``xsd:integer`` without a point and an
+``xsd:decimal`` with one, read by ``terms.read``. An error message shows a
+constant as the query would write it: a string quoted and escaped, and a
+number in plain notation (``terms.lexical``).
 
 A string is written in double quotes on one line and takes the escapes
 N-Triples and SPARQL share: ``\\t``, ``\\b``, ``\\n``, ``\\r``, ``\\f``,
@@ -143,8 +146,28 @@ class OrderBy:
     descending: bool = False
 
 
+# The kinds of term a pattern may hold: a variable, or a value the store
+# can hold, which is an IRI or a literal of one of ``terms.DATATYPES`` or a
+# string. Each is matched by its exact type: a ``bool`` is no ``int`` here,
+# nor a ``datetime`` a ``date``, and a ``float`` is none of them.
+_PATTERN_KINDS = frozenset({Variable, Iri, str, *T.DATATYPES})
+
+
 @dataclass(frozen=True)
 class QuerySpec:
+    """A parsed query, valid by construction: ``__post_init__`` checks it,
+    so ``evaluate`` runs any spec that exists.
+
+    Each pattern is three terms of ``_PATTERN_KINDS``. The query projects
+    something and has a pattern, and every variable it projects, aggregates,
+    filters on or groups by occurs in a pattern. The result columns
+    (``columns``: each projected variable and aggregate alias) are distinct,
+    and no alias names a pattern variable (SPARQL 1.1, W3C 2013, §18.2.1).
+    An aggregated or grouped query groups each projected variable, the order
+    key is a result column, and the limit is not negative. A spec that fails
+    a check raises QueryValidationError.
+    """
+
     projections: tuple[Projection, ...]
     patterns: tuple[TriplePattern, ...]
     filters: tuple[Expr, ...] = ()
@@ -157,23 +180,21 @@ class QuerySpec:
         return tuple(p for p in self.projections if isinstance(p, Aggregate))
 
     @property
-    def aliases(self) -> tuple[str, ...]:
-        return tuple(a.alias for a in self.aggregates)
+    def columns(self) -> tuple[str, ...]:
+        """The result columns' names: each projection's variable or alias."""
+        return tuple(p if isinstance(p, str) else p.alias for p in self.projections)
 
-    def pattern_variables(self) -> set[str]:
-        names = set()
-        for pattern in self.patterns:
-            for term in pattern:
-                if isinstance(term, Variable):
-                    names.add(term.name)
-        return names
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.projections:
             raise QueryValidationError("query projects nothing")
         if not self.patterns:
             raise QueryValidationError("query has no patterns")
-        bound = self.pattern_variables()
+        for pattern in self.patterns:
+            if len(pattern) != 3 or any(
+                    type(term) not in _PATTERN_KINDS for term in pattern):
+                raise QueryValidationError(f"malformed pattern: {pattern!r}")
+        bound = {term.name for pattern in self.patterns for term in pattern
+                 if isinstance(term, Variable)}
         bare = [p for p in self.projections if isinstance(p, str)]
         uses = (
             (UnboundProjectionError, "projected", bare),
@@ -195,10 +216,17 @@ class QuerySpec:
                     "bare projections in an aggregated query must be grouped: "
                     + ", ".join(f"?{n}" for n in uncovered)
                 )
-        if self.order_by is not None:
-            key = self.order_by.key
-            if key not in bare and key not in self.aliases:
-                raise QueryValidationError(f"order key ?{key} is not a result column")
+        columns = self.columns
+        for n, name in enumerate(columns):
+            if name in columns[:n]:
+                raise QueryValidationError(f"result column ?{name} is projected twice")
+        for aggregate in self.aggregates:
+            if aggregate.alias in bound:
+                raise QueryValidationError(
+                    f"alias ?{aggregate.alias} names a pattern variable")
+        if self.order_by is not None and self.order_by.key not in columns:
+            raise QueryValidationError(
+                f"order key ?{self.order_by.key} is not a result column")
         if self.limit is not None and self.limit < 0:
             raise QueryValidationError("limit must be >= 0")
 
@@ -321,10 +349,9 @@ class _Parser:
             projections.append(self.projection())
         if self.at_keyword("FROM"):
             self.next()
-            tok = self.peek()
-            if tok.kind != "IRIREF":
+            if self.peek().kind != "IRIREF":
                 raise self.error("expected an IRI after FROM")
-            self.next()  # named graphs are not supported; single default graph
+            self.iri()  # named graphs are not supported; single default graph
         self.expect_keyword("WHERE")
         self.expect_op("{")
         patterns = [self.pattern()]
@@ -419,8 +446,7 @@ class _Parser:
             self.next()
             return Variable(tok.value[1:])
         if tok.kind == "IRIREF":
-            self.next()
-            return Iri(tok.value[1:-1])
+            return self.iri()
         if tok.kind == "QNAME":
             self.next()
             prefix, _, local = tok.value.partition(":")
@@ -432,6 +458,14 @@ class _Parser:
             return self.constant()
         found = tok.value or "end of input"
         raise self.error(f"expected a term, found {found!r}")
+
+    def iri(self) -> Iri:
+        """The IRI of the IRIREF token at the cursor, by ``terms.read_iri``."""
+        tok = self.next()
+        try:
+            return T.read_iri(tok.value[1:-1])
+        except ValueError as exc:
+            raise QuerySyntaxError(str(exc), tok.line, tok.column) from None
 
     def constant(self) -> Union[str, int, Decimal]:
         """The value of the NUMBER or STRING token at the cursor."""
@@ -484,7 +518,6 @@ class _Parser:
 
 
 def parse_query(text: str) -> QuerySpec:
-    """Parse and validate a query; raises QuerySyntaxError / QueryValidationError."""
-    spec = _Parser(text).parse()
-    spec.validate()
-    return spec
+    """Parse a query into a ``QuerySpec``; raises QuerySyntaxError /
+    QueryValidationError."""
+    return _Parser(text).parse()

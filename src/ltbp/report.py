@@ -9,14 +9,14 @@ particular magnitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
 from .graph import Graph, evaluate, quantized, sort_key
 from .ingest import write_json
-from .model import AccountClass, PricingConfig, adjustment_factor, to_money
+from .model import AccountClass, PricingConfig, rho_field, to_money
 from .query import parse_query
 from .terms import identifier
 
@@ -103,15 +103,11 @@ def config_fingerprint(config: PricingConfig) -> str:
     # memory that a stage writing no fingerprint never uses.
     import hashlib
 
-    canonical = ",".join(
-        [
-            f"alpha={config.alpha!r}",
-            f"beta={config.beta!r}",
-            f"p_max={config.p_max!r}",
-            f"convex_alpha={config.convex_alpha!r}",
-        ]
-        + [f"rho_{c.value}={adjustment_factor(c, config)!r}" for c in AccountClass]
-    )
+    # Each field as name=repr, a rho field under its class's label
+    # (rho_Key), as the fingerprints already written name it.
+    keys = {rho_field(c): f"rho_{c.value}" for c in AccountClass}
+    canonical = ",".join(f"{keys.get(f.name, f.name)}={getattr(config, f.name)!r}"
+                         for f in fields(PricingConfig))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 

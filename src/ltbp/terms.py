@@ -17,7 +17,8 @@ reads and writes through it:
   notation, so ``read`` reads it back. ``graph.nt``, ``ltbp query``'s cells
   and filter error messages call it.
 - ``escape(text)`` and ``unescape(body)`` are a quoted string's escapes,
-  shared by N-Triples and the query language.
+  and ``read_iri(body)`` is the IRI between angle brackets, each shared by
+  N-Triples and the query language.
 - ``text(value)`` is a term's untyped text: a string quoted and escaped, an
   IRI in angle brackets, a number or a date in its lexical form. ``ltbp
   query``'s cells and filter error messages call it, and ``identifier``
@@ -138,6 +139,21 @@ def unescape(body: str) -> str:
     """A quoted string's body with its escapes resolved; a bad escape raises
     ValueError."""
     return _ESCAPE.sub(_unescape_one, body) if "\\" in body else body
+
+
+# N-Triples and SPARQL IRIREF exclude controls, space and <>"{}|^`\ (W3C,
+# 2014; W3C, 2013); other whitespace is excluded too, as the N-Triples
+# loader splits terms at it and the query tokenizer ends an IRI there.
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20\s<>"{}|^`\\]')
+
+
+def read_iri(body: str) -> Iri:
+    """The IRI written ``<body>``; a character IRIREF forbids raises
+    ValueError."""
+    bad = _IRI_FORBIDDEN.search(body)
+    if bad is not None:
+        raise ValueError(f"character {bad.group()!r} not allowed in IRI <{body}>")
+    return Iri(body)
 
 
 def text(value: Value) -> str:

@@ -1016,6 +1016,38 @@ def test_query_order_key_not_projected_is_data_error(tmp_path, capsys):
     assert "order key ?d is not a result column" in capsys.readouterr().err
 
 
+def _query_exit(tmp_path, capsys, text):
+    """``ltbp query``'s exit code and stderr for ``text`` over a one-line graph."""
+    graph = tmp_path / "graph.nt"
+    graph.write_text("<urn:s> <urn:p> <urn:o> .\n", encoding="utf-8")
+    query = tmp_path / "q.rq"
+    query.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    return run(["query", "--graph", graph, "--query", query]), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iri", ['<urn:a"b>', "<urn:a{b}>", "<urn:a|b>", "<urn:a`b>"])
+def test_query_iri_with_a_character_ntriples_forbids_is_data_error(tmp_path, capsys,
+                                                                   iri):
+    code, err = _query_exit(tmp_path, capsys, f"SELECT ?s WHERE {{ ?s {iri} ?o }}")
+    assert code == 2
+    assert err.startswith("error: line 1, column 22: character ")
+    assert err.endswith(f" not allowed in IRI {iri}\n")
+
+
+@pytest.mark.parametrize("query, message", [
+    ("SELECT ?s (COUNT(?o) AS ?s) WHERE { ?s <urn:p> ?o } GROUP BY ?s "
+     "ORDER BY DESC ?s", "result column ?s is projected twice"),
+    ("SELECT (COUNT(?o) AS ?n) (COUNT(?s) AS ?n) WHERE { ?s <urn:p> ?o }",
+     "result column ?n is projected twice"),
+    ("SELECT (COUNT(?o) AS ?o) WHERE { ?s <urn:p> ?o }",
+     "alias ?o names a pattern variable"),
+], ids=["alias-of-a-projected-variable", "alias-twice", "alias-of-its-variable"])
+def test_query_result_columns_are_distinct_and_name_no_pattern_variable(
+        tmp_path, capsys, query, message):
+    assert _query_exit(tmp_path, capsys, query) == (2, f"error: {message}\n")
+
+
 def test_premiums_past_the_decimal_precision_keep_their_stats_ordered(tmp_path, capsys):
     # 30 significant digits: summed in the 28-digit context, the mean fell below MIN.
     premium = "1.00000000000000000000000000009"

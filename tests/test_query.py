@@ -1,5 +1,6 @@
 import contextlib
 import io
+from datetime import date, datetime
 from decimal import Decimal
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ltbp.cli import main
 from ltbp.graph import (
-    FilterTypeError, build_graph, evaluate, export_ntriples, load_ntriples,
+    FilterTypeError, GraphParseError, build_graph, evaluate, export_ntriples,
+    load_ntriples,
 )
 from ltbp.ingest import GeneratorConfig, generate_synthetic
 from ltbp.model import PricingConfig
@@ -17,6 +19,7 @@ from ltbp.query import (
     Aggregate,
     Op,
     OrderBy,
+    QuerySpec,
     QuerySyntaxError,
     QueryValidationError,
     UnboundProjectionError,
@@ -207,6 +210,78 @@ class TestErrors:
         with pytest.raises(QuerySyntaxError, match="too many digits") as raised:
             parse_query(text.replace("BIG", "9" * 5000))
         assert (raised.value.line, raised.value.column) == (2, column)
+
+
+class TestSpecChecks:
+    """A QuerySpec checks itself when it is made, by the parser or not."""
+
+    @pytest.mark.parametrize("constant", [
+        "a", 1, Decimal("1.5"), date(2020, 1, 1), Iri("urn:o"),
+    ], ids=["str", "int", "decimal", "date", "iri"])
+    def test_a_pattern_holds_terms_the_store_can_hold(self, constant):
+        spec = QuerySpec(("a",), ((A, Iri("urn:p"), constant),))
+        assert spec.columns == ("a",)
+
+    def test_a_two_term_pattern_is_refused(self):
+        with pytest.raises(QueryValidationError, match="malformed pattern"):
+            QuerySpec(("a",), ((A, Iri("urn:p")),))
+
+    @pytest.mark.parametrize("constant", [
+        1.5, True, datetime(2020, 1, 1, 12, 30),
+    ], ids=["float", "bool", "datetime"])
+    def test_a_constant_no_store_holds_is_refused(self, constant):
+        with pytest.raises(QueryValidationError, match="malformed pattern"):
+            QuerySpec(("a",), ((A, Iri("urn:p"), constant),))
+
+
+# Characters that N-Triples and SPARQL forbid in an IRI, between angle brackets.
+_FORBIDDEN_IRIS = ['<urn:a"b>', "<urn:a{b}>", "<urn:a|b>", "<urn:a`b>"]
+
+
+class TestIriRule:
+    @pytest.mark.parametrize("iri", _FORBIDDEN_IRIS)
+    def test_a_forbidden_character_is_a_positioned_syntax_error(self, iri):
+        with pytest.raises(QuerySyntaxError) as raised:
+            parse_query(f"SELECT ?s WHERE {{\n  ?s {iri} ?o }}")
+        bad = next(char for char in iri[1:-1] if char in '"{}|`')
+        assert str(raised.value) == (
+            f"line 2, column 6: character {bad!r} not allowed in IRI {iri}")
+
+    def test_the_from_iri_is_checked_too(self):
+        with pytest.raises(QuerySyntaxError) as raised:
+            parse_query("SELECT ?s FROM <urn:g^x> WHERE { ?s ?p ?o }")
+        assert str(raised.value) == (
+            "line 1, column 16: character '^' not allowed in IRI <urn:g^x>")
+
+    @pytest.fixture(scope="class")
+    def graph_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("iri") / "graph.nt"
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.text(st.one_of(st.sampled_from('"{}|^`\\<> \t\n#:/.%?'),
+                                  st.characters(blacklist_categories=("Cs",))),
+                        max_size=12))
+    @example(body="urn:a")
+    @example(body='urn:a"b')
+    @example(body="urn:a\\u0062")
+    def test_a_graph_holds_an_iri_iff_a_query_can_name_it(self, graph_path, body):
+        """One line of graph.nt holding ``<body>`` loads as that IRI exactly
+        when a query naming ``<body>`` parses to a pattern holding it."""
+        graph_path.write_text(f'<{body}> <urn:p> "x" .\n', encoding="utf-8")
+        try:
+            graph = load_ntriples(graph_path)
+        except GraphParseError:
+            loads = False
+        else:
+            found = evaluate(graph, parse_query('SELECT ?s WHERE { ?s <urn:p> "x" }'))
+            loads = found.rows == [(Iri(body),)]
+        try:
+            spec = parse_query(f"SELECT ?o WHERE {{ <{body}> <urn:p> ?o }}")
+        except QuerySyntaxError:
+            parses = False
+        else:
+            parses = spec.patterns == ((Iri(body), Iri("urn:p"), Variable("o")),)
+        assert loads == parses
 
 
 def _quantity_filter(expr):

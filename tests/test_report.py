@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 from datetime import date
 from decimal import Decimal
 
@@ -109,3 +110,13 @@ class TestEmitReport:
         assert config_fingerprint(PricingConfig()) == "8f732e94646b"
         other = PricingConfig(p_max=1.5)
         assert config_fingerprint(config) != config_fingerprint(other)
+
+
+def test_every_config_field_moves_the_fingerprint():
+    changed = {"alpha": 1.5, "beta": 1.5, "p_max": 1.5, "convex_alpha": -0.25,
+               "rho_key": 0.2, "rho_regular": 0.2, "rho_others": 0.2}
+    assert set(changed) == {f.name for f in fields(PricingConfig)}
+    prints = {config_fingerprint(replace(PricingConfig(), **{name: value}))
+              for name, value in changed.items()}
+    assert len(prints) == len(changed)
+    assert config_fingerprint(PricingConfig()) not in prints
