@@ -13,7 +13,6 @@ deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
-import gc
 import logging
 import sys
 from dataclasses import fields
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from . import analytics, graph as graphmod, ingest, pricing, report as reportmod
 from . import terms
-from .model import InvalidField, PricingConfig
+from .model import InvalidField, PricingConfig, collector_paused
 from .query import QueryError, parse_query
 
 log = logging.getLogger("ltbp")
@@ -290,33 +289,24 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    # The batch stages allocate millions of objects and no reference cycles,
-    # so the cyclic collector only re-traverses live data: 15-25% of building,
-    # loading and querying the graph. It is paused while a command runs and
-    # left as it was found (Python docs, "gc"; Instagram Engineering,
-    # "Dismissing Python Garbage Collection at Instagram", 2017).
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PATH_ERRORS as exc:
-        reason = ("no such file" if isinstance(exc, FileNotFoundError)
-                  else exc.strerror.lower())
-        print(f"error: {reason}: {exc.filename}", file=sys.stderr)
-        return EXIT_DATA
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except Exception as exc:  # anything unexpected is an internal error
-        log.exception("internal error")
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    finally:
-        if collecting:
-            gc.enable()
+    with collector_paused():  # for the whole command
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except PATH_ERRORS as exc:
+            reason = ("no such file" if isinstance(exc, FileNotFoundError)
+                      else exc.strerror.lower())
+            print(f"error: {reason}: {exc.filename}", file=sys.stderr)
+            return EXIT_DATA
+        except DATA_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except Exception as exc:  # anything unexpected is an internal error
+            log.exception("internal error")
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -94,7 +94,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import terms as T
 from .ingest import _Memo, not_utf8
-from .model import PricingConfig, adjustment_factor, to_factor
+from .model import PricingConfig, adjustment_factor, collector_paused, to_factor
 from .query import (
     COMPARISONS,
     Expr,
@@ -666,8 +666,10 @@ def quantized(convert, value, name: str) -> Decimal:
         raise GraphError(f"{name}, {Decimal(value):.6e}, has too many digits") from None
 
 
+@collector_paused()
 def evaluate(graph: Graph, spec: QuerySpec) -> ResultTable:
-    """Run a query: match, group, aggregate, order, and limit."""
+    """Run a query: match, group, aggregate, order, and limit, with the
+    cyclic collector paused."""
     slots, rows = _solve(graph, spec.patterns, spec.filters)
     values = graph._values
     columns = list(spec.columns)

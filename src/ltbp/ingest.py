@@ -45,6 +45,7 @@ from .model import (
     Order,
     Product,
     class_matches_revenue,
+    collector_paused,
     to_money,
 )
 
@@ -290,9 +291,11 @@ def load_orders(
     return _load(path, ORDERS_HEADER, build, issues)
 
 
+@collector_paused()
 def load_dataset(
     orders_path, customers_path, products_path, *, issues: Optional[list] = None
 ) -> Dataset:
+    """The three CSVs as a Dataset, read with the cyclic collector paused."""
     customers = load_customers(customers_path, issues=issues)
     products = load_products(products_path, issues=issues)
     orders = load_orders(orders_path, customers, products, issues=issues)
@@ -460,8 +463,10 @@ def _allocate(n: int) -> dict[AccountClass, int]:
     return counts
 
 
+@collector_paused()
 def generate_synthetic(config: GeneratorConfig) -> Dataset:
-    """Deterministic synthetic dataset honoring all model invariants."""
+    """Deterministic synthetic dataset honoring all model invariants, built
+    with the cyclic collector paused."""
     rng = random.Random(config.seed)
     getrandbits, random_ = rng.getrandbits, rng.random
 

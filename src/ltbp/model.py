@@ -16,7 +16,9 @@ with sdt below 3.7 million days (the ``date`` range), ~1.5e13.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import gc
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -31,6 +33,27 @@ Money = Decimal
 MONEY_MAX = Decimal("9999999999.99")
 P_MAX_MAX = 1000.0
 CONVEX_ALPHA_MIN = -100.0
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause Python's cyclic garbage collector, and restore its state after.
+
+    The bulk passes allocate millions of objects and no reference cycles, so
+    the collector only re-traverses live data: 15-25% of querying the graph,
+    and about a quarter of loading and pricing 650,000 orders. The
+    collector's state is recorded on entry and restored on exit, a raise
+    included (Python docs, "gc"; Instagram Engineering, "Dismissing Python
+    Garbage Collection at Instagram", 2017). As a decorator,
+    ``@collector_paused()``, it pauses the collector for each call.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def to_money(value: Union[int, float, str, Decimal]) -> Decimal:

@@ -42,6 +42,7 @@ from .model import (
     Order,
     PricingConfig,
     adjustment_factor,
+    collector_paused,
     expedited,
     float_to_money,
     lead_days,
@@ -169,8 +170,10 @@ def convex_price(
     return p_o * (1.0 + convex_alpha * math.log(olt_confirmed / sdt))
 
 
+@collector_paused()
 def price_dataset(dataset, config: PricingConfig) -> PricingResult:
-    """Premium per customer and both prices per order.
+    """Premium per customer and both prices per order, computed with the
+    cyclic collector paused.
 
     Customers with no eligible orders get premium 1. Per-order failures
     (e.g. a zero confirmed lead time) are collected as issues; the affected

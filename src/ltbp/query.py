@@ -73,7 +73,8 @@ class UnboundProjectionError(QueryValidationError):
 
 # --- filter expression AST -------------------------------------------------
 # A leaf is a term as a pattern holds it: a Variable, or a constant that is
-# its own value (a str, int or Decimal). Every other node is an ``Op``.
+# its own value (the parser writes a str, int or Decimal). Every other node
+# is an ``Op``.
 
 COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
@@ -117,12 +118,27 @@ def expr_depth(expr: Expr) -> int:
     return deepest
 
 
+# The kinds of term a pattern may hold: a variable, or a value the store
+# can hold, which is an IRI or a literal of one of ``terms.DATATYPES`` or a
+# string. Each is matched by its exact type: a ``bool`` is no ``int`` here,
+# nor a ``datetime`` a ``date``, and a ``float`` is none of them.
+_PATTERN_KINDS = frozenset({Variable, Iri, str, *T.DATATYPES})
+
+
 def expr_variables(expr: Expr) -> set[str]:
-    if isinstance(expr, Variable):
-        return {expr.name}
-    if isinstance(expr, Op):
-        return set().union(*map(expr_variables, expr.args))
-    return set()
+    """The names of the variables in a filter expression. A leaf that is
+    neither a variable nor a constant of ``_PATTERN_KINDS`` raises
+    QueryValidationError."""
+    names, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Op):
+            stack += node.args
+        elif type(node) is Variable:
+            names.add(node.name)
+        elif type(node) not in _PATTERN_KINDS:
+            raise QueryValidationError(f"malformed filter constant: {node!r}")
+    return names
 
 
 # --- query spec ------------------------------------------------------------
@@ -146,23 +162,17 @@ class OrderBy:
     descending: bool = False
 
 
-# The kinds of term a pattern may hold: a variable, or a value the store
-# can hold, which is an IRI or a literal of one of ``terms.DATATYPES`` or a
-# string. Each is matched by its exact type: a ``bool`` is no ``int`` here,
-# nor a ``datetime`` a ``date``, and a ``float`` is none of them.
-_PATTERN_KINDS = frozenset({Variable, Iri, str, *T.DATATYPES})
-
-
 @dataclass(frozen=True)
 class QuerySpec:
     """A parsed query, valid by construction: ``__post_init__`` checks it,
     so ``evaluate`` runs any spec that exists.
 
-    Each pattern is three terms of ``_PATTERN_KINDS``. The query projects
-    something and has a pattern, and every variable it projects, aggregates,
-    filters on or groups by occurs in a pattern. The result columns
-    (``columns``: each projected variable and aggregate alias) are distinct,
-    and no alias names a pattern variable (SPARQL 1.1, W3C 2013, §18.2.1).
+    Each pattern is three terms of ``_PATTERN_KINDS``, and so is each leaf
+    of a filter. The query projects something and has a pattern, and every
+    variable it projects, aggregates, filters on or groups by occurs in a
+    pattern. The result columns (``columns``: each projected variable and
+    aggregate alias) are distinct, and no alias names a pattern variable
+    (SPARQL 1.1, W3C 2013, §18.2.1).
     An aggregated or grouped query groups each projected variable, the order
     key is a result column, and the limit is not negative. A spec that fails
     a check raises QueryValidationError.

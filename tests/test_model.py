@@ -1,3 +1,7 @@
+import contextlib
+import gc
+import inspect
+import sys
 from dataclasses import FrozenInstanceError, fields
 from datetime import date
 from decimal import Decimal
@@ -5,6 +9,10 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
+from ltbp.graph import FilterTypeError, build_graph, evaluate
+from ltbp.ingest import (
+    GeneratorConfig, MalformedRow, generate_synthetic, load_dataset, write_dataset,
+)
 from ltbp.model import (
     CONVEX_ALPHA_MIN,
     MONEY_MAX,
@@ -17,9 +25,13 @@ from ltbp.model import (
     adjustment_factor,
     class_for_revenue,
     class_matches_revenue,
+    collector_paused,
     lead_days,
     rm_eligible,
 )
+from ltbp.pricing import price_dataset
+from ltbp.query import parse_query
+from ltbp.report import TOTALS_QUERY
 from tests.conftest import make_order
 
 
@@ -209,3 +221,87 @@ class TestBounds:
         with pytest.raises(InvalidField) as excinfo:
             PricingConfig(**{field: value})
         assert excinfo.value.field == field
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector's state, thresholds and callbacks after a test."""
+    was, thresholds, callbacks = gc.isenabled(), gc.get_threshold(), gc.callbacks[:]
+    yield
+    (gc.enable if was else gc.disable)()
+    gc.set_threshold(*thresholds)
+    gc.callbacks[:] = callbacks
+
+
+_CONFIG_2000 = GeneratorConfig(seed=42, n_customers=60, n_orders=2_000)
+
+
+def _csv_paths(dataset, out_dir):
+    """The dataset written to CSVs, as ``load_dataset`` takes their paths."""
+    paths = write_dataset(dataset, out_dir)
+    return [paths[name] for name in ("orders", "customers", "products")]
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPaused:
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("raising", [False, True], ids=["return", "raise"])
+    def test_state_is_restored_on_return_and_on_raise(self, collecting, raising):
+        (gc.enable if collecting else gc.disable)()
+        with contextlib.suppress(KeyError), collector_paused():
+            assert not gc.isenabled()
+            if raising:
+                raise KeyError("synthetic")
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored_when_a_decorated_pass_raises(
+            self, tmp_path, small_dataset, small_graph, collecting):
+        paths = _csv_paths(small_dataset, tmp_path)
+        orders = paths[0].read_text(encoding="utf-8").splitlines(True)
+        paths[0].write_text(orders[0] + orders[1][orders[1].index(","):]
+                            + "".join(orders[2:]), encoding="utf-8")
+        mismatch = parse_query(
+            'SELECT ?o WHERE { ?o :hasQuantity ?q FILTER(?q > "a") }')
+        (gc.enable if collecting else gc.disable)()
+        with pytest.raises(MalformedRow, match="line 2, column order_number"):
+            load_dataset(*paths)
+        assert gc.isenabled() is collecting
+        with pytest.raises(FilterTypeError, match="type mismatch"):
+            evaluate(small_graph, mismatch)
+        assert gc.isenabled() is collecting
+
+    def test_the_bulk_passes_run_no_collection(self, tmp_path, config):
+        dataset = generate_synthetic(_CONFIG_2000)
+        pricing = price_dataset(dataset, config)
+        calls = [
+            (generate_synthetic, (_CONFIG_2000,)),
+            (load_dataset, _csv_paths(dataset, tmp_path)),
+            (price_dataset, (dataset, config)),
+            (evaluate, (build_graph(dataset, pricing, config),
+                        parse_query(TOTALS_QUERY))),
+        ]
+        thresholds, counts = gc.get_threshold(), {}
+        for function, args in calls:
+            # A collection counts when it starts with the function's own frame
+            # on the stack, so none of the caller's or a wrapper's counts.
+            code, inside = inspect.unwrap(function).__code__, []
+
+            def hook(phase, info):
+                if phase == "start":
+                    frame = sys._getframe(1)
+                    while frame is not None and frame.f_code is not code:
+                        frame = frame.f_back
+                    inside.append(frame is not None)
+
+            gc.enable()
+            gc.set_threshold(1)
+            gc.callbacks.append(hook)
+            try:
+                function(*args)
+            finally:
+                gc.callbacks.remove(hook)
+                gc.set_threshold(*thresholds)
+            counts[function.__name__] = sum(inside)
+        assert counts == dict.fromkeys(
+            ["generate_synthetic", "load_dataset", "price_dataset", "evaluate"], 0)

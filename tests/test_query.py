@@ -232,6 +232,18 @@ class TestSpecChecks:
     def test_a_constant_no_store_holds_is_refused(self, constant):
         with pytest.raises(QueryValidationError, match="malformed pattern"):
             QuerySpec(("a",), ((A, Iri("urn:p"), constant),))
+        nested = Op("!", (Op("&&", (Op("<", (B, 2)), Op("=", (constant, B)))),))
+        with pytest.raises(QueryValidationError) as raised:
+            QuerySpec(("a",), ((A, Iri("urn:p"), B),), filters=(nested,))
+        assert str(raised.value) == f"malformed filter constant: {constant!r}"
+
+    @pytest.mark.parametrize("constant", [
+        "a", 1, Decimal("1.5"), date(2020, 1, 1), Iri("urn:o"),
+    ], ids=["str", "int", "decimal", "date", "iri"])
+    def test_a_filter_holds_constants_the_store_can_hold(self, constant):
+        spec = QuerySpec(("a",), ((A, Iri("urn:p"), B),),
+                         filters=(Op("=", (B, constant)),))
+        assert spec.filters[0].args[1] == constant
 
 
 # Characters that N-Triples and SPARQL forbid in an IRI, between angle brackets.
