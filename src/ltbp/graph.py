@@ -39,15 +39,18 @@ differ only in such a form load as one triple. A literal's text comes from
 ``terms.escape``, and the loader reads it with ``terms.read`` or
 ``terms.unescape``.
 
-``build_graph`` is one function that adds id triples through
-``Graph._intern`` and ``Graph._add_ids``, as the loader does. Per build it
-interns each predicate and class IRI once, before the first triple, and
-quotes each entity id into its IRI once. One per-build ``ingest._Memo``
-keys the terms that many triples share by value: dates, ``int`` quantities
-and repeated strings (basic types, product lines, account classes,
-regions). Its
-duplicate-subject and dangling-reference checks read per-build dicts from
-entity id to subject id. Nothing else is keyed by value: ``Decimal("100")``
+Every store is filled one predicate at a time: ``Graph._fill`` turns one
+predicate's subject and object id columns, in line order, into its map, and
+no other code writes ``_so``. ``build_graph`` is column-major: one pass per
+entity kind quotes each entity id into its IRI and interns it once, as a
+subject, with the duplicate-subject and dangling-reference checks, which
+read per-build dicts from entity id to subject id. Then each predicate is
+filled from one comprehension over its entities. The text loader appends
+each line's ids to its predicate's columns and fills each predicate after
+the parse; the image reader fills each from the image's columns. One
+per-build ``ingest._Memo`` keys the terms that many triples share by value:
+dates, ``int`` quantities and repeated strings (basic types, product lines,
+account classes, regions). Nothing else is keyed by value: ``Decimal("100")``
 equals ``Decimal("100.00")``, and ``True`` and ``Decimal("1")`` equal
 ``1``, yet each is a different term (above) or none, so each is interned by
 its text.
@@ -70,9 +73,12 @@ into every stage.
 
 Match order is deterministic for a deterministically built graph,
 regardless of hash randomization. A scan, of one predicate or of the whole
-store, walks ``so``: the predicates in the order their first triple was
-added, then each one's subjects in first-insertion order and each subject's
-objects in insertion order. The join's probes yield a row's triples in that
+store, walks ``so``: the predicates in the order of their first triple, then
+each one's subjects in the order of their first triple and each subject's
+objects in line order. A built store has its predicates in the order their
+first triples would come if each entity's rows were added one at a time,
+and each predicate's subjects in the order the dataset (or the pricing
+result) lists them. The join's probes yield a row's triples in that
 same order, so each probe yields what a filtered scan would.
 """
 
@@ -173,10 +179,10 @@ class Graph:
     bare id, or a list once the subject has two objects. ``_os[p]``, the
     predicate's object -> subjects map, is derived from ``_so[p]`` on the
     join's first probe by object (``_objects``). ``match`` is the scan;
-    the probes live in ``_join``. Only ``build_graph`` and
-    ``load_ntriples`` add triples, both before they return the graph, so a
-    store gets no triple after its first query and nothing invalidates
-    ``_os``.
+    the probes live in ``_join``. ``_fill`` writes each predicate's map
+    once, and only ``build_graph`` and ``load_ntriples`` call it, both
+    before they return the graph, so a store gets no triple after its first
+    query and nothing invalidates ``_os``.
     """
 
     def __init__(self) -> None:
@@ -204,23 +210,32 @@ class Graph:
         """The term's id, or ``_MISSING`` when the graph does not hold it."""
         return self._ids.get(_nt_term(term), _MISSING)
 
-    def _add_ids(self, s: int, p: int, o: int) -> None:
-        """Add the triple, unless the graph holds it."""
-        so = self._so.get(p)
-        if so is None:
-            so = self._so[p] = {}
-        objects = so.get(s)
-        if objects is None:
-            so[s] = o
-        elif objects.__class__ is int:
-            if objects == o:
-                return
-            so[s] = [objects, o]
-        elif o in objects:
-            return
-        else:
-            objects.append(o)
-        self._size += 1
+    def _fill(self, p: int, subjects: Sequence[int], objects: Sequence[int]) -> None:
+        """Give predicate ``p``, which has no map yet, the triples of its
+        subject and object id columns, in line order. A subject's entry is a
+        bare id, or a list of its objects in order once it has two; a
+        repeated triple is kept once. A predicate with no lines gets no map.
+        Only this method writes ``_so`` and ``_size``."""
+        so = dict(zip(subjects, objects))
+        size = len(so)
+        if size < len(subjects):  # a subject repeats: merge its objects
+            so, size = {}, 0
+            for s, o in zip(subjects, objects):
+                ids = so.get(s)
+                if ids is None:
+                    so[s] = o
+                elif ids.__class__ is int:
+                    if ids == o:
+                        continue
+                    so[s] = [ids, o]
+                elif o in ids:
+                    continue
+                else:
+                    ids.append(o)
+                size += 1
+        if so:
+            self._so[p] = so
+            self._size += size
 
     def _objects(self, p: int) -> dict[int, _Ids]:
         """Predicate ``p``'s object -> subjects map, built from ``_so[p]`` on
@@ -264,64 +279,47 @@ class Graph:
 def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> Graph:
     """Materialize a dataset (and optional pricing output) as a graph.
 
-    Each predicate and class IRI is interned once, before any triple, and
-    each entity's IRI once, as its subject. ``products``, ``customers`` and
-    ``orders`` map an entity's id string to its subject id, so the duplicate
-    and dangling-reference checks are dict lookups.
+    One pass per entity kind interns each entity's IRI once, as its
+    subject, and checks it: ``products``, ``customers`` and ``orders`` map
+    an entity's id string to its subject id, so the duplicate and
+    dangling-reference checks are dict lookups, made entity by entity as
+    the rows list them. Then each predicate is filled once, from one column
+    of objects over its entities, in the order its first triple would come
+    if the rows were added one at a time.
     """
     config = config or PricingConfig()
     graph = Graph()
-    intern, attach = graph._intern, graph._add_ids
-    (is_a, product_class, customer_class, order_class, has_product_number,
-     has_basic_type, has_product_line, has_customer_code, has_account_type,
-     has_adjustment_factor, has_annual_revenue, has_region, has_order_number,
-     has_quantity, has_original_price, has_order_date, has_requested_date,
-     has_confirmed_date, has_standard_date, was_placed_by, contains_product,
-     has_premium, has_rm_price, has_convex_price) = map(intern, (
-        T.TYPE, T.PRODUCT_CLASS, T.CUSTOMER_CLASS, T.ORDER_CLASS,
-        T.HAS_PRODUCT_NUMBER, T.HAS_BASIC_TYPE, T.HAS_PRODUCT_LINE,
-        T.HAS_CUSTOMER_CODE, T.HAS_ACCOUNT_TYPE, T.HAS_ADJUSTMENT_FACTOR,
-        T.HAS_ANNUAL_REVENUE, T.HAS_REGION, T.HAS_ORDER_NUMBER, T.HAS_QUANTITY,
-        T.HAS_ORIGINAL_PRICE, T.HAS_ORDER_DATE, T.HAS_REQUESTED_DATE,
-        T.HAS_CONFIRMED_DATE, T.HAS_STANDARD_DATE, T.WAS_PLACED_BY,
-        T.CONTAINS_PRODUCT, T.HAS_PREMIUM, T.HAS_RM_PRICE, T.HAS_CONVEX_PRICE,
-    ))
+    intern = graph._intern
     shared = _Memo(intern)  # a date, int or repeated string -> its id
 
-    def subject(entities: dict, key: str, iri, kind: str) -> int:
+    def fill(predicate: Iri, subjects: list, objects: list) -> None:
+        graph._fill(intern(predicate), subjects, objects)
+
+    def subject(entities: dict, key: str, iri, kind: str) -> None:
         if key in entities:
             raise DuplicateSubjectError(f"{kind} already asserted: {iri(key).value}")
-        tid = entities[key] = intern(iri(key))
-        return tid
+        entities[key] = intern(iri(key))
+
+    def refer(entities: dict, keys: list, error, what: str) -> list[int]:
+        """Each key's subject id; the first key not in ``entities`` raises."""
+        for key in keys:
+            if key not in entities:
+                raise error(f"{what} {key}")
+        return [entities[key] for key in keys]
 
     products: dict[str, int] = {}
     for product in dataset.products:
-        number = product.product_number
-        s = subject(products, number, T.product_iri, "product")
-        attach(s, is_a, product_class)
-        attach(s, has_product_number, intern(number))
-        attach(s, has_basic_type, shared[product.basic_type])
-        attach(s, has_product_line, shared[product.product_line])
-
+        subject(products, product.product_number, T.product_iri, "product")
     customers: dict[str, int] = {}
     for customer in dataset.customers:
-        code = customer.customer_code
-        s = subject(customers, code, T.customer_iri, "customer")
-        rho = adjustment_factor(customer.account_class, config)
-        attach(s, is_a, customer_class)
-        attach(s, has_customer_code, intern(code))
-        attach(s, has_account_type, shared[customer.account_class.value])
-        attach(s, has_adjustment_factor, intern(to_factor(rho)))
-        attach(s, has_annual_revenue, intern(customer.annual_revenue))
-        if customer.region is not None:
-            attach(s, has_region, shared[customer.region])
-
+        subject(customers, customer.customer_code, T.customer_iri, "customer")
     orders: dict[str, int] = {}
+    placed_by, contains = [], []
     for order in dataset.orders:
         number = order.order_number
-        s = subject(orders, number, T.order_iri, "order")
-        placed_by = customers.get(order.customer_code)
-        if placed_by is None:
+        subject(orders, number, T.order_iri, "order")
+        customer = customers.get(order.customer_code)
+        if customer is None:
             raise DanglingReferenceError(
                 f"order {number} references unknown customer {order.customer_code}"
             )
@@ -330,38 +328,48 @@ def build_graph(dataset, pricing=None, config: PricingConfig | None = None) -> G
             raise DanglingReferenceError(
                 f"order {number} references unknown product {order.product_number}"
             )
-        quantity = order.quantity
-        attach(s, is_a, order_class)
-        attach(s, has_order_number, intern(number))
-        # a bool or Decimal would hit an int's entry, so only an int is shared
-        attach(s, has_quantity,
-               shared[quantity] if type(quantity) is int else intern(quantity))
-        attach(s, has_original_price, intern(order.original_price))
-        attach(s, has_order_date, shared[order.order_date])
-        attach(s, has_requested_date, shared[order.customer_request_date])
-        attach(s, has_confirmed_date, shared[order.customer_delivery_date])
-        attach(s, has_standard_date, shared[order.standard_delivery_date])
-        attach(s, was_placed_by, placed_by)
-        attach(s, contains_product, product)
+        placed_by.append(customer)
+        contains.append(product)
+
+    pids, cids, oids = (list(ids.values()) for ids in (products, customers, orders))
+    fill(T.TYPE, pids + cids + oids, [intern(T.PRODUCT_CLASS)] * len(pids)
+         + [intern(T.CUSTOMER_CLASS)] * len(cids) + [intern(T.ORDER_CLASS)] * len(oids))
+    rows = dataset.products
+    fill(T.HAS_PRODUCT_NUMBER, pids, [intern(r.product_number) for r in rows])
+    fill(T.HAS_BASIC_TYPE, pids, [shared[r.basic_type] for r in rows])
+    fill(T.HAS_PRODUCT_LINE, pids, [shared[r.product_line] for r in rows])
+    rows = dataset.customers
+    fill(T.HAS_CUSTOMER_CODE, cids, [intern(r.customer_code) for r in rows])
+    fill(T.HAS_ACCOUNT_TYPE, cids, [shared[r.account_class.value] for r in rows])
+    fill(T.HAS_ADJUSTMENT_FACTOR, cids, [
+        intern(to_factor(adjustment_factor(r.account_class, config))) for r in rows])
+    fill(T.HAS_ANNUAL_REVENUE, cids, [intern(r.annual_revenue) for r in rows])
+    regional = [(s, r.region) for s, r in zip(cids, rows) if r.region is not None]
+    fill(T.HAS_REGION, [s for s, _ in regional],
+         [shared[region] for _, region in regional])
+    rows = dataset.orders
+    fill(T.HAS_ORDER_NUMBER, oids, [intern(r.order_number) for r in rows])
+    # a bool or Decimal would hit an int's entry, so only an int is shared
+    fill(T.HAS_QUANTITY, oids, [shared[q] if type(q) is int else intern(q)
+                                for q in (r.quantity for r in rows)])
+    fill(T.HAS_ORIGINAL_PRICE, oids, [intern(r.original_price) for r in rows])
+    fill(T.HAS_ORDER_DATE, oids, [shared[r.order_date] for r in rows])
+    fill(T.HAS_REQUESTED_DATE, oids, [shared[r.customer_request_date] for r in rows])
+    fill(T.HAS_CONFIRMED_DATE, oids, [shared[r.customer_delivery_date] for r in rows])
+    fill(T.HAS_STANDARD_DATE, oids, [shared[r.standard_delivery_date] for r in rows])
+    fill(T.WAS_PLACED_BY, oids, placed_by)
+    fill(T.CONTAINS_PRODUCT, oids, contains)
 
     if pricing is not None:
-        for premium in pricing.premiums:
-            code = premium.customer_code
-            s = customers.get(code)
-            if s is None:
-                raise DanglingReferenceError(
-                    f"premium references unknown customer {code}"
-                )
-            attach(s, has_premium, intern(to_factor(premium.premium)))
-        for priced in pricing.priced_orders:
-            number = priced.order_number
-            s = orders.get(number)
-            if s is None:
-                raise UnknownOrderError(
-                    f"priced order references unknown order {number}"
-                )
-            attach(s, has_rm_price, intern(priced.rm))
-            attach(s, has_convex_price, intern(priced.convex))
+        rows = pricing.premiums
+        subjects = refer(customers, [r.customer_code for r in rows],
+                         DanglingReferenceError, "premium references unknown customer")
+        fill(T.HAS_PREMIUM, subjects, [intern(to_factor(r.premium)) for r in rows])
+        rows = pricing.priced_orders
+        subjects = refer(orders, [r.order_number for r in rows],
+                         UnknownOrderError, "priced order references unknown order")
+        fill(T.HAS_RM_PRICE, subjects, [intern(r.rm) for r in rows])
+        fill(T.HAS_CONVEX_PRICE, subjects, [intern(r.convex) for r in rows])
     return graph
 
 
@@ -942,9 +950,9 @@ def _read_image(path, handle) -> Graph:
     (``_nt_term``): an image holding ``"007"^^xsd:integer`` with its CRCs
     right loads, and a query for ``7`` finds nothing there.
 
-    Each id is one int object, shared by ``_ids`` and every map, as in a
-    store the text gives. A predicate whose column repeats a subject is
-    added triple by triple, as the loader adds them.
+    Each id is one int object from ``pool``, shared by ``_ids`` and every
+    map, as in a store the text gives. Each predicate's map is filled from
+    its columns by ``Graph._fill``, as the loader fills it from the text's.
     """
     image = handle.name
     header = handle.readline()
@@ -996,7 +1004,7 @@ def _read_image(path, handle) -> Graph:
         raise _Refused("format", "a term text repeats")
     values = graph._values = [_parse_object(word, image) for word in words]
     del words
-    so, take, add, last = graph._so, pool.__getitem__, graph._add_ids, None
+    so, take, last = graph._so, pool.__getitem__, None
     cols.reverse()
     try:
         while cols:  # each predicate's columns are freed once its map is built
@@ -1004,16 +1012,14 @@ def _read_image(path, handle) -> Graph:
             p = take(p)
             if p in so:
                 raise _Refused("format", f"predicate {p} repeats")
-            pairs = dict(zip(map(take, subject_ids), map(take, object_ids)))
-            if len(pairs) == len(subject_ids):
-                so[p] = pairs
-                graph._size += len(pairs)
-            else:  # a subject with two or more objects
-                for s, o in zip(map(take, subject_ids), map(take, object_ids)):
-                    add(s, p, o)
-            # The predicate must be an IRI, and so must its subjects, unless
-            # its subject column is the last one's, as most are in ltbp's graphs.
-            for tid in (p, *so[p]) if subject_ids != last else (p,):
+            # A subject column equal to the last one's, as most are in ltbp's
+            # graphs, reuses its ids, which were checked to be IRIs; the
+            # predicate must be one too.
+            fresh = subject_ids != last
+            if fresh:
+                subjects = list(map(take, subject_ids))
+            graph._fill(p, subjects, list(map(take, object_ids)))
+            for tid in (p, *subjects) if fresh else (p,):
                 if values[tid].__class__ is not Iri:
                     _parse_iri(_nt_term(values[tid]), image)  # raises
             last = subject_ids
@@ -1031,7 +1037,10 @@ def load_ntriples(path) -> Graph:
     store costs one dict lookup; any other token is parsed, checked and
     interned. A subject or predicate found there must still be an IRI. A
     line whose subject token is the previous line's reuses its id, which in
-    an exported file, grouped by subject, is most lines. A new term is
+    an exported file, grouped by subject, is most lines. Each line's ids go
+    to its predicate's subject and object columns; after the parse each
+    predicate is filled from its columns (``Graph._fill``), which are then
+    freed, so a repeated line is one triple. A new term is
     interned under its canonical text, ``_nt_term`` of its value, which for
     an IRI is its token. A non-canonical literal such as
     ``"007"^^xsd:integer`` is not a key in the table, so it is parsed each
@@ -1071,7 +1080,8 @@ def load_ntriples(path) -> Graph:
                 log.info("%s: read the store image", image)
                 return graph
     graph = Graph()
-    ids, intern, add = graph._ids, graph._intern, graph._add_ids
+    ids, intern = graph._ids, graph._intern
+    columns: dict[int, tuple[list, list]] = {}  # p -> its s and o ids, in line order
     last_token = None
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -1101,7 +1111,13 @@ def load_ntriples(path) -> Graph:
                     except GraphParseError as exc:
                         o_token = _uncomment(line, exc)[2]
                         o = intern(_parse_object(o_token, f"line {lineno}"))
-                add(s, p, o)
+                column = columns.get(p)
+                if column is None:
+                    column = columns[p] = ([], [])
+                column[0].append(s)
+                column[1].append(o)
         except UnicodeDecodeError:
             raise GraphParseError(not_utf8(path)) from None
+    for p in list(columns):  # each predicate's columns are freed once filled
+        graph._fill(p, *columns.pop(p))
     return graph

@@ -105,9 +105,16 @@ class Dataset:
 
 
 def _read_rows(path, header: list[str]):
+    """Each record of the CSV file ``path`` after its header, with the file
+    line it starts on. A UTF-8 byte order mark before the header, as
+    spreadsheet programs write, is dropped. A record the reader rejects,
+    such as a cell past ``csv.field_size_limit()``, is a LoadError naming
+    its line, even when rejected rows are skipped: the reader cannot be
+    trusted to resume at a record boundary after it."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
+        line = 1
         try:
             found = next(reader, None)
             if found is None:
@@ -128,6 +135,8 @@ def _read_rows(path, header: list[str]):
                 line = reader.line_num + 1
         except UnicodeDecodeError:
             raise LoadError(not_utf8(path)) from None
+        except csv.Error as exc:
+            raise LoadError(f"{path}: line {line}: {exc}") from None
 
 
 def not_utf8(path) -> str:

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 from datetime import date
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -345,6 +345,34 @@ def test_rm_prices_equal_exact_arithmetic(full_scale_run):
             exact += exact * fraction * (premium[order.customer_code] - 1)
         if rm[order.order_number] * 100 != round(exact * 100):  # half-even
             disagree.append((order.order_number, rm[order.order_number], exact))
+    assert expedited == 38_949
+    assert disagree == []
+
+
+def test_convex_prices_equal_exact_evaluation(full_scale_run):
+    """Every convex price on the seed-42 default dataset equals the formula
+    evaluated in 50-digit decimal arithmetic, ln included, from the Decimal
+    original price, the float alpha's exact value and the lead times,
+    rounded half-even to the cent: the float evaluation, ``math.log`` and
+    its one rounding step lose no cent."""
+    dataset, pricing, _, _ = full_scale_run
+    alpha = Decimal(DEFAULT_CONFIG.convex_alpha)
+    convex = {p.order_number: p.convex for p in pricing.priced_orders}
+    factors = {}  # (confirmed, standard) -> 1 + alpha * ln(confirmed / standard)
+    expedited = 0
+    disagree = []
+    with localcontext(prec=50, rounding=ROUND_HALF_EVEN):
+        for order in dataset.orders:
+            _, confirmed, standard = lead_days(order)
+            exact = order.original_price
+            if confirmed < standard:
+                expedited += 1
+                key = confirmed, standard
+                if key not in factors:
+                    factors[key] = 1 + alpha * (Decimal(confirmed) / standard).ln()
+                exact *= factors[key]
+            if convex[order.order_number] != exact.quantize(Decimal("0.01")):
+                disagree.append((order.order_number, convex[order.order_number], exact))
     assert expedited == 38_949
     assert disagree == []
 

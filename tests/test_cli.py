@@ -520,6 +520,36 @@ def test_out_of_bound_or_loose_cell_rejected_or_skipped(tmp_path, capsys, column
         assert len(list(csv.reader(handle))) == len(rows) - 1
 
 
+@pytest.mark.parametrize("skip", [[], ["--skip-invalid"]])
+def test_oversized_cell_is_a_file_error(tmp_path, capsys, skip):
+    # The cell holds a line break, so its record starts on line 5 and the
+    # reader fails on a later one; a record that breaks the reader is a file
+    # error in both modes, as no record boundary after it can be trusted.
+    data = generate(tmp_path / "data")
+    path = data / "customers.csv"
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[4][0] = "C\n" + "9" * 200_000
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    capsys.readouterr()
+    assert run([*skip, *price_args(data, tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 5: field larger than field limit (131072)\n")
+
+
+def test_byte_order_mark_prices_as_without_one(tmp_path):
+    data = generate(tmp_path / "data")
+    plain = price(data, tmp_path / "plain")
+    for name in ("orders.csv", "customers.csv", "products.csv"):
+        path = data / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    marked = price(data, tmp_path / "marked")
+    names = sorted(os.listdir(plain))
+    assert names == sorted(os.listdir(marked)) and "graph.nt.img" in names
+    assert filecmp.cmpfiles(plain, marked, names, shallow=False)[0] == names
+
+
 @pytest.mark.parametrize("settings", [
     ["--p-max", "1e300", "--alpha", "1e300"],
     ["--p-max", "1000.5"],

@@ -488,56 +488,64 @@ class TestBuildGraph:
 
 
 def _expected_layout(dataset, pricing, config):
-    """Subject -> the predicate -> object pairs ``build_graph`` gives it."""
-    layout = {}
+    """The triples ``build_graph`` gives, as (subject, predicate, object)
+    terms, in the order that adding them one at a time would take: each
+    product's, customer's and order's rows in dataset order, then each
+    premium and each priced order in the pricing result's order."""
+    layout = []
     for product in dataset.products:
-        layout[T.product_iri(product.product_number)] = {
-            T.TYPE: T.PRODUCT_CLASS,
-            T.HAS_PRODUCT_NUMBER: product.product_number,
-            T.HAS_BASIC_TYPE: product.basic_type,
-            T.HAS_PRODUCT_LINE: product.product_line,
-        }
-    premiums = {p.customer_code: p.premium for p in pricing.premiums}
+        s = T.product_iri(product.product_number)
+        layout += [(s, T.TYPE, T.PRODUCT_CLASS),
+                   (s, T.HAS_PRODUCT_NUMBER, product.product_number),
+                   (s, T.HAS_BASIC_TYPE, product.basic_type),
+                   (s, T.HAS_PRODUCT_LINE, product.product_line)]
     for customer in dataset.customers:
-        code = customer.customer_code
+        s = T.customer_iri(customer.customer_code)
         rho = adjustment_factor(customer.account_class, config)
-        expected = layout[T.customer_iri(code)] = {
-            T.TYPE: T.CUSTOMER_CLASS,
-            T.HAS_CUSTOMER_CODE: code,
-            T.HAS_ACCOUNT_TYPE: customer.account_class.value,
-            T.HAS_ADJUSTMENT_FACTOR: to_factor(rho),
-            T.HAS_ANNUAL_REVENUE: customer.annual_revenue,
-            T.HAS_PREMIUM: to_factor(premiums[code]),
-        }
+        layout += [(s, T.TYPE, T.CUSTOMER_CLASS),
+                   (s, T.HAS_CUSTOMER_CODE, customer.customer_code),
+                   (s, T.HAS_ACCOUNT_TYPE, customer.account_class.value),
+                   (s, T.HAS_ADJUSTMENT_FACTOR, to_factor(rho)),
+                   (s, T.HAS_ANNUAL_REVENUE, customer.annual_revenue)]
         if customer.region is not None:
-            expected[T.HAS_REGION] = customer.region
-    priced = {p.order_number: p for p in pricing.priced_orders}
+            layout.append((s, T.HAS_REGION, customer.region))
     for order in dataset.orders:
-        expected = layout[T.order_iri(order.order_number)] = {
-            T.TYPE: T.ORDER_CLASS,
-            T.HAS_ORDER_NUMBER: order.order_number,
-            T.HAS_QUANTITY: order.quantity,
-            T.HAS_ORIGINAL_PRICE: order.original_price,
-            T.HAS_ORDER_DATE: order.order_date,
-            T.HAS_REQUESTED_DATE: order.customer_request_date,
-            T.HAS_CONFIRMED_DATE: order.customer_delivery_date,
-            T.HAS_STANDARD_DATE: order.standard_delivery_date,
-            T.WAS_PLACED_BY: T.customer_iri(order.customer_code),
-            T.CONTAINS_PRODUCT: T.product_iri(order.product_number),
-        }
-        if order.order_number in priced:
-            expected[T.HAS_RM_PRICE] = priced[order.order_number].rm
-            expected[T.HAS_CONVEX_PRICE] = priced[order.order_number].convex
+        s = T.order_iri(order.order_number)
+        layout += [(s, T.TYPE, T.ORDER_CLASS),
+                   (s, T.HAS_ORDER_NUMBER, order.order_number),
+                   (s, T.HAS_QUANTITY, order.quantity),
+                   (s, T.HAS_ORIGINAL_PRICE, order.original_price),
+                   (s, T.HAS_ORDER_DATE, order.order_date),
+                   (s, T.HAS_REQUESTED_DATE, order.customer_request_date),
+                   (s, T.HAS_CONFIRMED_DATE, order.customer_delivery_date),
+                   (s, T.HAS_STANDARD_DATE, order.standard_delivery_date),
+                   (s, T.WAS_PLACED_BY, T.customer_iri(order.customer_code)),
+                   (s, T.CONTAINS_PRODUCT, T.product_iri(order.product_number))]
+    for premium in pricing.premiums:
+        layout.append((T.customer_iri(premium.customer_code), T.HAS_PREMIUM,
+                       to_factor(premium.premium)))
+    for priced in pricing.priced_orders:
+        s = T.order_iri(priced.order_number)
+        layout += [(s, T.HAS_RM_PRICE, priced.rm), (s, T.HAS_CONVEX_PRICE, priced.convex)]
     return layout
 
 
 def _check_layout(g, layout):
-    """Each subject holds exactly its expected pairs, and nothing else is held."""
-    for subject, expected in layout.items():
+    """Each subject holds exactly its expected pairs, and nothing else is
+    held. The store's order is the layout's: ``Graph.match``, a walk of
+    ``_so``, yields the predicates in the order of their first triple and
+    each one's subjects in the order of their triples."""
+    pairs, subjects = {}, {}
+    for s, p, o in layout:
+        pairs.setdefault(s, {})[p] = o
+        subjects.setdefault(p, []).append(s)
+    for subject, expected in pairs.items():
         found = [(p, o) for _, p, o in _match(g, subject)]
         assert len(found) == len(expected)
         assert dict(found) == expected
-    assert len(g) == sum(len(expected) for expected in layout.values())
+    assert len(g) == len(layout)
+    assert [(s, p) for s, p, _ in triples(g)] == [
+        (s, p) for p, ss in subjects.items() for s in ss]
 
 
 class TestMatchPatterns:
