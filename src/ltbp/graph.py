@@ -10,21 +10,23 @@ Store layout (after vertical partitioning and Hexastore): every term is
 interned once to an int id, counted up from 0 in order of first appearance.
 Two term tables hold them: ``_ids`` maps a term's N-Triples text to its id,
 so its keys, in insertion order, are the texts by id, and ``_values`` holds
-each id's term, an ``Iri`` or a literal's value, as patterns, bindings and
+each id's term, an ``Iri`` or a literal's value, as patterns, filters and
 result rows hold it (see ``terms``). The graph keeps one map per predicate
-over those ids, ``so: p -> {s: o}``. Each entry holds a bare id, and becomes
-a list of ids only when a second object arrives for the same subject; an
-ltbp graph has one object per (subject, predicate) pair, so its entries stay
-bare. A predicate's object -> subjects map, ``os: p -> {o: s}``, is
-derived from ``so[p]`` the first time a pattern probes ``p`` by object, and
-kept (after database cracking: an index is built when a query first needs
-it). A store gets no triple after its first query, so the derived map never
-goes stale. ``Graph.match`` is the store's one scan: it yields the id
-triples of one predicate, or of all of them. A query joins its patterns in
-greedy order over rows of ids. The probes live in the join: a step with its
-subject or object bound probes the predicate's ``so`` or ``os`` map once per
-row; a step with neither bound scans the predicate's ``so`` map through one
-``Graph.match`` call per row. Its filters run once every pattern is joined.
+over those ids, ``so: p -> {s: o}``. An entry is a bare id, or a list of ids
+once its subject has a second object; an ltbp graph has one object per
+(subject, predicate) pair, so its entries stay bare. A predicate's object ->
+subjects map, ``os: p -> {o: s}``, follows the same rule; it is derived from
+``so[p]`` the first time a pattern probes ``p`` by object, and kept (after
+database cracking: an index is built when a query first needs it). One
+function, ``_group``, makes every list entry, of ``so`` and ``os`` alike. A
+store gets no triple after its first query, so the derived map never goes
+stale. ``Graph.match`` is the store's one scan: it yields the id triples of
+one predicate, or of all of them. A query joins its patterns in greedy order
+over rows of ids. The probes live in the join: a step with its subject or
+object bound probes the predicate's ``so`` or ``os`` map once per row; a
+step with neither bound scans the predicate's ``so`` map through one
+``Graph.match`` call per row. Its filters run once every pattern is joined,
+on those id rows: a filter variable reads its term from the row's cell.
 
 A term's identity is the N-Triples text it exports as (``_nt_term``), so a
 literal is its lexical form plus datatype. ``100`` (integer), ``100.00``
@@ -101,18 +103,8 @@ from typing import Iterable, Optional, Sequence, Union
 from . import terms as T
 from .ingest import _Memo, not_utf8
 from .model import PricingConfig, adjustment_factor, collector_paused, to_factor
-from .query import (
-    COMPARISONS,
-    Expr,
-    Op,
-    QueryError,
-    QuerySpec,
-    expr_variables,
-    render_expr,
-)
+from .query import COMPARISONS, Expr, Op, QueryError, QuerySpec, render_expr
 from .terms import Iri, Value, Variable
-
-Binding = dict  # variable name -> Value
 
 log = logging.getLogger(__name__)
 
@@ -172,17 +164,34 @@ def _each(ids: _Ids):
     return (ids,) if ids.__class__ is int else ids
 
 
+def _group(pairs: Iterable[tuple[int, int]]) -> dict[int, _Ids]:
+    """The map of distinct (key, value) id pairs, in order: a key's entry is
+    its value, a bare id, or a list of its values in order once it has two.
+    This is the only code that makes a list entry in ``_so`` or ``_os``."""
+    grouped: dict[int, _Ids] = {}
+    get = grouped.get
+    for key, value in pairs:
+        ids = get(key)
+        if ids is None:
+            grouped[key] = value
+        elif ids.__class__ is int:
+            grouped[key] = [ids, value]
+        else:
+            ids.append(value)
+    return grouped
+
+
 class Graph:
     """Set of triples over interned term ids.
 
     Each predicate has one subject -> object map, ``_so[p]``; an entry is a
     bare id, or a list once the subject has two objects. ``_os[p]``, the
     predicate's object -> subjects map, is derived from ``_so[p]`` on the
-    join's first probe by object (``_objects``). ``match`` is the scan;
-    the probes live in ``_join``. ``_fill`` writes each predicate's map
-    once, and only ``build_graph`` and ``load_ntriples`` call it, both
-    before they return the graph, so a store gets no triple after its first
-    query and nothing invalidates ``_os``.
+    join's first probe by object (``_objects``). ``_group`` makes both
+    maps' lists. ``match`` is the scan; the probes live in ``_join``.
+    ``_fill`` writes each predicate's map once, and only ``build_graph`` and
+    ``load_ntriples`` call it, both before they return the graph, so a store
+    gets no triple after its first query and nothing invalidates ``_os``.
     """
 
     def __init__(self) -> None:
@@ -212,51 +221,34 @@ class Graph:
 
     def _fill(self, p: int, subjects: Sequence[int], objects: Sequence[int]) -> None:
         """Give predicate ``p``, which has no map yet, the triples of its
-        subject and object id columns, in line order. A subject's entry is a
-        bare id, or a list of its objects in order once it has two; a
-        repeated triple is kept once. A predicate with no lines gets no map.
-        Only this method writes ``_so`` and ``_size``."""
+        subject and object id columns, in line order. A repeated triple is
+        kept once, and a subject with two objects gets a list (``_group``).
+        A predicate with no lines gets no map. Only this method writes
+        ``_so`` and ``_size``."""
         so = dict(zip(subjects, objects))
         size = len(so)
-        if size < len(subjects):  # a subject repeats: merge its objects
-            so, size = {}, 0
-            for s, o in zip(subjects, objects):
-                ids = so.get(s)
-                if ids is None:
-                    so[s] = o
-                elif ids.__class__ is int:
-                    if ids == o:
-                        continue
-                    so[s] = [ids, o]
-                elif o in ids:
-                    continue
-                else:
-                    ids.append(o)
-                size += 1
+        if size < len(subjects):  # a subject repeats
+            triples = dict.fromkeys(zip(subjects, objects))
+            so, size = _group(triples), len(triples)
         if so:
             self._so[p] = so
             self._size += size
 
     def _objects(self, p: int) -> dict[int, _Ids]:
-        """Predicate ``p``'s object -> subjects map, built from ``_so[p]`` on
-        first use; each object's subjects are in ``_so[p]``'s order. An
-        entry is a bare id or a list, as in ``_so``: most objects of an ltbp
-        graph have one subject, and a bare id costs far less than a list."""
+        """Predicate ``p``'s object -> subjects map, grouped (``_group``)
+        from ``_so[p]`` on first use, so each object's subjects are in
+        ``_so[p]``'s order. Most objects of an ltbp graph have one subject,
+        and a bare id costs far less than a list."""
         by_o = self._os.get(p)
         if by_o is None:
             so = self._so.get(p)
             if so is None:
                 return _NO_ENTRIES
-            by_o = self._os[p] = {}
-            for s, objects in so.items():
-                for o in _each(objects):
-                    subjects = by_o.get(o)
-                    if subjects is None:
-                        by_o[o] = s
-                    elif subjects.__class__ is int:
-                        by_o[o] = [subjects, s]
-                    else:
-                        subjects.append(s)
+            if any(map(list.__instancecheck__, so.values())):
+                pairs = ((o, s) for s, objects in so.items() for o in _each(objects))
+            else:
+                pairs = zip(so.values(), so)
+            by_o = self._os[p] = _group(pairs)
         return by_o
 
     def match(self, p: Optional[int] = None) -> Iterable[tuple[int, int, int]]:
@@ -479,7 +471,9 @@ def _solve(graph: Graph, patterns, filters):
     """Variable slots and the id rows satisfying every pattern and filter.
 
     Filters run in order once every pattern is joined, so a filter sees only
-    rows that satisfy all patterns.
+    rows that satisfy all patterns. A filter reads the join's id rows as
+    they are: a variable's value is ``values[row[slots[name]]]``, and no
+    row is copied into a dict of values.
     """
     slots, start, steps = _plan(graph, patterns)
     rows = [start]
@@ -489,11 +483,7 @@ def _solve(graph: Graph, patterns, filters):
         rows = _join(graph, cells, bound, rows)
     values = graph._values
     for expr in filters:
-        cells = [(name, slots[name]) for name in expr_variables(expr)]
-        rows = [
-            row for row in rows
-            if _truth(expr, {name: values[row[cell]] for name, cell in cells})
-        ]
+        rows = [row for row in rows if _truth(expr, row, slots, values)]
     return slots, rows
 
 
@@ -532,20 +522,22 @@ def _digits(number: Union[int, Decimal]) -> int:
     return len(number.as_tuple().digits)
 
 
-def _eval_expr(expr: Expr, row: Binding):
+def _eval_expr(expr: Expr, row: list, slots: dict, values: list):
+    """The value of ``expr`` on one id row of ``_solve``: a variable reads
+    its term from the row's cell, ``values[row[slots[name]]]``."""
     if isinstance(expr, Variable):  # the spec found it in a pattern
-        return row[expr.name]
+        return values[row[slots[expr.name]]]
     if not isinstance(expr, Op):
         return expr  # a constant: a literal's value
     op, args = expr.op, expr.args
-    left = _eval_expr(args[0], row)
+    left = _eval_expr(args[0], row, slots, values)
     if op in ("!", "&&", "||"):
         left = _require_bool(left, expr)
         if op == "!":
             return not left
         if left is (op == "||"):  # false && ..., true || ...
             return left
-        return _require_bool(_eval_expr(args[1], row), expr)
+        return _require_bool(_eval_expr(args[1], row, slots, values), expr)
     kind = _KIND[type(left)]
     if len(args) == 1:
         if kind != "number":
@@ -553,7 +545,7 @@ def _eval_expr(expr: Expr, row: Binding):
                 f"negation needs a number, got {kind} in {render_expr(expr)}"
             )
         return left.copy_negate() if type(left) is Decimal else -left  # exact
-    right = _eval_expr(args[1], row)
+    right = _eval_expr(args[1], row, slots, values)
     right_kind = _KIND[type(right)]
     if op in COMPARISONS:
         if kind != right_kind or kind == "boolean":
@@ -594,8 +586,8 @@ def _require_bool(value, expr: Expr) -> bool:
     return value
 
 
-def _truth(expr: Expr, row: Binding) -> bool:
-    return _require_bool(_eval_expr(expr, row), expr)
+def _truth(expr: Expr, row: list, slots: dict, values: list) -> bool:
+    return _require_bool(_eval_expr(expr, row, slots, values), expr)
 
 
 # --- evaluation --------------------------------------------------------------

@@ -17,7 +17,10 @@ A strict SPARQL subset, whitespace-insensitive with case-insensitive keywords:
 
 IRIs are written either in angle brackets or as prefixed names using the
 built-in prefixes (``:name`` for predicates, plus ``cust:``, ``ord:``,
-``prod:`` and ``class:`` for entities). An IRI in angle brackets, ``FROM``'s
+``prod:`` and ``class:`` for entities). A prefixed name's local part may
+hold a "." but not end in one, as in SPARQL 1.1 (``PN_LOCAL``), so the "."
+after ``class:Order.`` ends the triple; an IRI whose local part ends in "."
+is written in angle brackets. An IRI in angle brackets, ``FROM``'s
 too, holds no character that N-Triples forbids in one, by the rule the
 loader applies (``terms.read_iri``): a bad one is a syntax error at the IRI.
 A parsed query is a ``QuerySpec``, which checks itself. A filter's
@@ -249,7 +252,8 @@ _TOKEN_RE = re.compile(
     | (?P<COMMENT>\#[^\n]*)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<IRIREF><[^<>\s]*>)
-    | (?P<QNAME>(?:[A-Za-z_][A-Za-z0-9_]*)?:[A-Za-z0-9_][A-Za-z0-9_.\-]*)
+    | (?P<QNAME>(?:[A-Za-z_][A-Za-z0-9_]*)?:
+                [A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)  # no final "."
     | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
     | (?P<STRING>"(?:[^"\\\n]|\\.)*")
     | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)

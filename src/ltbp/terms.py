@@ -1,9 +1,9 @@
 """Graph terms, triple patterns, and the fixed IRI namespace used by the store.
 
 Each term has one representation, the same in a pattern, a filter, the
-store, a binding and a result row: an IRI is an ``Iri``, a literal is its
-Python value (``str``, ``int``, ``Decimal`` or ``date``), and a variable is a
-``Variable``. An RDF literal is a lexical form plus a datatype that maps to
+store, a filter variable's value and a result row: an IRI is an ``Iri``, a
+literal is its Python value (``str``, ``int``, ``Decimal`` or ``date``), and
+a variable is a ``Variable``. An RDF literal is a lexical form plus a datatype that maps to
 one value (W3C RDF 1.1 Concepts, 2014); the value's type names the datatype,
 and the store keeps the literal's lexical form (see ``graph``).
 

@@ -1046,14 +1046,111 @@ def test_query_order_key_not_projected_is_data_error(tmp_path, capsys):
     assert "order key ?d is not a result column" in capsys.readouterr().err
 
 
+def _run_query(tmp_path, capsys, graph, text):
+    """``ltbp query``'s exit code, stdout and stderr for ``text`` over ``graph``."""
+    query = tmp_path / "q.rq"
+    query.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = run(["query", "--graph", graph, "--query", query])
+    return (code, *capsys.readouterr())
+
+
 def _query_exit(tmp_path, capsys, text):
     """``ltbp query``'s exit code and stderr for ``text`` over a one-line graph."""
     graph = tmp_path / "graph.nt"
     graph.write_text("<urn:s> <urn:p> <urn:o> .\n", encoding="utf-8")
-    query = tmp_path / "q.rq"
-    query.write_text(text, encoding="utf-8")
+    code, _, err = _run_query(tmp_path, capsys, graph, text)
+    return code, err
+
+
+@pytest.fixture(scope="module")
+def seed_42_graph(tmp_path_factory):
+    """``graph.nt`` of the seed-42 run at 2,000 orders and 60 customers."""
+    root = tmp_path_factory.mktemp("seed42")
+    data = generate(root / "data", seed=42, orders=2000, customers=60)
+    return price(data, root / "run") / "graph.nt"
+
+
+@pytest.mark.parametrize("where", [
+    "?o :type class:Order .",
+    "?o :type class:Order.",
+    "?o :type class:Order. ?o :hasQuantity ?q .",
+    "?o :type class:Order.?o :hasQuantity ?q",
+], ids=["spaced", "dot-last", "dot-then-pattern", "dot-then-pattern-unspaced"])
+def test_query_prefixed_name_leaves_the_dot_that_ends_its_triple(
+        seed_42_graph, tmp_path, capsys, where):
+    """A local name may hold a "." but not end in one (SPARQL 1.1 ``PN_LOCAL``)."""
+    query = f"SELECT (COUNT(?o) AS ?n) WHERE {{ {where} }}"
+    assert _run_query(tmp_path, capsys, seed_42_graph, query) == (0, "n\n2000\n", "")
+
+
+@pytest.mark.parametrize("query, message", [
+    (_quantity_filter("?q / 0 > 1"), "division by zero in (?q / 0)"),
+    ("SELECT ?o WHERE { ?o :wasPlacedBy ?c FILTER(?o < ?c) }",
+     "IRIs are not ordered in ?o < ?c"),
+    (_quantity_filter("?q"), "expected a boolean, got number in ?q"),
+    ("SELECT (MIN(?x) AS ?m) WHERE { ?o ?p ?x }",
+     "MIN needs one ordered value kind, got ['date', 'iri', 'number', 'string'] "
+     "for ?m"),
+    ("SELECT (MAX(?c) AS ?m) WHERE { ?o :wasPlacedBy ?c }",
+     "MAX needs one ordered value kind, got ['iri'] for ?m"),
+], ids=["division-by-zero", "iris-ordered", "number-as-boolean", "min-of-mixed-kinds",
+        "max-of-iris"])
+def test_query_evaluation_error_is_data_error(seed_42_graph, tmp_path, capsys, query,
+                                             message):
+    assert _run_query(tmp_path, capsys, seed_42_graph, query) == (
+        2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("expr, count", [("?q > 1000 && ?q", 0),
+                                         ("?q < 1000 || ?q", 2000)])
+def test_query_filter_skips_the_operand_its_left_side_decides(
+        seed_42_graph, tmp_path, capsys, expr, count):
+    """``?q`` alone is no boolean, so evaluating it would be an error."""
+    query = f"SELECT (COUNT(?o) AS ?n) WHERE {{ ?o :hasQuantity ?q FILTER({expr}) }}"
+    assert _run_query(tmp_path, capsys, seed_42_graph, query) == (
+        0, f"n\n{count}\n", "")
+
+
+def _two_term_line(tmp_path):
+    graph = tmp_path / "graph.nt"
+    graph.write_text("<urn:s> <urn:p> <urn:o> .\n<urn:s> <urn:p> .\n", encoding="utf-8")
+    return (["analyze", "--graph", graph],
+            "line 2: malformed triple: '<urn:s> <urn:p> .'")
+
+
+def _empty_customers(tmp_path):
+    data = generate(tmp_path / "data")
+    (data / "customers.csv").write_bytes(b"")
+    return (price_args(data, tmp_path / "run"),
+            f"{data / 'customers.csv'}: empty file, expected header {CUSTOMERS_HEADER}")
+
+
+def _unknown_product(tmp_path):
+    data = generate(tmp_path / "data")
+    _rewrite_column(data / "orders.csv", "product_number", "P001", "P999")
+    return (price_args(data, tmp_path / "run"), "column product_number: "
+            "unknown product 'P999'")
+
+
+def _config_not_a_number(tmp_path):
+    cfg = tmp_path / "pricing.cfg"
+    cfg.write_text("alpha = 0.5\nbeta = one\n", encoding="utf-8")
+    return ([*price_args(generate(tmp_path / "data"), tmp_path / "run"),
+             "--config", cfg], f"{cfg}: line 2: not a number: 'one'")
+
+
+@pytest.mark.parametrize("make_case", [
+    _two_term_line, _empty_customers, _unknown_product, _config_not_a_number,
+], ids=["two-term-graph-line", "empty-customers-csv", "unknown-product",
+        "config-not-a-number"])
+def test_bad_input_is_named_in_the_error(tmp_path, capsys, make_case):
+    args, message = make_case(tmp_path)
     capsys.readouterr()
-    return run(["query", "--graph", graph, "--query", query]), capsys.readouterr().err
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("iri", ['<urn:a"b>', "<urn:a{b}>", "<urn:a|b>", "<urn:a`b>"])

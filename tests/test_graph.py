@@ -162,6 +162,25 @@ class TestDerivedObjectMaps:
         expected = small_graph._so if probed is None else map(small_graph._id_of, probed)
         assert sorted(small_graph._os) == sorted(expected)
 
+    @pytest.mark.parametrize("which", ["seed-42", "foreign"])
+    def test_each_object_map_inverts_the_scan_of_its_predicate(self, config,
+                                                               tmp_path, which):
+        """``_objects(p)`` lists each object once, in order of first
+        appearance in ``match(p)``, with a bare id for one subject and a list
+        of its subjects in scan order for more."""
+        if which == "seed-42":
+            dataset, pricing = _seed_42_dataset(config)
+            g = build_graph(dataset, pricing, config)
+        else:
+            g = _load(tmp_path, *(line for line, _ in _FOREIGN))
+        for p in g._so:
+            inverse: dict[int, dict] = {}
+            for s, _, o in g.match(p):
+                inverse.setdefault(o, {})[s] = None
+            expected = [(o, [*subjects] if len(subjects) > 1 else next(iter(subjects)))
+                        for o, subjects in inverse.items()]
+            assert list(g._objects(p).items()) == expected, g._values[p]
+
 
 _S1, _S2, _S3 = Iri("urn:s1"), Iri("urn:s2"), Iri("urn:s3")
 _P, _Q, _R = Iri("urn:p"), Iri("urn:q"), Iri("urn:r")
@@ -1301,6 +1320,23 @@ class TestStoreImage:
         assert record.getMessage().endswith("; parsing the text")
         with _image_hidden(path):
             assert store == _store(load_ntriples(path))
+
+    def test_stage_parses_the_text_when_an_image_text_is_not_utf8(
+            self, small_graph, tmp_path, capsys, caplog):
+        """The image's CRCs are right, so only the decode refuses it."""
+        path, query = tmp_path / "graph.nt", tmp_path / "q.rq"
+        export_ntriples(small_graph, path)
+        image = Path(f"{path}.img")
+        raw = image.read_bytes()[:-4].replace(b'\n"PL-1"\n', b'\n"PL-\xff"\n')
+        image.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+        query.write_text("SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o }", encoding="utf-8")
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="ltbp.graph"):
+            assert main(["query", "--graph", str(path), "--query", str(query)]) == 0
+        assert capsys.readouterr() == (f"n\n{len(small_graph)}\n", "")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{image}: store image refused (format: a term text is not UTF-8); "
+            "parsing the text"]
 
     def test_load_logs_the_image_read_or_its_absence(self, small_graph, tmp_path,
                                                      caplog):
