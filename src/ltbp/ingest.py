@@ -10,7 +10,10 @@ Input files are plain CSVs with fixed headers and ISO-8601 dates:
 
 The three files share one row loop. A row whose id repeats an accepted
 row's is a duplicate, whatever else it holds; any other row has its cells
-converted, numbers and dates by ``terms.read``, and its entity built. The
+converted, numbers and dates by ``terms.read``, and its entity built. In
+``orders.csv`` each distinct date, quantity or price text is read once per
+load, and every order that holds it shares the one value (dictionary
+encoding at ingest; Abadi, Madden & Ferreira, SIGMOD 2006). The
 entity rules live in ``model``, and a rule broken there comes back as a
 ``RowError`` naming the row's line and column. A bad row aborts the load by
 default; given an ``issues`` list, the loader appends the row's error to it
@@ -32,6 +35,7 @@ import random
 from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -181,18 +185,19 @@ def _parse_class(label: str, line: int) -> AccountClass:
         raise UnknownClassLabel(line, "account_class", str(exc)) from None
 
 
-def _parse_money(text: str, line: int, column: str) -> Decimal:
+def _parse_money(text: str) -> Decimal:
+    """A money cell's value, rounded half-even to the cent."""
     try:
         return to_money(terms.read(Decimal, text))
-    except (ValueError, InvalidOperation):  # InvalidOperation: over 28 digits
-        raise MalformedRow(line, column, f"not a number: {text!r}") from None
+    except InvalidOperation:  # over 28 digits
+        raise ValueError(f"not a number: {text!r}") from None
 
 
-def _parse_cached(kind: type, text: str, line: int, column: str, cache: dict):
-    """Read a date or an integer cell and remember it in ``cache``, text ->
-    value."""
+def _parse_cached(read, text: str, line: int, column: str, cache: dict):
+    """The value ``read(text)`` of a cell, remembered in ``cache``, text ->
+    value. A text that ``read`` rejects is a MalformedRow and is not cached."""
     try:
-        value = cache[text] = terms.read(kind, text)
+        value = cache[text] = read(text)
     except ValueError as exc:
         raise MalformedRow(line, column, str(exc)) from None
     return value
@@ -225,7 +230,8 @@ def _customer(line: int, row: list[str]) -> Customer:
     customer = Customer(
         code,
         _parse_class(label, line),
-        _parse_money(revenue_text, line, "annual_revenue"),
+        # Each customer has one row, so its revenue needs no shared cache.
+        _parse_cached(_parse_money, revenue_text, line, "annual_revenue", {}),
         region or None,
     )
     if not class_matches_revenue(customer):
@@ -253,11 +259,14 @@ def load_orders(
     issues: Optional[list] = None,
 ) -> list[Order]:
     # Each id maps to its entity's own string, which every order then shares;
-    # each distinct date or quantity text parses once per load.
+    # each distinct date, quantity or price text parses once per load, and
+    # its value is shared by every order that holds the text.
     codes = {c.customer_code: c.customer_code for c in customers}
     numbers = {p.product_number: p.product_number for p in products}
+    read_int, read_date = partial(terms.read, int), partial(terms.read, date)
     dates: dict[str, date] = {}
     quantities: dict[str, int] = {}
+    prices: dict[str, Decimal] = {}
 
     def build(line: int, row: list[str]) -> Order:
         (number, code_text, product_text, quantity_text, price_text,
@@ -272,22 +281,24 @@ def load_orders(
             raise DanglingReference(
                 line, "product_number", f"unknown product {product_text!r}"
             )
-        # A cached date is truthy; a cached quantity 0 just parses again.
+        # A cached date is truthy. A quantity 0 or a price 0.00 is falsy and
+        # parses again; Order checks every row's values, cached or not.
         order = Order(
             number,
             code,
             product,
             quantities.get(quantity_text)
-            or _parse_cached(int, quantity_text, line, "quantity", quantities),
-            _parse_money(price_text, line, "original_price"),
+            or _parse_cached(read_int, quantity_text, line, "quantity", quantities),
+            prices.get(price_text)
+            or _parse_cached(_parse_money, price_text, line, "original_price", prices),
             dates.get(od_text)
-            or _parse_cached(date, od_text, line, "order_date", dates),
+            or _parse_cached(read_date, od_text, line, "order_date", dates),
             dates.get(rd_text)
-            or _parse_cached(date, rd_text, line, "customer_request_date", dates),
+            or _parse_cached(read_date, rd_text, line, "customer_request_date", dates),
             dates.get(dd_text)
-            or _parse_cached(date, dd_text, line, "customer_delivery_date", dates),
+            or _parse_cached(read_date, dd_text, line, "customer_delivery_date", dates),
             dates.get(sd_text)
-            or _parse_cached(date, sd_text, line, "standard_delivery_date", dates),
+            or _parse_cached(read_date, sd_text, line, "standard_delivery_date", dates),
         )
         if order.customer_delivery_date == order.order_date:
             raise MalformedRow(

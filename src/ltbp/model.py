@@ -46,12 +46,25 @@ def collector_paused():
     included (Python docs, "gc"; Instagram Engineering, "Dismissing Python
     Garbage Collection at Instagram", 2017). As a decorator,
     ``@collector_paused()``, it pauses the collector for each call.
+
+    The allocation count keeps rising while the collector is paused, and the
+    first allocation after it resumes would collect everything the pass left
+    alive. So, when the collector was enabled and nothing was frozen on
+    entry, ``gc.freeze()`` then ``gc.unfreeze()`` on exit promote every
+    tracked object into the oldest generation and reset that count, without
+    traversing anything: the pass's objects are promoted, not collected, and
+    a later full collection still frees any cycle among them. A host
+    program's frozen objects, such as a pre-fork server's, are left alone.
     """
     collecting = gc.isenabled()
+    promote = collecting and gc.get_freeze_count() == 0
     gc.disable()
     try:
         yield
     finally:
+        if promote:
+            gc.freeze()
+            gc.unfreeze()
         if collecting:
             gc.enable()
 

@@ -19,13 +19,15 @@ exploited, never discounted.
 ``price_dataset`` reads each order twice, and each pass takes the lead days
 from the order's dates with ``lead_days``. The first pass appends the ratio
 of each eligible order to its customer's list; the lists become the
-customer's stats and are freed before the second pass prices the orders. So
-the only object kept per order is the ``PricedOrder`` it returns. Each premium
-becomes a float once per customer, and each float price becomes cents with
-one ``float_to_money``. An order not confirmed faster than standard gets its
-own ``original_price`` as both prices. The bounds in ``model`` keep every
-price below 2**45, where these steps give the same cents as ``to_money`` of
-the float.
+customer's stats and are freed before the second pass prices the orders.
+The second pass is a generator that ``tuple()`` drains, so the tuple of
+``PricedOrder``s is built with no list of them beside it, and the
+``PricedOrder`` is the only object kept per order. An order it cannot price
+goes to ``issues``, in order. Each premium becomes a float once per customer,
+and each float price becomes cents with one ``float_to_money``. An order not
+confirmed faster than standard gets its own ``original_price`` as both
+prices. The bounds in ``model`` keep every price below 2**45, where these
+steps give the same cents as ``to_money`` of the float.
 """
 
 from __future__ import annotations
@@ -189,27 +191,31 @@ def price_dataset(dataset, config: PricingConfig) -> PricingResult:
     premium_by_code = {p.customer_code: float(p.premium) for p in premiums}
 
     convex_alpha = config.convex_alpha
-    priced = []
     issues = []
-    for order in orders:
-        number, original = order.order_number, order.original_price
-        _, olt_confirmed, sdt = lead_days(order)
-        # Both prices are the original itself: a cent amount up to MONEY_MAX
-        # is what to_money makes of its own float.
-        if not expedited(olt_confirmed, sdt):
-            priced.append(PricedOrder(number, original, original, original))
-            continue
-        p_o = float(original)
-        try:
-            convex = convex_price(p_o, olt_confirmed, sdt, convex_alpha)
-        except LogDomainError as exc:
-            issues.append(PricingIssue(number, f"order {number}: {exc}"))
-            continue
-        rm = rm_price(p_o, olt_confirmed, sdt, premium_by_code[order.customer_code])
-        priced.append(PricedOrder(
-            number, original, float_to_money(rm), float_to_money(convex)
-        ))
-    return PricingResult(premiums, tuple(priced), stats, tuple(issues))
+
+    def priced():
+        for order in orders:
+            number, original = order.order_number, order.original_price
+            _, olt_confirmed, sdt = lead_days(order)
+            # Both prices are the original itself: a cent amount up to
+            # MONEY_MAX is what to_money makes of its own float.
+            if not expedited(olt_confirmed, sdt):
+                yield PricedOrder(number, original, original, original)
+                continue
+            p_o = float(original)
+            try:
+                convex = convex_price(p_o, olt_confirmed, sdt, convex_alpha)
+            except LogDomainError as exc:
+                issues.append(PricingIssue(number, f"order {number}: {exc}"))
+                continue
+            premium = premium_by_code[order.customer_code]
+            rm = rm_price(p_o, olt_confirmed, sdt, premium)
+            yield PricedOrder(
+                number, original, float_to_money(rm), float_to_money(convex)
+            )
+
+    priced_orders = tuple(priced())
+    return PricingResult(premiums, priced_orders, stats, tuple(issues))
 
 
 def _customer_stats(

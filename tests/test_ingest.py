@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date, timedelta
 from decimal import Decimal
 
@@ -22,7 +23,9 @@ from ltbp.ingest import (
     write_dataset,
     write_manifest,
 )
-from ltbp.model import AccountClass, class_for_revenue, lead_days, rm_eligible
+from ltbp.model import (
+    AccountClass, Customer, Product, class_for_revenue, lead_days, rm_eligible,
+)
 from tests.oracles import reference_generate
 
 CUSTOMER_HEADER = "customer_code,account_class,annual_revenue,region\n"
@@ -295,6 +298,92 @@ def test_a_repeated_id_is_a_duplicate_whatever_else_is_wrong(
     assert len(load(path, issues=issues)) == 1
     assert [(type(i), i.line, i.column) for i in issues] == [
         (DuplicateIdentifier, 3, column)]
+
+
+_CUSTOMERS = (Customer("C001", AccountClass.KEY, Decimal("50000000.00")),)
+_PRODUCTS = (Product("P01", "BT-A", "PL-1"),)
+
+
+def priced_rows(prices, first=1):
+    """orders.csv text with one order per price text, each otherwise
+    ``GOOD_ORDER``. Order O<n> is on file line n + 1: blank lines, which the
+    loader skips, stand in for the orders before ``first``."""
+    cells = GOOD_ORDER.split(",")
+    return ORDER_HEADER + "\n" * (first - 1) + "".join(
+        ",".join([f"O{n}", *cells[1:4], price, *cells[5:]]) + "\n"
+        for n, price in enumerate(prices, start=first)
+    )
+
+
+def load_priced(path, prices, first=1):
+    """The orders and the skipped rows' (type, line, column, message) of
+    ``priced_rows(prices, first)`` loaded from ``path`` in skip mode."""
+    issues = []
+    orders = load_orders(write(path, priced_rows(prices, first)), _CUSTOMERS,
+                         _PRODUCTS, issues=issues)
+    return orders, [(type(i), i.line, i.column, str(i)) for i in issues]
+
+
+class TestSharedPrices:
+    def test_equal_texts_share_one_decimal(self, tmp_path):
+        orders, issues = load_priced(tmp_path / "orders.csv",
+                                     ["5.00", "5", "5.00", "5.0", "5", "5.0"])
+        assert not issues
+        prices = [o.original_price for o in orders]
+        assert all(str(p) == "5.00" for p in prices)
+        assert prices[0] is prices[2] and prices[1] is prices[4]
+        assert prices[3] is prices[5]
+        # 5, 5.0 and 5.00 are three texts, each parsed on its own.
+        assert len({id(p) for p in prices}) == 3
+
+    def test_a_repeated_bad_text_is_reported_on_every_row(self, tmp_path):
+        _, issues = load_priced(tmp_path / "orders.csv", [
+            "abc", "12.00", "abc", "0.00", "0.00", "-5.00", "-5.00", "abc",
+        ])
+        assert [(kind, line, column) for kind, line, column, _ in issues] == [
+            (MalformedRow, line, "original_price") for line in (2, 4, 5, 6, 7, 8, 9)
+        ]
+        assert [message.split(": ", 1)[1] for *_, message in issues] == [
+            "not a number: 'abc'", "not a number: 'abc'",
+            "order O4: original_price must be > 0",
+            "order O5: original_price must be > 0",
+            "order O6: original_price must be > 0",
+            "order O7: original_price must be > 0", "not a number: 'abc'",
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(prices=st.lists(st.sampled_from([
+        "5", "5.0", "5.00", "0.00", "0.001", "-5.00", "12.345", "12.355", "abc",
+        "", "NaN", "1e3", "2020-01-01", "9999999999.99", "10000000000.00",
+        "99999999999999999999999999.99",
+    ]), min_size=1, max_size=12))
+    def test_a_shared_text_reads_as_each_row_alone(self, tmp_path_factory, prices):
+        out = tmp_path_factory.mktemp("prices")
+        orders, issues = load_priced(out / "all.csv", prices)
+        alone_orders, alone_issues = [], []
+        for n, price in enumerate(prices, start=1):
+            one, errors = load_priced(out / "one.csv", [price], first=n)
+            alone_orders += one
+            alone_issues += errors
+        assert orders == alone_orders
+        assert [str(o.original_price) for o in orders] == [
+            str(o.original_price) for o in alone_orders]
+        assert issues == alone_issues
+
+    def test_retains_at_most_184_bytes_per_order(self, tmp_path):
+        # 2,000 orders over 50 price texts retain 179 bytes each: the order,
+        # its number and its list entry. A Decimal per order (104 bytes)
+        # would add to that.
+        prices = [f"{10 + i % 50}.25" for i in range(2_000)]
+        path = write(tmp_path / "orders.csv", priced_rows(prices))
+        tracemalloc.start()
+        try:
+            orders = load_orders(path, _CUSTOMERS, _PRODUCTS)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained / len(orders) <= 184
+        assert len({id(o.original_price) for o in orders}) == 50
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import inspect
 import sys
+import weakref
 from dataclasses import FrozenInstanceError, fields
 from datetime import date
 from decimal import Decimal
@@ -270,6 +271,51 @@ class TestCollectorPaused:
         with pytest.raises(FilterTypeError, match="type mismatch"):
             evaluate(small_graph, mismatch)
         assert gc.isenabled() is collecting
+
+    def test_a_pass_promotes_its_objects_without_collecting_them(self):
+        @collector_paused()
+        def allocate():
+            return [[i] for i in range(10_000)]
+
+        gc.enable()
+        starts = []
+        gc.callbacks.append(lambda phase, info: starts.append(phase == "start"))
+        kept = allocate()
+        after = gc.get_count()[0]
+        assert not any(starts)
+        assert after < 100 and gc.get_freeze_count() == 0
+        assert len(kept) == 10_000
+
+    def test_a_cycle_made_in_a_pass_is_still_collected(self):
+        class Node:
+            pass
+
+        @collector_paused()
+        def make_cycle():
+            node = Node()
+            node.self = node
+            return weakref.ref(node)
+
+        gc.enable()
+        ref = make_cycle()
+        assert ref() is not None  # promoted, not collected
+        gc.collect()
+        assert ref() is None
+
+    def test_a_hosts_frozen_objects_stay_frozen(self):
+        @collector_paused()
+        def allocate():
+            return [[i] for i in range(1_000)]
+
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            allocate()
+            assert gc.get_freeze_count() == frozen > 0
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
 
     def test_the_bulk_passes_run_no_collection(self, tmp_path, config):
         dataset = generate_synthetic(_CONFIG_2000)
